@@ -7,7 +7,7 @@ from .channel import ChannelMatrix, PathLossModel, los_channel, wavelength
 from .coding import HuffmanCode, SymbolMatrix
 from .geometry import PlanarArray, facing_array
 from .harness import ExperimentConfig, SweepRecord, build_scene, run_sweep
-from .link import LinkBudget, effective_gain, end_to_end_channel, equalize, snr, transmit
+from .link import LinkBudget, equalize, snr, transmit
 from .metrics import KnowledgeGraph
 from .ris import Codebook, RisConfiguration, active_mask, build_codebook, quantize_phases
 
@@ -26,8 +26,6 @@ __all__ = [
     "active_mask",
     "build_codebook",
     "build_scene",
-    "effective_gain",
-    "end_to_end_channel",
     "equalize",
     "facing_array",
     "los_channel",

@@ -11,8 +11,6 @@ the center-to-center distance. No NLoS component and no direct tx-rx link
 are modeled.
 """
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,52 +93,3 @@ def los_channel(
     amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)
     kappa = 2.0 * np.pi / wavelength
     return ChannelMatrix(amplitude * np.exp(-1j * kappa * d), wavelength)
-
-
-_DUMP_MAGIC = b"RLCM"
-
-
-def store_channel(h: ChannelMatrix, path) -> None:
-    """Binary dump: magic, little-endian uint64 shape, float64 wavelength,
-    then interleaved real/imag little-endian float64 entries, row-major."""
-    m, n = h.shape
-    with open(path, "wb") as f:
-        f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<QQd", m, n, h.wavelength))
-        f.write(np.ascontiguousarray(h.entries, dtype="<c16").tobytes())
-
-
-def load_channel(path) -> ChannelMatrix:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _DUMP_MAGIC:
-        raise ValueError(f"{path}: not a channel dump")
-    m, n, lam = struct.unpack_from("<QQd", blob, 4)
-    data = np.frombuffer(blob, dtype="<c16", offset=4 + 24)
-    if data.size != m * n:
-        raise ValueError(f"{path}: truncated channel dump")
-    return ChannelMatrix(data.reshape(m, n).astype(complex), lam)
-
-
-def store_channel_json(h: ChannelMatrix, path) -> None:
-    m, n = h.shape
-    flat = np.ascontiguousarray(h.entries).ravel()
-    payload = {
-        "n_rows": int(m),
-        "n_cols": int(n),
-        "wavelength": h.wavelength,
-        "data": [x for z in flat for x in (z.real, z.imag)],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
-
-
-def load_channel_json(path) -> ChannelMatrix:
-    with open(path) as f:
-        payload = json.load(f)
-    m, n = int(payload["n_rows"]), int(payload["n_cols"])
-    raw = np.asarray(payload["data"], dtype=float)
-    if raw.size != 2 * m * n:
-        raise ValueError(f"{path}: data length does not match shape")
-    entries = (raw[0::2] + 1j * raw[1::2]).reshape(m, n)
-    return ChannelMatrix(entries, float(payload["wavelength"]))

@@ -24,7 +24,7 @@ from .harness import (
     derive_seed,
     run_sweep,
 )
-from .link import effective_gain, end_to_end_channel, snr, transmit
+from .link import snr, transmit
 from .ris import store_codebook
 
 
@@ -72,9 +72,7 @@ def cmd_transmit(args) -> int:
     scene = build_scene(cfg)
     bits = _parse_bits(args.bits)
     _, ris_cfg, _ = configure_point(scene, args.ratio, bits)
-    g = effective_gain(
-        end_to_end_channel(scene.h_ris_tx, ris_cfg, scene.h_rx_ris), scene.budget
-    )
+    g = ris_cfg.gain(scene.coefficients)
     m = coding.normalize_rows(coding.load_symbol_matrix(args.infile))
     seed = args.seed if args.seed is not None else derive_seed(cfg.master_seed, 0)
     received = transmit(m, g, scene.budget, seed)

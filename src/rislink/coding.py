@@ -160,17 +160,6 @@ def huffman_frequencies(corpus) -> Counter:
     return counts
 
 
-def store_huffman(code: HuffmanCode, path) -> None:
-    with open(path, "w") as f:
-        json.dump({"table": code.table, "frequencies": code.frequencies}, f)
-
-
-def load_huffman(path) -> HuffmanCode:
-    with open(path) as f:
-        payload = json.load(f)
-    return HuffmanCode(dict(payload["table"]), dict(payload["frequencies"]))
-
-
 # --------------------------------------------------------------------------
 # Fixed 6-bit coding
 

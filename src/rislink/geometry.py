@@ -1,5 +1,4 @@
-"""3D scene geometry: uniform planar arrays, element grids, distances and
-aperture cosines.
+"""3D scene geometry: uniform planar arrays and their element grids.
 
 Element indexing is row-major (element k = r * cols + c) and frozen so that
 codebooks and active-element masks are reproducible across runs.
@@ -100,26 +99,3 @@ def element_positions(array: PlanarArray) -> np.ndarray:
         + c[None, :, None] * array.spacing * array.axis_col
     )
     return (array.center + offsets).reshape(-1, 3)
-
-
-def pairwise_distance(a: PlanarArray, m: int, b: PlanarArray, n: int) -> float:
-    """Euclidean distance between element m of array a and element n of b."""
-    pa = element_positions(a)[m]
-    pb = element_positions(b)[n]
-    d = float(np.linalg.norm(pb - pa))
-    if d == 0.0:
-        raise ValueError("coincident elements: degenerate geometry")
-    return d
-
-
-def aperture_cosine(a: PlanarArray, m: int, b: PlanarArray, n: int) -> float:
-    """Cosine of the angle between a's broadside and the direction from
-    element m of a to element n of b, clamped below at 0 (an element does
-    not illuminate its back half-space).
-    """
-    pa = element_positions(a)[m]
-    pb = element_positions(b)[n]
-    d = np.linalg.norm(pb - pa)
-    if d == 0.0:
-        raise ValueError("coincident elements: zero distance")
-    return max(0.0, float(np.dot(a.normal, (pb - pa) / d)))

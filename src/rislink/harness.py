@@ -22,14 +22,20 @@ from .geometry import PlanarArray, facing_array, unit
 from .link import (
     LinkBudget,
     dbm_to_watts,
-    effective_gain,
-    end_to_end_channel,
     equalize,
     snr,
+    snr_linear,
     steering_precoder,
     transmit_with_rng,
 )
-from .ris import Codebook, active_mask, build_codebook, quantize_phases, select_codeword
+from .ris import (
+    Codebook,
+    active_mask,
+    build_codebook,
+    cascaded_coefficients,
+    quantize_phases,
+    select_codeword,
+)
 
 CSV_COLUMNS = [
     "ratio",
@@ -98,8 +104,10 @@ class ExperimentConfig:
         if sorted(self.ratios) != list(self.ratios):
             raise ValueError("ratios must be sorted ascending")
         for b in self.quantizations:
-            if b is not None and (not isinstance(b, int) or b < 1):
+            if b is not None and (isinstance(b, bool) or not isinstance(b, int) or b < 1):
                 raise ValueError(f"invalid quantization precision: {b!r}")
+        if not (isinstance(self.max_bleu, (int, float)) and self.max_bleu > 0):
+            raise ValueError(f"max_bleu must be a positive number, got {self.max_bleu!r}")
         if self.modulation not in coding.MODULATIONS:
             raise ValueError(f"unknown modulation: {self.modulation!r}")
         unknown = set(self.baselines) - {"huffman", "sixbit"}
@@ -138,6 +146,7 @@ class Scene:
     h_ris_tx: object
     h_rx_ris: object
     codebook: Codebook
+    coefficients: np.ndarray  # cascaded per-element c_i under the scene's weights
 
 
 def _build_array(spec: ArraySpec, default_spacing: float, default_toward) -> PlanarArray:
@@ -180,7 +189,8 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
 
     incident = unit(tx.center - ris.center)
     cb = build_codebook(ris, incident, cfg.codebook_grid, lam)
-    return Scene(tx, rx, ris, lam, pl, budget, h_ris_tx, h_rx_ris, cb)
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, w_tx, w_rx)
+    return Scene(tx, rx, ris, lam, pl, budget, h_ris_tx, h_rx_ris, cb, c)
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,7 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     )
     if bits is not None:
         cfg = quantize_phases(cfg, bits)
-        g = effective_gain(end_to_end_channel(scene.h_ris_tx, cfg, scene.h_rx_ris), scene.budget)
-        snr_lin, _ = snr(g, scene.budget)
+        snr_lin = snr_linear(cfg.gain(scene.coefficients), scene.budget)
     return idx, cfg, snr_lin
 
 
@@ -294,10 +303,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
 
     def run_point(point):
         i, ratio, j, bits = point
-        idx, ris_cfg, snr_lin = configure_point(scene, ratio, bits, quantize_before_select)
-        g = effective_gain(
-            end_to_end_channel(scene.h_ris_tx, ris_cfg, scene.h_rx_ris), scene.budget
-        )
+        idx, ris_cfg, _ = configure_point(scene, ratio, bits, quantize_before_select)
+        g = ris_cfg.gain(scene.coefficients)
         _, snr_db = snr(g, scene.budget)
         records = []
         for k, name in enumerate(method_names):

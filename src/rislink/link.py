@@ -13,7 +13,6 @@ import numpy as np
 from .channel import ChannelMatrix
 from .coding import SymbolMatrix
 from .geometry import PlanarArray, element_positions
-from .ris import RisConfiguration
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,11 @@ def steering_precoder(tx: PlanarArray, target, wavelength: float) -> np.ndarray:
     return np.exp(1j * kappa * (d - d_center)) / np.sqrt(tx.num_elements)
 
 
-def end_to_end_channel(
-    h_ris_tx: ChannelMatrix, cfg: RisConfiguration, h_rx_ris: ChannelMatrix
-) -> ChannelMatrix:
-    """Compose the tx->RIS and RIS->rx channels through the configured
-    reflection diagonal; inactive elements contribute zero."""
+def end_to_end_channel(h_ris_tx: ChannelMatrix, cfg, h_rx_ris: ChannelMatrix) -> ChannelMatrix:
+    """Compose the tx->RIS and RIS->rx channels through the reflection
+    diagonal of `cfg`, a ris.RisConfiguration; inactive elements contribute
+    zero. The sweep computes the same scalar as RisConfiguration.gain; this
+    full composition is the reference the tests compare it against."""
     n_r = h_ris_tx.shape[0]
     if h_rx_ris.shape[1] != n_r or cfg.num_elements != n_r:
         raise ValueError(

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from rislink.channel import (
-    PathLossModel,
-    load_channel,
-    load_channel_json,
-    los_channel,
-    store_channel,
-    store_channel_json,
-    wavelength,
-    SPEED_OF_LIGHT,
-)
+from rislink.channel import SPEED_OF_LIGHT, PathLossModel, los_channel, wavelength
 from rislink.geometry import PlanarArray, facing_array
 
 X = np.array([1.0, 0.0, 0.0])
@@ -105,32 +96,3 @@ def test_path_loss_model_validation():
     with pytest.raises(ValueError):
         PathLossModel(4.0, 0.0)
 
-
-def test_binary_dump_round_trip(tmp_path):
-    tx, rx = facing_pair(5.0, rows=2, cols=3)
-    h = los_channel(tx, rx, 0.01, PathLossModel(4.0))
-    path = tmp_path / "h.bin"
-    store_channel(h, path)
-    back = load_channel(path)
-    np.testing.assert_array_equal(back.entries, h.entries)
-    assert back.wavelength == h.wavelength
-
-
-def test_json_dump_round_trip(tmp_path):
-    tx, rx = facing_pair(5.0, rows=2, cols=2)
-    h = los_channel(tx, rx, 0.01, PathLossModel(4.0))
-    path = tmp_path / "h.json"
-    store_channel_json(h, path)
-    back = load_channel_json(path)
-    np.testing.assert_array_equal(back.entries, h.entries)
-
-
-def test_truncated_dump_rejected(tmp_path):
-    tx, rx = facing_pair(5.0, rows=2, cols=2)
-    h = los_channel(tx, rx, 0.01, PathLossModel(4.0))
-    path = tmp_path / "h.bin"
-    store_channel(h, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        load_channel(path)

@@ -13,7 +13,6 @@ from rislink.coding import (
     huffman_decode,
     huffman_encode,
     huffman_frequencies,
-    load_huffman,
     load_symbol_matrix,
     normalize_rows,
     qam16_demodulate,
@@ -23,7 +22,6 @@ from rislink.coding import (
     sixbit_decode,
     sixbit_encode,
     sixbit_fold,
-    store_huffman,
     store_symbol_matrix,
 )
 
@@ -131,15 +129,6 @@ def test_huffman_desynchronization_permitted():
     corrupted[1] ^= 1
     decoded = huffman_decode(corrupted, code)
     assert decoded != text  # a single early flip is allowed to cascade
-
-
-def test_huffman_table_serialization(tmp_path):
-    code = huffman_build({"a": 4, "b": 2, "c": 1, "d": 1})
-    path = tmp_path / "code.json"
-    store_huffman(code, path)
-    back = load_huffman(path)
-    assert back.table == code.table
-    assert back.frequencies == code.frequencies
 
 
 def test_huffman_deterministic():

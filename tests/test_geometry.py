@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from rislink.channel import wavelength
-from rislink.geometry import (
-    PlanarArray,
-    aperture_cosine,
-    element_positions,
-    facing_array,
-    pairwise_distance,
-    unit,
-)
+from rislink.channel import PathLossModel, los_channel, wavelength
+from rislink.geometry import PlanarArray, element_positions, facing_array, unit
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -52,48 +45,55 @@ def test_positions_mean_equals_center():
     np.testing.assert_allclose(mean, a.center, rtol=1e-12, atol=1e-12)
 
 
+def distance(a, b):
+    return np.linalg.norm(element_positions(b)[0] - element_positions(a)[0])
+
+
 def test_paper_scene_center_distances():
     tx = PlanarArray([0.0, 10.0, 0.0], 1, 1, 0.5, X, Y, Z)
     ris = PlanarArray([10.0, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)
     rx = PlanarArray([10.0, 15.0, 0.0], 1, 1, 0.5, X, Y, Z)
-    assert pairwise_distance(tx, 0, ris, 0) == pytest.approx(np.sqrt(200), rel=1e-12)
-    assert pairwise_distance(ris, 0, rx, 0) == pytest.approx(15.0, rel=1e-12)
+    assert distance(tx, ris) == pytest.approx(np.sqrt(200), rel=1e-12)
+    assert distance(ris, rx) == pytest.approx(15.0, rel=1e-12)
 
 
-def test_distance_symmetry():
-    a = facing_array([0.0, 0.0, 0.0], 3, 3, 0.4, [5.0, 5.0, 1.0])
-    b = facing_array([5.0, 5.0, 1.0], 2, 2, 0.4, [0.0, 0.0, 0.0])
-    for m in range(9):
-        for n in range(4):
-            assert pairwise_distance(a, m, b, n) == pairwise_distance(b, n, a, m)
+# Aperture cosines enter the model only through the LoS channel amplitude
+# sqrt(pi^2 * cos_a * cos_b / beta); the tests below read them back from it.
+
+PL = PathLossModel(4.0)
+
+
+def cosine_products(a, b):
+    """cos at a times cos at b for every element pair, from los_channel."""
+    h = los_channel(a, b, 0.01, PL)
+    return np.abs(h.entries) ** 2 * PL.beta(np.linalg.norm(b.center - a.center)) / np.pi**2
 
 
 def test_coincident_elements_raise():
-    a = PlanarArray([1.0, 2.0, 3.0], 1, 1, 0.5, X, Y, Z)
+    a = PlanarArray([0.0, 0.0, 0.0], 2, 1, 1.0, X, Y, Z)  # elements at x = -0.5, 0.5
+    b = PlanarArray([0.5, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)
     with pytest.raises(ValueError):
-        pairwise_distance(a, 0, a, 0)
-    with pytest.raises(ValueError):
-        aperture_cosine(a, 0, a, 0)
+        los_channel(a, b, 0.01, PL)
 
 
 def test_aperture_cosine_broadside_and_endfire():
     a = PlanarArray([0.0, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)  # normal = Z
-    broadside = PlanarArray([0.0, 0.0, 7.0], 1, 1, 0.5, X, Y, Z)
-    endfire = PlanarArray([3.0, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)
-    assert aperture_cosine(a, 0, broadside, 0) == pytest.approx(1.0)
-    assert aperture_cosine(a, 0, endfire, 0) == 0.0
+    broadside = facing_array([0.0, 0.0, 7.0], 1, 1, 0.5, a.center)
+    endfire = facing_array([3.0, 0.0, 0.0], 1, 1, 0.5, a.center)
+    assert cosine_products(a, broadside)[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert cosine_products(a, endfire)[0, 0] == 0.0
 
 
 def test_aperture_cosine_45_degrees():
     a = PlanarArray([0.0, 0.0, 0.0], 1, 1, 0.5, Y, Z, X)  # normal = X
-    b = PlanarArray([1.0, 1.0, 0.0], 1, 1, 0.5, Y, Z, X)
-    assert aperture_cosine(a, 0, b, 0) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+    b = facing_array([1.0, 1.0, 0.0], 1, 1, 0.5, a.center)
+    assert cosine_products(a, b)[0, 0] == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
 
 def test_back_halfspace_clamps_to_zero():
     a = PlanarArray([0.0, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)
-    behind = PlanarArray([0.0, 0.0, -4.0], 1, 1, 0.5, X, Y, Z)
-    assert aperture_cosine(a, 0, behind, 0) == 0.0
+    behind = facing_array([0.0, 0.0, -4.0], 1, 1, 0.5, a.center)
+    assert cosine_products(a, behind)[0, 0] == 0.0
 
 
 def test_cosines_within_bounds_random_pairs():
@@ -101,10 +101,8 @@ def test_cosines_within_bounds_random_pairs():
     for _ in range(20):
         a = facing_array(rng.normal(size=3), 2, 2, 0.3, rng.normal(size=3) + 10)
         b = facing_array(rng.normal(size=3) + 5, 3, 1, 0.3, rng.normal(size=3))
-        for m in range(4):
-            for n in range(3):
-                c = aperture_cosine(a, m, b, n)
-                assert 0.0 <= c <= 1.0
+        products = cosine_products(a, b)
+        assert np.all((products >= 0.0) & (products <= 1.0 + 1e-12))
 
 
 def test_rigid_translation_invariance():
@@ -113,14 +111,10 @@ def test_rigid_translation_invariance():
     b1 = facing_array([4.0, 4.0, 0.0], 2, 2, 0.4, [0.0, 1.0, 0.0])
     a2 = PlanarArray(a1.center + shift, 2, 3, 0.4, a1.axis_row, a1.axis_col, a1.normal)
     b2 = PlanarArray(b1.center + shift, 2, 2, 0.4, b1.axis_row, b1.axis_col, b1.normal)
-    for m in range(6):
-        for n in range(4):
-            assert pairwise_distance(a1, m, b1, n) == pytest.approx(
-                pairwise_distance(a2, m, b2, n), abs=1e-9
-            )
-            assert aperture_cosine(a1, m, b1, n) == pytest.approx(
-                aperture_cosine(a2, m, b2, n), abs=1e-9
-            )
+    np.testing.assert_allclose(
+        los_channel(a1, b1, 0.01, PL).entries, los_channel(a2, b2, 0.01, PL).entries,
+        rtol=1e-9,
+    )
 
 
 def test_invalid_arrays_rejected():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rislink.harness import (
     run_sweep,
     write_records,
 )
+from rislink.link import effective_gain, end_to_end_channel, snr_linear
+from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, quantize_phases
 
 
 def small_config(tmp_path, **overrides):
@@ -60,6 +63,11 @@ def test_config_validation():
         ExperimentConfig(baselines=["morse"])
     with pytest.raises(ValueError):
         ExperimentConfig(modulation="1024qam")
+    with pytest.raises(ValueError):
+        ExperimentConfig(quantizations=[True])  # a bool is not a bit count
+    for max_bleu in (0, -0.5, "0.6"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_bleu=max_bleu)
 
 
 def test_config_json_round_trip(tmp_path):
@@ -186,6 +194,39 @@ def test_quantize_before_select_never_worse(tmp_path):
         assert snr_strong >= snr_default * (1 - 1e-12)
 
 
+def test_configure_point_gain_matches_composed_channel():
+    # the gain applied per point equals the full end-to-end composition, and
+    # the index equals a per-codeword scan ranked on that gain's power
+    scene = build_scene(ExperimentConfig())
+    c = cascaded_coefficients(scene.h_ris_tx, scene.h_rx_ris,
+                              scene.budget.w_tx, scene.budget.w_rx)
+
+    def scan(mask, bits):
+        powers = []
+        for phases in scene.codebook.phases:
+            candidate = RisConfiguration(phases, mask)
+            if bits is not None:
+                candidate = quantize_phases(candidate, bits)
+            powers.append(abs(np.sum(candidate.reflection_coefficients() * c)) ** 2)
+        return int(np.argmax(powers))
+
+    for ratio in (0.05, 0.5, 1.0):
+        mask = active_mask(scene.ris, ratio)
+        scans = {None: scan(mask, None)}
+        for bits in (None, 1, 2):
+            for before in (False, True):
+                idx, cfg, snr_lin = configure_point(scene, ratio, bits, before)
+                g = effective_gain(
+                    end_to_end_channel(scene.h_ris_tx, cfg, scene.h_rx_ris), scene.budget
+                )
+                assert cfg.gain(scene.coefficients) == pytest.approx(g, rel=1e-12)
+                assert snr_lin == pytest.approx(snr_linear(g, scene.budget), rel=1e-12)
+                scan_bits = bits if before else None
+                if scan_bits not in scans:
+                    scans[scan_bits] = scan(mask, scan_bits)
+                assert idx == scans[scan_bits]
+
+
 def test_semantic_matrix_route(tmp_path):
     rng = np.random.default_rng(0)
     matrix = SymbolMatrix(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
@@ -253,6 +294,16 @@ def test_cli_sweep_and_snr(tmp_path, capsys):
                      "--bits", "1"]) == 0
     text = capsys.readouterr().out
     assert "snr_db=" in text
+
+
+def test_cli_snr_noiseless_ranks_by_gain(tmp_path, capsys):
+    # with noise_power = 0 every codeword has infinite SNR; ranking must use
+    # the gain, which picks the same codeword as the default noise floor
+    path = tmp_path / "noiseless.json"
+    path.write_text(json.dumps({"noise_dbm": -math.inf}))
+    for config in ([], ["--config", str(path)]):
+        assert cli_main(["snr", *config, "--ratio", "1.0", "--bits", "none"]) == 0
+        assert "codeword=324 " in capsys.readouterr().out
 
 
 def test_cli_codebook(tmp_path):
