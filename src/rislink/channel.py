@@ -7,8 +7,8 @@ Entry (m, n) of the channel from a transmit array to a receive array is
 where d_mn is the element pairwise distance, kappa = 2*pi/wavelength,
 cos_rx / cos_tx are the aperture cosines at each end (clamped at 0), and
 beta = (d_centers / d0)^alpha is the per-link path loss evaluated once at
-the center-to-center distance. No NLoS component and no direct tx-rx link
-are modeled.
+the center-to-center distance, with the reference distance d0 fixed at
+1 m. No NLoS component and no direct tx-rx link are modeled.
 """
 
 from dataclasses import dataclass
@@ -18,21 +18,19 @@ import numpy as np
 from .geometry import PlanarArray, element_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
 
 
 @dataclass(frozen=True)
 class PathLossModel:
     exponent: float = 4.0
-    reference_distance: float = 1.0
 
     def __post_init__(self):
         if self.exponent < 2.0:
             raise ValueError("path loss exponent must be >= 2")
-        if not self.reference_distance > 0:
-            raise ValueError("reference distance must be positive")
 
     def beta(self, distance: float) -> float:
-        return (distance / self.reference_distance) ** self.exponent
+        return (distance / REFERENCE_DISTANCE) ** self.exponent
 
 
 @dataclass(frozen=True)

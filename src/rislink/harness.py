@@ -12,13 +12,14 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args
 
 import numpy as np
 
 from . import coding, metrics
 from .channel import PathLossModel, los_channel, wavelength
-from .geometry import PlanarArray, facing_array, unit
+from .geometry import PlanarArray, facing_array, orthonormal_frame, unit
 from .link import (
     LinkBudget,
     dbm_to_watts,
@@ -37,20 +38,24 @@ from .ris import (
     select_codeword,
 )
 
-CSV_COLUMNS = [
-    "ratio",
-    "bits",
-    "codeword",
-    "snr_db",
-    "method",
-    "ber",
-    "char_err",
-    "bleu",
-    "rel_bleu",
-    "f1",
-    "similarity",
-    "seed",
-]
+
+def _is_real(x) -> bool:
+    """A number that is neither a bool nor NaN."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x == x
+
+
+def _is_count(x, least: int = 1) -> bool:
+    return isinstance(x, int) and _is_real(x) and x >= least
+
+
+def _is_list(value, item, n=None) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == (n or len(value))
+            and all(map(item, value)))
+
+
+def _require(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -60,6 +65,15 @@ class ArraySpec:
     cols: int = 1
     spacing: float | None = None  # None -> half a carrier wavelength
     normal: list | None = None  # None -> default orientation rule
+
+    def __post_init__(self):
+        _require(_is_list(self.center, _is_real, 3), "center", "3 numbers", self.center)
+        _require(_is_count(self.rows) and _is_count(self.cols),
+                 "rows and cols", "positive integers", (self.rows, self.cols))
+        _require(self.spacing is None or _is_real(self.spacing) and self.spacing > 0,
+                 "spacing", "a positive number", self.spacing)
+        _require(self.normal is None or _is_list(self.normal, _is_real, 3),
+                 "normal", "3 numbers", self.normal)
 
 
 @dataclass
@@ -82,9 +96,6 @@ class ExperimentConfig:
     master_seed: int = 0
     corpus_path: str | None = None
     symbol_matrix_path: str | None = None
-    reference_graph_path: str | None = None
-    reference_text_path: str | None = None
-    embeddings_path: str | None = None
     baselines: list = field(default_factory=lambda: ["huffman", "sixbit"])
     modulation: str = "qpsk"
     max_bleu: float = 0.6
@@ -92,27 +103,39 @@ class ExperimentConfig:
     received_matrix_dir: str | None = None
 
     def __post_init__(self):
+        """Type and range checks; every violation raises ValueError."""
         for name in ("tx", "rx", "ris"):
             value = getattr(self, name)
-            if isinstance(value, dict):
-                setattr(self, name, ArraySpec(**value))
+            try:
+                value = ArraySpec(**value) if isinstance(value, dict) else value
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            _require(isinstance(value, ArraySpec), name, "an array spec object", value)
+            setattr(self, name, value)
+        for name in ("frequency_hz", "p_tx_w", "noise_dbm", "path_loss_exponent"):
+            _require(_is_real(getattr(self, name)), name, "a number", getattr(self, name))
+        _require(_is_real(self.max_bleu) and self.max_bleu > 0,
+                 "max_bleu", "a positive number", self.max_bleu)
+        _require(_is_count(self.master_seed, 0),
+                 "master_seed", "a non-negative integer", self.master_seed)
+        _require(_is_list(self.codebook_grid, _is_count, 2),
+                 "codebook_grid", "two positive integers", self.codebook_grid)
         self.codebook_grid = tuple(self.codebook_grid)
-        if not self.quantizations:
-            raise ValueError("quantizations must be non-empty")
-        if any(not 0.0 < r <= 1.0 for r in self.ratios):
-            raise ValueError("ratios must lie in (0, 1]")
-        if sorted(self.ratios) != list(self.ratios):
-            raise ValueError("ratios must be sorted ascending")
-        for b in self.quantizations:
-            if b is not None and (isinstance(b, bool) or not isinstance(b, int) or b < 1):
-                raise ValueError(f"invalid quantization precision: {b!r}")
-        if not (isinstance(self.max_bleu, (int, float)) and self.max_bleu > 0):
-            raise ValueError(f"max_bleu must be a positive number, got {self.max_bleu!r}")
-        if self.modulation not in coding.MODULATIONS:
-            raise ValueError(f"unknown modulation: {self.modulation!r}")
-        unknown = set(self.baselines) - {"huffman", "sixbit"}
-        if unknown:
-            raise ValueError(f"unknown baselines: {sorted(unknown)}")
+        _require(self.ratios and _is_list(self.ratios, lambda r: _is_real(r) and 0.0 < r <= 1.0),
+                 "ratios", "a non-empty list of numbers in (0, 1]", self.ratios)
+        if any(a >= b for a, b in zip(self.ratios, self.ratios[1:])):
+            raise ValueError("ratios must be strictly ascending")
+        q = self.quantizations
+        _require(q and _is_list(q, lambda b: b is None or _is_count(b)) and len(set(q)) == len(q),
+                 "quantizations", "a non-empty list of distinct bit counts or null", q)
+        _require(isinstance(self.modulation, str) and self.modulation in coding.MODULATIONS,
+                 "modulation", f"one of {sorted(coding.MODULATIONS)}", self.modulation)
+        _require(_is_list(self.baselines, lambda b: b in ("huffman", "sixbit")),
+                 "baselines", 'a list of "huffman" and "sixbit"', self.baselines)
+        for name in ("corpus_path", "symbol_matrix_path", "received_matrix_dir", "output_path"):
+            value = getattr(self, name)
+            _require(isinstance(value, str) or value is None and name != "output_path",
+                     name, "a path string", value)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -121,8 +144,9 @@ class ExperimentConfig:
                 payload = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed config: {exc}") from exc
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(payload) - known
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**payload)
@@ -140,8 +164,6 @@ class Scene:
     tx: PlanarArray
     rx: PlanarArray
     ris: PlanarArray
-    wavelength: float
-    path_loss: PathLossModel
     budget: LinkBudget
     h_ris_tx: object
     h_rx_ris: object
@@ -152,13 +174,8 @@ class Scene:
 def _build_array(spec: ArraySpec, default_spacing: float, default_toward) -> PlanarArray:
     spacing = spec.spacing if spec.spacing is not None else default_spacing
     if spec.normal is not None:
-        from .geometry import orthonormal_frame
-
-        axis_row, axis_col, normal = orthonormal_frame(spec.normal)
-        return PlanarArray(
-            np.asarray(spec.center, float), spec.rows, spec.cols, spacing,
-            axis_row, axis_col, normal,
-        )
+        return PlanarArray(np.asarray(spec.center, float), spec.rows, spec.cols, spacing,
+                           *orthonormal_frame(spec.normal))
     return facing_array(spec.center, spec.rows, spec.cols, spacing, default_toward)
 
 
@@ -190,11 +207,13 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     incident = unit(tx.center - ris.center)
     cb = build_codebook(ris, incident, cfg.codebook_grid, lam)
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, w_tx, w_rx)
-    return Scene(tx, rx, ris, lam, pl, budget, h_ris_tx, h_rx_ris, cb, c)
+    return Scene(tx, rx, ris, budget, h_ris_tx, h_rx_ris, cb, c)
 
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One CSV row; the CSV columns are these fields, in this order."""
+
     ratio: float
     bits: int | None
     codeword: int
@@ -204,9 +223,20 @@ class SweepRecord:
     char_err: float | None
     bleu: float | None
     rel_bleu: float | None
-    f1: float | None
-    similarity: float | None
     seed: int
+
+
+def _column(f) -> tuple:
+    """(name, parser, text written for None) of one SweepRecord field. An
+    optional int (bits) writes None as "none", an optional float as an empty
+    cell; a required field has no None text."""
+    parse, *optional = get_args(f.type) or (f.type,)
+    none = ("none" if parse is int else "") if optional else None
+    return f.name, parse, none
+
+
+_COLUMNS = [_column(f) for f in fields(SweepRecord)]
+CSV_COLUMNS = [name for name, _, _ in _COLUMNS]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -214,38 +244,48 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([master_seed, *indices]).generate_state(1)[0])
 
 
-def configure_point(scene: Scene, ratio: float, bits: int | None,
-                    quantize_before_select: bool = False):
-    """Mask + codeword selection for one sweep point. Default order follows
-    the evaluated protocol: select with continuous phases, then quantize the
-    chosen codeword. The quantize-before-select alternative re-ranks the
-    codebook on quantized SNR (a stronger, non-default scheme)."""
+def _configure_ratio(scene: Scene, ratio: float, quantizations,
+                     quantize_before_select: bool) -> list:
+    """(codeword index, applied configuration) for each entry of
+    `quantizations` at one ratio. The default order follows the evaluated
+    protocol: one selection on continuous phases, whose winner each entry
+    then quantizes. The quantize-before-select alternative re-ranks the
+    codebook on quantized gains for every entry (a stronger, non-default
+    scheme)."""
     mask = active_mask(scene.ris, ratio)
-    if bits is not None and quantize_before_select:
+
+    def select(bits):
         return select_codeword(
             scene.codebook, scene.h_ris_tx, scene.h_rx_ris, scene.budget, mask, bits
-        )
-    idx, cfg, snr_lin = select_codeword(
-        scene.codebook, scene.h_ris_tx, scene.h_rx_ris, scene.budget, mask, None
-    )
-    if bits is not None:
-        cfg = quantize_phases(cfg, bits)
-        snr_lin = snr_linear(cfg.gain(scene.coefficients), scene.budget)
-    return idx, cfg, snr_lin
+        )[:2]
+
+    if quantize_before_select:
+        return [select(bits) for bits in quantizations]
+    idx, continuous = select(None)
+    return [(idx, continuous if bits is None else quantize_phases(continuous, bits))
+            for bits in quantizations]
 
 
-def _corpus_pipeline(scene, g, sentences, encoded, decoder, modulation, rng, max_bleu):
-    """Transmit each pre-encoded sentence through the scalar channel and
+def configure_point(scene: Scene, ratio: float, bits: int | None,
+                    quantize_before_select: bool = False):
+    """(codeword index, applied configuration, linear SNR) at one sweep
+    point, as a sweep selects it (see _configure_ratio); scores the codebook
+    once."""
+    idx, cfg = _configure_ratio(scene, ratio, [bits], quantize_before_select)[0]
+    return idx, cfg, snr_linear(cfg.gain(scene.coefficients), scene.budget)
+
+
+def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
+    """Send one method's whole corpus through the scalar channel in a single
+    transmission, then demodulate, decode and score each sentence and
     average the text metrics over the corpus."""
-    modulate, demodulate = coding.MODULATIONS[modulation]
+    _, sentences, encoded, decoder, symbols, bounds = corpus
+    demodulate = coding.MODULATIONS[modulation][1]
+    received = transmit_with_rng(symbols, g, scene.budget, rng)
+    equalized = equalize(received, g, scene.budget.p_tx).values[0]
     bers, char_errs, bleus = [], [], []
-    for sentence, bits in zip(sentences, encoded):
-        symbols, _ = modulate(bits)
-        sent = coding.SymbolMatrix(symbols.reshape(1, -1))
-        received = transmit_with_rng(sent, g, scene.budget, rng)
-        recovered_bits = demodulate(
-            equalize(received, g, scene.budget.p_tx).values, n_bits=bits.size
-        )
+    for sentence, bits, start, stop in zip(sentences, encoded, bounds, bounds[1:]):
+        recovered_bits = demodulate(equalized[start:stop], n_bits=bits.size)
         decoded = decoder(recovered_bits)
         bers.append(metrics.bit_error_rate(bits, recovered_bits))
         char_errs.append(metrics.char_error_rate(sentence, decoded))
@@ -260,23 +300,35 @@ def _corpus_pipeline(scene, g, sentences, encoded, decoder, modulation, rng, max
 
 
 def _prepare_methods(cfg: ExperimentConfig):
-    """Per-method sentence encodings (and the semantic matrix when given).
-    Huffman frequencies come from the evaluation corpus itself; the sixbit
-    route folds the corpus into its 64-character alphabet first."""
+    """Per-method corpora (name, sentences, bits, decoder, symbols, bounds),
+    modulated once into one symbol row where sentence k spans
+    bounds[k]:bounds[k + 1], and the semantic matrix when given. Huffman
+    frequencies come from the evaluation corpus itself; the sixbit route
+    folds the corpus into its 64-character alphabet first."""
+    modulate = coding.MODULATIONS[cfg.modulation][0]
+
+    def corpus(name, sentences, encoded, decoder):
+        rows = [modulate(bits)[0] for bits in encoded]
+        bounds = np.cumsum([0] + [row.size for row in rows])
+        symbols = coding.SymbolMatrix(np.concatenate(rows).reshape(1, -1))
+        return name, sentences, encoded, decoder, symbols, bounds
+
     methods = []
     if cfg.corpus_path is not None:
         with open(cfg.corpus_path) as f:
             sentences = [line.rstrip("\n") for line in f if line.strip()]
+        if not sentences:
+            raise ValueError(f"{cfg.corpus_path}: corpus has no sentences")
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
             encoded = [coding.huffman_encode(s, code) for s in sentences]
-            methods.append(
-                ("huffman", sentences, encoded, lambda bits, c=code: coding.huffman_decode(bits, c))
-            )
+            methods.append(corpus(
+                "huffman", sentences, encoded, lambda bits, c=code: coding.huffman_decode(bits, c)
+            ))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode(s) for s in folded]
-            methods.append(("sixbit", folded, encoded, coding.sixbit_decode))
+            methods.append(corpus("sixbit", folded, encoded, coding.sixbit_decode))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)
@@ -287,70 +339,55 @@ def _prepare_methods(cfg: ExperimentConfig):
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               quantize_before_select: bool = False,
               write_csv: bool = True) -> list:
-    """Full sweep over ratios x quantizations x methods. Deterministic for a
-    given master seed regardless of `jobs`; the CSV is written atomically."""
+    """Full sweep over ratios x quantizations x methods, one task per ratio.
+    Records come in (ratio, quantization, method) order and are
+    deterministic for a given master seed regardless of `jobs`; the CSV is
+    written atomically."""
     scene = build_scene(cfg)
     methods, semantic = _prepare_methods(cfg)
     method_names = [name for name, *_ in methods] + (["semantic"] if semantic is not None else [])
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
 
-    points = [
-        (i, ratio, j, bits)
-        for i, ratio in enumerate(cfg.ratios)
-        for j, bits in enumerate(cfg.quantizations)
-    ]
-
-    def run_point(point):
-        i, ratio, j, bits = point
-        idx, ris_cfg, _ = configure_point(scene, ratio, bits, quantize_before_select)
-        g = ris_cfg.gain(scene.coefficients)
-        _, snr_db = snr(g, scene.budget)
+    def run_ratio(i, ratio):
+        points = _configure_ratio(scene, ratio, cfg.quantizations, quantize_before_select)
         records = []
-        for k, name in enumerate(method_names):
-            seed = derive_seed(cfg.master_seed, i, j, k)
-            rng = np.random.default_rng(seed)
-            ber = char_err = bleu_score = rel = f1 = sim = None
-            if name == "semantic":
-                received = transmit_with_rng(semantic, g, scene.budget, rng)
-                if cfg.received_matrix_dir is not None:
-                    bits_tag = "none" if bits is None else str(bits)
-                    out = os.path.join(
-                        cfg.received_matrix_dir, f"semantic_r{ratio}_b{bits_tag}.json"
+        for j, (bits, (idx, ris_cfg)) in enumerate(zip(cfg.quantizations, points)):
+            g = ris_cfg.gain(scene.coefficients)
+            _, snr_db = snr(g, scene.budget)
+            for k, name in enumerate(method_names):
+                seed = derive_seed(cfg.master_seed, i, j, k)
+                rng = np.random.default_rng(seed)
+                scores = (None, None, None, None)
+                if name == "semantic":
+                    received = transmit_with_rng(semantic, g, scene.budget, rng)
+                    if cfg.received_matrix_dir is not None:
+                        bits_tag = "none" if bits is None else str(bits)
+                        out = os.path.join(
+                            cfg.received_matrix_dir, f"semantic_r{ratio}_b{bits_tag}.json"
+                        )
+                        coding.store_symbol_matrix(received, out)
+                else:
+                    scores = _corpus_pipeline(
+                        scene, g, methods[k], cfg.modulation, rng, cfg.max_bleu
                     )
-                    coding.store_symbol_matrix(received, out)
-            else:
-                _, sentences, encoded, decoder = methods[k]
-                ber, char_err, bleu_score, rel = _corpus_pipeline(
-                    scene, g, sentences, encoded, decoder, cfg.modulation, rng, cfg.max_bleu
-                )
-            records.append(
-                SweepRecord(ratio, bits, idx, snr_db, name,
-                            ber, char_err, bleu_score, rel, f1, sim, seed)
-            )
+                records.append(SweepRecord(ratio, bits, idx, snr_db, name, *scores, seed))
         return records
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run_point, points))
+            nested = list(pool.map(run_ratio, range(len(cfg.ratios)), cfg.ratios))
     else:
-        nested = [run_point(p) for p in points]
+        nested = [run_ratio(i, ratio) for i, ratio in enumerate(cfg.ratios)]
     records = [rec for group in nested for rec in group]
-    # stable order: (ratio index, quantization index, method index)
-    order = {name: k for k, name in enumerate(method_names)}
-    records.sort(
-        key=lambda r: (cfg.ratios.index(r.ratio),
-                       cfg.quantizations.index(r.bits),
-                       order[r.method])
-    )
     if write_csv:
         write_records(records, cfg.output_path)
     return records
 
 
-def _format_cell(value) -> str:
+def _format_cell(value, none) -> str:
     if value is None:
-        return ""
+        return none
     if isinstance(value, float):
         return repr(value)  # shortest exact round-trip form
     return str(value)
@@ -365,22 +402,8 @@ def write_records(records, path) -> None:
             writer = csv.writer(f)
             writer.writerow(CSV_COLUMNS)
             for r in records:
-                writer.writerow(
-                    [
-                        _format_cell(r.ratio),
-                        "none" if r.bits is None else str(r.bits),
-                        r.codeword,
-                        _format_cell(r.snr_db),
-                        r.method,
-                        _format_cell(r.ber),
-                        _format_cell(r.char_err),
-                        _format_cell(r.bleu),
-                        _format_cell(r.rel_bleu),
-                        _format_cell(r.f1),
-                        _format_cell(r.similarity),
-                        r.seed,
-                    ]
-                )
+                writer.writerow([_format_cell(getattr(r, name), none)
+                                 for name, _, none in _COLUMNS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -390,30 +413,18 @@ def write_records(records, path) -> None:
 
 def read_records(path) -> list:
     """Inverse of write_records; used for round-trip checks."""
-    def opt_float(cell):
-        return None if cell == "" else float(cell)
-
     records = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         for row in reader:
-            records.append(
-                SweepRecord(
-                    ratio=float(row[0]),
-                    bits=None if row[1] == "none" else int(row[1]),
-                    codeword=int(row[2]),
-                    snr_db=float(row[3]),
-                    method=row[4],
-                    ber=opt_float(row[5]),
-                    char_err=opt_float(row[6]),
-                    bleu=opt_float(row[7]),
-                    rel_bleu=opt_float(row[8]),
-                    f1=opt_float(row[9]),
-                    similarity=opt_float(row[10]),
-                    seed=int(row[11]),
-                )
-            )
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                 f"expected {len(_COLUMNS)}")
+            records.append(SweepRecord(**{
+                name: None if cell == none else parse(cell)
+                for (name, parse, none), cell in zip(_COLUMNS, row)
+            }))
     return records

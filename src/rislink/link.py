@@ -83,7 +83,10 @@ def effective_gain(h_e2e: ChannelMatrix, budget: LinkBudget) -> complex:
 
 
 def snr_linear(g: complex, budget: LinkBudget) -> float:
-    return abs(g) ** 2 * budget.p_tx / budget.noise_power
+    power = abs(g) ** 2 * budget.p_tx
+    if budget.noise_power == 0.0:  # noiseless: inf, or 0 for a zero gain
+        return math.inf if power > 0.0 else 0.0
+    return power / budget.noise_power
 
 
 def snr(g: complex, budget: LinkBudget) -> tuple[float, float]:

@@ -178,11 +178,6 @@ def load_graph(path) -> KnowledgeGraph:
         raise ValueError(f"{path}: missing graph fields: {exc}") from exc
 
 
-def store_graph(graph: KnowledgeGraph, path) -> None:
-    with open(path, "w") as f:
-        json.dump({"nodes": list(graph.nodes), "edges": [list(e) for e in graph.edges]}, f)
-
-
 def load_embeddings(path) -> np.ndarray:
     """Embedding JSON: {"dim": int, "vectors": [[real]]}; all vectors must
     share the declared dimension."""

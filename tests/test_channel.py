@@ -93,6 +93,4 @@ def test_overlapping_arrays_rejected():
 def test_path_loss_model_validation():
     with pytest.raises(ValueError):
         PathLossModel(1.5)
-    with pytest.raises(ValueError):
-        PathLossModel(4.0, 0.0)
 

@@ -1,10 +1,14 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
+from rislink import harness
 from rislink.cli import main as cli_main
 from rislink.coding import SymbolMatrix, load_symbol_matrix, store_symbol_matrix
 from rislink.harness import (
@@ -50,6 +54,16 @@ def test_default_config_is_paper_scene():
     assert cfg.path_loss_exponent == 4.0
 
 
+# payloads of the right JSON syntax but the wrong type for their key
+MISTYPED_CONFIGS = [
+    ("tx", [1, 2]),
+    ("ratios", "ab"),
+    ("ratios", [0.5, "x"]),
+    ("codebook_grid", 5),
+    ("noise_dbm", "hi"),
+]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ratios=[0.5, 0.2])  # not ascending
@@ -65,9 +79,35 @@ def test_config_validation():
         ExperimentConfig(modulation="1024qam")
     with pytest.raises(ValueError):
         ExperimentConfig(quantizations=[True])  # a bool is not a bit count
+    for ratios in ([], [0.5, 0.5]):  # nothing to sweep; duplicate records
+        with pytest.raises(ValueError):
+            ExperimentConfig(ratios=ratios)
+    with pytest.raises(ValueError):
+        ExperimentConfig(quantizations=[1, None, 1])
     for max_bleu in (0, -0.5, "0.6"):
         with pytest.raises(ValueError):
             ExperimentConfig(max_bleu=max_bleu)
+    for key, value in MISTYPED_CONFIGS:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{key: value})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+       value=JSON_VALUES)
+def test_config_any_json_value_is_accepted_or_value_error(key, value):
+    try:
+        ExperimentConfig(**{key: value})
+    except ValueError:
+        pass
 
 
 def test_config_json_round_trip(tmp_path):
@@ -79,9 +119,11 @@ def test_config_json_round_trip(tmp_path):
 
 def test_config_unknown_keys_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"master_sed": 1}))
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_json(path)
+    for payload in ({"master_sed": 1}, {"reference_text_path": "ref.txt"},
+                    {"reference_graph_path": "g.json"}, {"embeddings_path": "e.json"}, [1]):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(path)
 
 
 def test_scene_orientations_front_halfspace():
@@ -110,6 +152,51 @@ def test_csv_round_trip(tmp_path):
     cfg = small_config(tmp_path)
     records = run_sweep(cfg)
     assert read_records(cfg.output_path) == records
+
+
+def test_read_records_rejects_bad_header_and_short_row(tmp_path):
+    path = tmp_path / "sweep.csv"
+    header = ",".join(harness.CSV_COLUMNS)
+    for text in ("", "ratio,bits\n", header.replace("seed", "f1,similarity,seed") + "\n",
+                 header + "\n0.5,1,3,10.0,huffman,0.0,0.0,1.0\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_records(path)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("before, selections", [(False, 3), (True, 9)])
+def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections):
+    # the default order scores the codebook once per ratio and quantizes the
+    # winner per bits; quantize-before-select re-ranks once per (ratio, bits)
+    cfg = small_config(tmp_path, quantizations=[1, 2, None])
+    selected = count_calls(monkeypatch, "select_codeword")
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+    records = run_sweep(cfg, quantize_before_select=before, write_csv=False)
+    assert len(selected) == selections
+    # one channel pass per (point, corpus method), carrying the whole corpus
+    assert len(sent) == len(records) == 3 * 3 * 2
+    assert all(args[0].shape[0] == 1 for args in sent)
+
+
+def test_configure_point_scores_codebook_once(tmp_path, monkeypatch):
+    scene = build_scene(small_config(tmp_path))
+    selected = count_calls(monkeypatch, "select_codeword")
+    for bits in (None, 1):
+        for before in (False, True):
+            configure_point(scene, 1.0, bits, before)
+    assert len(selected) == 4
 
 
 def test_sweep_deterministic_across_parallelism(tmp_path):
@@ -254,6 +341,10 @@ def test_sweep_without_inputs_fails(tmp_path):
     cfg = small_config(tmp_path, corpus_path=None, baselines=[])
     with pytest.raises(ValueError):
         run_sweep(cfg, write_csv=False)
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n")
+    with pytest.raises(ValueError, match="no sentences"):
+        run_sweep(small_config(tmp_path, corpus_path=str(blank)), write_csv=False)
 
 
 def test_derive_seed_stable():
@@ -343,3 +434,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["sweep", "--config", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", MISTYPED_CONFIGS)
+def test_cli_mistyped_config_exits_1(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

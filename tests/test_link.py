@@ -130,6 +130,14 @@ def test_snr_values():
     assert db2 - db1 == pytest.approx(6.0206, abs=1e-3)
 
 
+def test_snr_noiseless_link():
+    # noise_power = 0: inf for any non-zero gain, 0 for a zero gain, and no
+    # division warning (the suite turns RuntimeWarnings into errors)
+    budget = scalar_budget(p_tx=0.1, noise=0.0)
+    assert snr(np.complex128(1e-9j), budget) == (np.inf, np.inf)
+    assert snr(np.complex128(0.0), budget) == (0.0, -np.inf)
+
+
 def test_snr_invariant_under_global_weight_phase():
     h_ris_tx, h_rx_ris, budget, mask, _ = random_scene(3)
     from rislink.ris import conjugate_phases
