@@ -12,6 +12,7 @@ Subcommands:
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,6 +85,8 @@ def cmd_transmit(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if not (math.isfinite(args.max_bleu) and args.max_bleu > 0):
+        raise ValueError(f"--max-bleu must be a positive finite number, got {args.max_bleu}")
     report = {}
     if args.ref and args.hyp:
         with open(args.ref) as f:

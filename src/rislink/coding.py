@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,28 @@ class HuffmanCode:
             count * len(self.table[sym]) for sym, count in self.frequencies.items()
         ) / total
 
+    @cached_property
+    def _decode_tree(self) -> list:
+        """Root of the code tree: a node is a [zero child, one child] pair and
+        a child is a node, a symbol, or None (no codeword continues there).
+        A codeword stops at a symbol already on its path, and a symbol takes
+        its slot whatever that held, so the walk emits at the shortest
+        matching codeword, as a greedy prefix match does, whatever the table."""
+        root = [None, None]
+        for sym, cw in self.table.items():
+            node = root
+            for bit in cw[:-1]:
+                child = node[bit == "1"]
+                if child is None:
+                    child = node[bit == "1"] = [None, None]
+                elif not isinstance(child, list):
+                    break
+                node = child
+            else:
+                if cw:
+                    node[cw[-1] == "1"] = sym
+        return root
+
 
 def huffman_build(freqs: dict) -> HuffmanCode:
     """Optimal prefix code. Deterministic: initial nodes are ordered by
@@ -138,17 +161,19 @@ def huffman_encode(text: str, code: HuffmanCode) -> np.ndarray:
 
 
 def huffman_decode(bits: np.ndarray, code: HuffmanCode) -> str:
-    """Greedy prefix decoding; corrupted streams may desynchronize and
-    trailing undecodable bits are dropped."""
-    reverse = {cw: sym for sym, cw in code.table.items()}
+    """Greedy prefix decoding by a walk down the code tree; corrupted streams
+    may desynchronize and trailing undecodable bits are dropped."""
+    root = node = code._decode_tree
     out = []
-    current = ""
-    for b in bits:
-        current += "1" if b else "0"
-        sym = reverse.get(current)
-        if sym is not None:
-            out.append(sym)
-            current = ""
+    for b in np.asarray(bits, dtype=bool).tolist():
+        child = node[b]
+        if isinstance(child, list):
+            node = child
+        elif child is None:
+            break  # no codeword starts with the pending bits
+        else:
+            out.append(child)
+            node = root
     return "".join(out)
 
 

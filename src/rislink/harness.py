@@ -9,6 +9,7 @@ regardless of execution order or parallelism.
 
 import csv
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -114,8 +115,8 @@ class ExperimentConfig:
             setattr(self, name, value)
         for name in ("frequency_hz", "p_tx_w", "noise_dbm", "path_loss_exponent"):
             _require(_is_real(getattr(self, name)), name, "a number", getattr(self, name))
-        _require(_is_real(self.max_bleu) and self.max_bleu > 0,
-                 "max_bleu", "a positive number", self.max_bleu)
+        _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf,
+                 "max_bleu", "a positive finite number", self.max_bleu)
         _require(_is_count(self.master_seed, 0),
                  "master_seed", "a non-negative integer", self.master_seed)
         _require(_is_list(self.codebook_grid, _is_count, 2),
@@ -275,19 +276,49 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     return idx, cfg, snr_linear(cfg.gain(scene.coefficients), scene.budget)
 
 
+@dataclass(frozen=True)
+class _Corpus:
+    """One method's corpus, modulated once into a single symbol row. The
+    sentences' bits are concatenated in `bits`, sentence k spanning
+    bounds[k]:bounds[k + 1]. Each sentence is padded to whole symbols on its
+    own; `keep` is False at the pad bits of the demodulated row."""
+
+    name: str
+    sentences: list
+    decode: object  # bits -> text
+    symbols: coding.SymbolMatrix
+    bits: np.ndarray
+    bounds: np.ndarray
+    keep: np.ndarray
+
+
+def _corpus(name, sentences, encoded, decode, modulate) -> _Corpus:
+    modulated = [modulate(bits) for bits in encoded]
+    symbols = coding.SymbolMatrix(np.concatenate([row for row, _ in modulated]).reshape(1, -1))
+    bounds = np.cumsum([0] + [bits.size for bits in encoded])
+    runs = [n for bits, (_, pad) in zip(encoded, modulated) for n in (bits.size, pad)]
+    keep = np.repeat(np.tile([True, False], len(encoded)), runs)  # bits True, pads False
+    return _Corpus(name, sentences, decode, symbols, np.concatenate(encoded), bounds, keep)
+
+
+def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
+    """The corpus's bits demodulated from its equalized row in one call, and
+    each sentence's bit error rate from one comparison."""
+    recovered = demodulate(equalized)[corpus.keep]
+    return recovered, metrics.bit_error_rates(corpus.bits, recovered, corpus.bounds)
+
+
 def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
     """Send one method's whole corpus through the scalar channel in a single
-    transmission, then demodulate, decode and score each sentence and
-    average the text metrics over the corpus."""
-    _, sentences, encoded, decoder, symbols, bounds = corpus
-    demodulate = coding.MODULATIONS[modulation][1]
-    received = transmit_with_rng(symbols, g, scene.budget, rng)
+    transmission and demodulate it as one row, then decode and score each
+    sentence and average the text metrics over the corpus."""
+    received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
-    bers, char_errs, bleus = [], [], []
-    for sentence, bits, start, stop in zip(sentences, encoded, bounds, bounds[1:]):
-        recovered_bits = demodulate(equalized[start:stop], n_bits=bits.size)
-        decoded = decoder(recovered_bits)
-        bers.append(metrics.bit_error_rate(bits, recovered_bits))
+    recovered, bers = _receive(corpus, equalized, coding.MODULATIONS[modulation][1])
+    char_errs, bleus = [], []
+    bounds = corpus.bounds
+    for sentence, start, stop in zip(corpus.sentences, bounds, bounds[1:]):
+        decoded = corpus.decode(recovered[start:stop])
         char_errs.append(metrics.char_error_rate(sentence, decoded))
         bleus.append(metrics.bleu(metrics.tokenize(decoded), metrics.tokenize(sentence)))
     mean_bleu = float(np.mean(bleus))
@@ -300,19 +331,10 @@ def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
 
 
 def _prepare_methods(cfg: ExperimentConfig):
-    """Per-method corpora (name, sentences, bits, decoder, symbols, bounds),
-    modulated once into one symbol row where sentence k spans
-    bounds[k]:bounds[k + 1], and the semantic matrix when given. Huffman
-    frequencies come from the evaluation corpus itself; the sixbit route
-    folds the corpus into its 64-character alphabet first."""
+    """Per-method corpora (see _Corpus) and the semantic matrix when given.
+    Huffman frequencies come from the evaluation corpus itself; the sixbit
+    route folds the corpus into its 64-character alphabet first."""
     modulate = coding.MODULATIONS[cfg.modulation][0]
-
-    def corpus(name, sentences, encoded, decoder):
-        rows = [modulate(bits)[0] for bits in encoded]
-        bounds = np.cumsum([0] + [row.size for row in rows])
-        symbols = coding.SymbolMatrix(np.concatenate(rows).reshape(1, -1))
-        return name, sentences, encoded, decoder, symbols, bounds
-
     methods = []
     if cfg.corpus_path is not None:
         with open(cfg.corpus_path) as f:
@@ -322,13 +344,14 @@ def _prepare_methods(cfg: ExperimentConfig):
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
             encoded = [coding.huffman_encode(s, code) for s in sentences]
-            methods.append(corpus(
-                "huffman", sentences, encoded, lambda bits, c=code: coding.huffman_decode(bits, c)
+            methods.append(_corpus(
+                "huffman", sentences, encoded,
+                lambda bits, c=code: coding.huffman_decode(bits, c), modulate,
             ))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode(s) for s in folded]
-            methods.append(corpus("sixbit", folded, encoded, coding.sixbit_decode))
+            methods.append(_corpus("sixbit", folded, encoded, coding.sixbit_decode, modulate))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)
@@ -345,7 +368,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     written atomically."""
     scene = build_scene(cfg)
     methods, semantic = _prepare_methods(cfg)
-    method_names = [name for name, *_ in methods] + (["semantic"] if semantic is not None else [])
+    method_names = [c.name for c in methods] + (["semantic"] if semantic is not None else [])
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
 

@@ -57,12 +57,16 @@ def _ngram_counts(tokens, n: int) -> Counter:
 def bleu(candidate, reference, max_n: int = 4) -> float:
     """Sentence BLEU against a single reference: uniform weights over the
     1..max_n modified n-gram precisions (capped at the candidate length)
-    times the brevity penalty. Empty candidate scores 0."""
+    times the brevity penalty. Empty candidate scores 0; a candidate equal to
+    its reference scores exactly 1 (every precision is 1, the penalty exp(0))
+    without counting n-grams."""
     candidate, reference = list(candidate), list(reference)
     if not reference:
         raise ValueError("reference must be non-empty")
     if not candidate:
         return 0.0
+    if candidate == reference:
+        return 1.0
 
     n_max = min(max_n, len(candidate))
     log_sum = 0.0
@@ -126,18 +130,51 @@ def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
     return float(np.mean(sent != received))
 
 
+def bit_error_rates(sent: np.ndarray, received: np.ndarray, bounds) -> np.ndarray:
+    """bit_error_rate of each segment bounds[k]:bounds[k + 1] of two bit
+    streams of equal length, from one comparison of the whole streams. An
+    empty segment scores 0."""
+    sent = np.asarray(sent).ravel()
+    received = np.asarray(received).ravel()
+    if sent.size != received.size:
+        raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
+    bounds = np.asarray(bounds)
+    errors = np.concatenate(([0], np.cumsum(sent != received)))[bounds]
+    return np.diff(errors) / np.maximum(np.diff(bounds), 1)
+
+
 def levenshtein(a: str, b: str) -> int:
+    """Edit distance with unit insertions, deletions and substitutions, by
+    Hyyrö's (2003) Levenshtein form of Myers' bit-parallel algorithm (JACM
+    1999). Python ints are the bit vectors: bit i of `vp`/`vn` says the DP
+    column rises/falls from row i to row i + 1 of the shorter string, so each
+    character of the longer string costs a handful of int operations. Equal
+    strings return 0 at once."""
+    if a == b:
+        return 0
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
-            )
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq = {}  # character -> bit mask of its positions in the shorter string
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    full = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    vp, vn, distance = full, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return distance
 
 
 def char_error_rate(sent: str, received: str) -> float:

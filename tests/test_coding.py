@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_corpus
 from rislink.coding import (
     SIXBIT_ALPHABET,
+    HuffmanCode,
     SymbolMatrix,
     huffman_build,
     huffman_decode,
@@ -129,6 +132,59 @@ def test_huffman_desynchronization_permitted():
     corrupted[1] ^= 1
     decoded = huffman_decode(corrupted, code)
     assert decoded != text  # a single early flip is allowed to cascade
+
+
+def huffman_decode_reference(bits, code):
+    """Greedy prefix decoding by growing the pending codeword one bit at a
+    time and looking it up in the inverted table."""
+    reverse = {cw: sym for sym, cw in code.table.items()}
+    out = []
+    current = ""
+    for b in bits:
+        current += "1" if b else "0"
+        sym = reverse.get(current)
+        if sym is not None:
+            out.append(sym)
+            current = ""
+    return "".join(out)
+
+
+@st.composite
+def huffman_streams(draw):
+    """A code from random counts, and a bit stream for it: an encoded text,
+    optionally truncated and corrupted, or random bits."""
+    counts = draw(st.dictionaries(st.sampled_from("abcdefgh é"), st.integers(1, 50),
+                                  min_size=2))
+    code = huffman_build(counts)
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), max_size=300))
+        return code, np.array(bits, dtype=np.uint8)
+    text = draw(st.text(alphabet=sorted(counts), max_size=60))
+    bits = huffman_encode(text, code)
+    bits = bits[: draw(st.integers(0, bits.size))]
+    for at in draw(st.lists(st.integers(0, 10_000), max_size=5)):
+        if bits.size:
+            bits[at % bits.size] ^= 1
+    return code, bits
+
+
+@given(huffman_streams())
+def test_huffman_decode_matches_reference(stream):
+    code, bits = stream
+    assert huffman_decode(bits, code) == huffman_decode_reference(bits, code)
+
+
+def test_huffman_decode_greedy_on_any_table():
+    # tables huffman_build never makes: a codeword that prefixes another, a
+    # repeated codeword (the later symbol wins), an empty codeword, a dead end
+    rng = np.random.default_rng(4)
+    for table in ({"a": "0", "b": "01"}, {"b": "01", "a": "0"},
+                  {"a": "0", "b": "0", "c": "1"}, {"a": "", "b": "1", "c": "01"},
+                  {"a": "00", "b": "01"}):
+        code = HuffmanCode(table)
+        for _ in range(50):
+            bits = rng.integers(0, 2, rng.integers(0, 16)).astype(np.uint8)
+            assert huffman_decode(bits, code) == huffman_decode_reference(bits, code)
 
 
 def test_huffman_deterministic():

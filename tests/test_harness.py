@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from rislink import harness
+from rislink import coding, harness
 from rislink.cli import main as cli_main
 from rislink.coding import SymbolMatrix, load_symbol_matrix, store_symbol_matrix
 from rislink.harness import (
@@ -22,6 +22,7 @@ from rislink.harness import (
     write_records,
 )
 from rislink.link import effective_gain, end_to_end_channel, snr_linear
+from rislink.metrics import bit_error_rate
 from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, quantize_phases
 
 
@@ -84,7 +85,7 @@ def test_config_validation():
             ExperimentConfig(ratios=ratios)
     with pytest.raises(ValueError):
         ExperimentConfig(quantizations=[1, None, 1])
-    for max_bleu in (0, -0.5, "0.6"):
+    for max_bleu in (0, -0.5, "0.6", math.inf):
         with pytest.raises(ValueError):
             ExperimentConfig(max_bleu=max_bleu)
     for key, value in MISTYPED_CONFIGS:
@@ -230,6 +231,38 @@ def nondecreasing_one_step_tolerance(values):
         if not (ok_now or ok_next):
             return False
     return True
+
+
+@pytest.mark.parametrize("modulation, bits_per_symbol", [("qpsk", 2), ("16qam", 4)])
+def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_symbol):
+    # sentences 1..12 characters long, so that some sentences' bit counts are
+    # not whole symbols (sixbit: an odd length under 16qam; Huffman: any) and
+    # each sentence's own pad has to be skipped in the demodulated row
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("\n".join(make_corpus(12)[k][: k + 1] for k in range(12)) + "\n")
+    cfg = small_config(tmp_path, modulation=modulation, corpus_path=str(corpus_path))
+    corpora, _ = harness._prepare_methods(cfg)
+    modulate, demodulate = coding.MODULATIONS[modulation]
+    rng = np.random.default_rng(11)
+    pads = set()
+    for corpus in corpora:
+        row = corpus.symbols.values[0]
+        equalized = row + 0.6 * (rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size))
+        recovered, bers = harness._receive(corpus, equalized, demodulate)
+        at = 0
+        for k, (start, stop) in enumerate(zip(corpus.bounds, corpus.bounds[1:])):
+            bits = corpus.bits[start:stop]
+            assert corpus.decode(bits) == corpus.sentences[k]
+            symbols, pad = modulate(bits)
+            own = demodulate(equalized[at : at + symbols.size], n_bits=bits.size)
+            at += symbols.size
+            pads.add(pad)
+            assert np.array_equal(recovered[start:stop], own)
+            assert bers[k] == bit_error_rate(bits, own)
+        assert at == row.size
+        assert 0 < np.mean(bers) < 0.5
+    assert pads - {0}  # some sentence's bit count is not a multiple of bits_per_symbol
+    assert max(pads) < bits_per_symbol
 
 
 def test_snr_nondecreasing_in_ratio_continuous(tmp_path):
@@ -443,3 +476,14 @@ def test_cli_mistyped_config_exits_1(tmp_path, capsys, key, value):
     assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_bleu", ["0", "-1", "nan", "inf"])
+def test_cli_metrics_bad_max_bleu_exits_1(tmp_path, capsys, max_bleu):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the node reports a value.\n")
+    assert cli_main(["metrics", "--ref", str(ref), "--hyp", str(ref),
+                     "--max-bleu", max_bleu]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rislink.metrics import (
     KnowledgeGraph,
     bit_error_rate,
+    bit_error_rates,
     bleu,
     char_error_rate,
     cosine_similarity,
@@ -25,7 +26,7 @@ from rislink.metrics import (
 
 def test_bleu_identity_and_disjoint():
     tokens = "the cat sat on the mat".split()
-    assert bleu(tokens, tokens) == pytest.approx(1.0)
+    assert bleu(tokens, tokens) == 1.0
     assert bleu("a b c".split(), "x y z".split()) == 0.0
 
 
@@ -42,7 +43,7 @@ def test_bleu_empty_candidate_and_reference():
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12))
 def test_bleu_bounds_and_self_identity(tokens):
-    assert bleu(tokens, tokens) == pytest.approx(1.0)
+    assert bleu(tokens, tokens) == 1.0
     other = ["z"] * len(tokens)
     assert 0.0 <= bleu(other, tokens) <= 1.0
 
@@ -174,12 +175,76 @@ def test_bit_error_rate():
         bit_error_rate(a, a[:2])
 
 
+def test_bit_error_rates_per_segment():
+    sent = np.array([0, 1, 1, 0, 1, 0, 0], dtype=np.uint8)
+    received = np.array([0, 0, 1, 0, 1, 1, 1], dtype=np.uint8)
+    bounds = [0, 4, 4, 6, 7]  # the second segment is empty, the last one bit long
+    rates = bit_error_rates(sent, received, bounds)
+    expected = [bit_error_rate(sent[a:b], received[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert rates.tolist() == expected == [0.25, 0.0, 0.5, 1.0]
+    with pytest.raises(ValueError):
+        bit_error_rates(sent, received[:3], [0, 3])
+
+
 def test_char_error_rate():
     assert char_error_rate("abc", "abc") == 0.0
     assert char_error_rate("abc", "axc") == pytest.approx(1 / 3)
     assert char_error_rate("", "") == 0.0
     assert char_error_rate("abc", "") == 1.0
     assert levenshtein("kitten", "sitting") == 3
+
+
+def levenshtein_dp(a: str, b: str) -> int:
+    """Reference O(len(a) * len(b)) dynamic program, one row at a time."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+# a small alphabet makes matches common; two non-ASCII letters and a CJK one
+TEXT = st.text(alphabet="ab c.éß漢", max_size=140)
+
+
+@st.composite
+def string_pairs(draw):
+    """Independent strings, equal strings, or a string and a few edits of it."""
+    a = draw(TEXT)
+    kind = draw(st.sampled_from(["independent", "equal", "edited"]))
+    if kind == "independent":
+        return a, draw(TEXT)
+    b = list(a)
+    if kind == "edited":
+        edits = st.tuples(st.sampled_from("sid"), st.integers(0, 200), st.sampled_from("xé"))
+        for op, at, ch in draw(st.lists(edits, min_size=1, max_size=6)):
+            at = at % (len(b) + 1)
+            if op == "i":
+                b.insert(at, ch)
+            elif at < len(b):
+                if op == "s":
+                    b[at] = ch
+                else:
+                    del b[at]
+    return a, "".join(b)
+
+
+@given(string_pairs())
+@example(("", ""))
+@example(("", "xyz"))
+@example(("a" * 65, "a" * 65))
+@example(("ab" * 40, "ba" * 40))  # both longer than 64 characters
+@example(("é漢" * 50, "é" * 70))
+def test_levenshtein_matches_dp(pair):
+    a, b = pair
+    distance = levenshtein_dp(a, b)
+    assert levenshtein(a, b) == levenshtein(b, a) == distance
+    if a == b:
+        assert distance == 0
 
 
 # --- file ingestion -------------------------------------------------------------
