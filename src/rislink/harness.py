@@ -281,10 +281,13 @@ class _Corpus:
     """One method's corpus, modulated once into a single symbol row. The
     sentences' bits are concatenated in `bits`, sentence k spanning
     bounds[k]:bounds[k + 1]. Each sentence is padded to whole symbols on its
-    own; `keep` is False at the pad bits of the demodulated row."""
+    own; `keep` is False at the pad bits of the demodulated row. Each
+    sentence's BLEU reference is tokenized and counted once, in
+    `references`."""
 
     name: str
     sentences: list
+    references: list
     decode: object  # bits -> text
     symbols: coding.SymbolMatrix
     bits: np.ndarray
@@ -298,7 +301,9 @@ def _corpus(name, sentences, encoded, decode, modulate) -> _Corpus:
     bounds = np.cumsum([0] + [bits.size for bits in encoded])
     runs = [n for bits, (_, pad) in zip(encoded, modulated) for n in (bits.size, pad)]
     keep = np.repeat(np.tile([True, False], len(encoded)), runs)  # bits True, pads False
-    return _Corpus(name, sentences, decode, symbols, np.concatenate(encoded), bounds, keep)
+    references = [metrics.BleuReference.of(metrics.tokenize(s)) for s in sentences]
+    return _Corpus(name, sentences, references, decode, symbols, np.concatenate(encoded),
+                   bounds, keep)
 
 
 def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
@@ -317,10 +322,11 @@ def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
     recovered, bers = _receive(corpus, equalized, coding.MODULATIONS[modulation][1])
     char_errs, bleus = [], []
     bounds = corpus.bounds
-    for sentence, start, stop in zip(corpus.sentences, bounds, bounds[1:]):
+    for sentence, reference, start, stop in zip(corpus.sentences, corpus.references,
+                                                bounds, bounds[1:]):
         decoded = corpus.decode(recovered[start:stop])
         char_errs.append(metrics.char_error_rate(sentence, decoded))
-        bleus.append(metrics.bleu(metrics.tokenize(decoded), metrics.tokenize(sentence)))
+        bleus.append(metrics.bleu(metrics.tokenize(decoded), reference))
     mean_bleu = float(np.mean(bleus))
     return (
         float(np.mean(bers)),

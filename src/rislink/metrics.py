@@ -54,31 +54,49 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+@dataclass(frozen=True)
+class BleuReference:
+    """A BLEU reference's tokens and their 1..max_n-gram counts, counted
+    once so that scoring many candidates against one reference does not
+    recount them."""
+
+    tokens: tuple
+    ngrams: tuple  # ngrams[n - 1] counts the n-grams
+
+    @classmethod
+    def of(cls, tokens, max_n: int = 4) -> "BleuReference":
+        tokens = tuple(tokens)
+        return cls(tokens, tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1)))
+
+
 def bleu(candidate, reference, max_n: int = 4) -> float:
-    """Sentence BLEU against a single reference: uniform weights over the
+    """Sentence BLEU against a single reference (its tokens, or a
+    BleuReference counted to at least max_n): uniform weights over the
     1..max_n modified n-gram precisions (capped at the candidate length)
     times the brevity penalty. Empty candidate scores 0; a candidate equal to
     its reference scores exactly 1 (every precision is 1, the penalty exp(0))
-    without counting n-grams."""
-    candidate, reference = list(candidate), list(reference)
-    if not reference:
+    without counting its n-grams."""
+    if not isinstance(reference, BleuReference):
+        reference = BleuReference.of(reference, max_n)
+    candidate = tuple(candidate)
+    if not reference.tokens:
         raise ValueError("reference must be non-empty")
     if not candidate:
         return 0.0
-    if candidate == reference:
+    if candidate == reference.tokens:
         return 1.0
 
     n_max = min(max_n, len(candidate))
     log_sum = 0.0
     for n in range(1, n_max + 1):
         counts = _ngram_counts(candidate, n)
-        ref_counts = _ngram_counts(reference, n)
+        ref_counts = reference.ngrams[n - 1]
         clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
         if clipped == 0:
             return 0.0
         log_sum += math.log(clipped / sum(counts.values()))
 
-    c, r = len(candidate), len(reference)
+    c, r = len(candidate), len(reference.tokens)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum / n_max)
 

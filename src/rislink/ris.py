@@ -10,6 +10,7 @@ Conventions, frozen for reproducibility:
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,10 +19,16 @@ from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords scored per block in select_codeword. The transients are a few
-# (_BLOCK_ROWS, active elements) arrays; 8 rows kept peak RSS within 0.3 MB
-# of per-codeword scoring, 32 rows added 2.4 MB, at the same speed.
-_BLOCK_ROWS = 8
+# Codewords per block in _filter_power and in select_codeword's re-score.
+# Blocks of 8 to 64 rows scored the default scene's quantized selections
+# within timing noise of each other, 32 fastest in two of three runs; a
+# select-quantized sweep peaked at 57.0 MB RSS for every size from 8 to 128.
+_BLOCK_ROWS = 32
+# Relative distance from the best filter power within which select_codeword
+# scores a codeword again from its exact phases. On the default scene the
+# filter differed from the exact powers by at most 3.4e-14 of the best one
+# on continuous phases, and not at all on quantized ones.
+_RESCORE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,24 +68,49 @@ class RisConfiguration:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Codeword k is the row `phases[k]` of N element phases in [0, 2*pi),
-    steering toward `directions[k]` with every element active."""
+    """Phase-gradient codebook on the planar array `ris`: codeword k steers
+    a plane wave arriving from `incident_direction` toward `directions[k]`
+    with every element active. Only the directions are stored; `phases(k)`
+    computes a codeword's element phases when asked."""
 
-    phases: list
+    ris: PlanarArray
+    wavelength: float
     directions: np.ndarray
     incident_direction: np.ndarray
 
     def __post_init__(self):
-        if not len(self.phases):
-            raise ValueError("codebook must be non-empty")
         directions = np.asarray(self.directions, dtype=float)
-        if directions.shape != (len(self.phases), 3):
+        if directions.ndim != 2 or directions.shape[1] != 3:
             raise ValueError("codebook needs one 3D direction per codeword")
+        if not len(directions):
+            raise ValueError("codebook must be non-empty")
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "incident_direction", unit(self.incident_direction))
 
     def __len__(self) -> int:
-        return len(self.phases)
+        return len(self.directions)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return element_positions(self.ris) - self.ris.center  # (N, 3)
+
+    def phases(self, k: int) -> np.ndarray:
+        """Element phases of codeword k in [0, 2*pi): for element i at
+        offset p_i from the array center, theta_i = mod(-kappa * p_i .
+        (u_inc + u_k), 2*pi)."""
+        kappa = TWO_PI / self.wavelength
+        steer = self.incident_direction + self.directions[k]
+        return np.mod(-kappa * (self._offsets @ steer), TWO_PI)
+
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Phase slopes (K,) per row step and per column step: with r' and
+        c' the row and column indices counted from the array center,
+        theta_k(r, c) = row[k] * r' + col[k] * c' modulo 2*pi, equal to
+        phases(k) up to rounding, because element offsets are
+        r' * spacing * axis_row + c' * spacing * axis_col."""
+        steer = self.directions + self.incident_direction  # (K, 3)
+        scale = -TWO_PI / self.wavelength * self.ris.spacing
+        return scale * (steer @ self.ris.axis_row), scale * (steer @ self.ris.axis_col)
 
 
 def build_codebook(
@@ -90,38 +122,28 @@ def build_codebook(
     """Phase-gradient reflectarray codebook over a uniform azimuth x
     elevation grid of outgoing directions covering the RIS front half-space.
 
-    `incident` is the unit direction from the RIS toward the source. The
-    codeword for outgoing direction u phases element i (relative position
-    p_i) as theta_i = mod(-kappa * p_i . (u_inc + u), 2*pi), steering the
-    incident plane wave toward u.
+    `incident` is the direction from the RIS toward the source. The codeword
+    for outgoing direction u phases element i as in Codebook.phases,
+    steering the incident plane wave toward u.
     """
     n_az, n_el = grid
     if n_az < 1 or n_el < 1:
         raise ValueError("codebook grid dimensions must be >= 1")
-    u_inc = unit(incident)
-    if np.dot(u_inc, ris.normal) <= 0:
+    if np.dot(unit(incident), ris.normal) <= 0:
         raise ValueError("incident direction must be in the RIS front half-space")
-
-    rel = element_positions(ris) - ris.center  # (N, 3)
-    kappa = TWO_PI / wavelength
 
     # Elevation measured from the normal, offset half a step to avoid
     # grazing directions; azimuth spans [0, 2*pi). Elevation-major order.
-    # One row per codeword rather than one (K, N) array: the rows reuse heap
-    # memory freed by the channel build, while a fresh (1296, 1600) array
-    # raised a default-scene sweep's peak RSS from 58 to 68 MB.
-    rows, directions = [], []
+    directions = []
     for k in range(n_el):
         el = (k + 0.5) * (np.pi / 2.0) / n_el
         for j in range(n_az):
             az = TWO_PI * j / n_az
-            u = (
+            directions.append(
                 np.sin(el) * (np.cos(az) * ris.axis_row + np.sin(az) * ris.axis_col)
                 + np.cos(el) * ris.normal
             )
-            rows.append(np.mod(-kappa * (rel @ (u_inc + u)), TWO_PI))
-            directions.append(u)
-    return Codebook(rows, directions, u_inc)
+    return Codebook(ris, wavelength, directions, incident)
 
 
 def _quantize(phases: np.ndarray, bits: int) -> np.ndarray:
@@ -185,6 +207,57 @@ def conjugate_phases(
     return RisConfiguration(phases, np.asarray(mask, dtype=bool))
 
 
+def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
+    """exp(1j * slope[k] * (first + i)) for i < count, shape (K, count), by a
+    running product: one complex exp per codeword instead of per entry."""
+    z = np.empty((slope.size, count), dtype=complex)
+    z[:, 0] = np.exp(1j * slope * first)
+    z[:, 1:] = np.exp(1j * slope)[:, None]
+    return np.cumprod(z, axis=1)
+
+
+def _filter_power(
+    cb: Codebook, c: np.ndarray, mask: np.ndarray, bits: int | None
+) -> np.ndarray:
+    """Every codeword's gain power from its separable phases (see
+    Codebook.slopes), over the bounding box of the mask. Equal to the exact
+    power up to rounding, which may also move a quantized phase lying on a
+    level boundary to the neighbouring level."""
+    ris = cb.ris
+    mask = mask.reshape(ris.rows, ris.cols)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not rows.size:
+        return np.zeros(len(cb))
+    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    grid = np.where(mask, c.reshape(mask.shape), 0.0)[r0:r1, c0:c1]
+    row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
+    col_first = c0 - (ris.cols - 1) / 2.0
+    row_slope, col_slope = cb.slopes()
+    if bits is None:
+        gain = np.sum(
+            (_ramp_phasors(row_slope, row_first, r1 - r0) @ grid)
+            * _ramp_phasors(col_slope, col_first, c1 - c0),
+            axis=1,
+        )
+        return np.abs(gain) ** 2
+
+    levels = 1 << bits
+    step = TWO_PI / levels
+    table = np.exp(1j * np.arange(levels) * step)  # the 2^bits level phasors
+    grid = grid.ravel()
+    a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
+    b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
+    power = np.empty(len(cb))
+    for k0 in range(0, len(cb), _BLOCK_ROWS):
+        k1 = min(k0 + _BLOCK_ROWS, len(cb))
+        # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
+        level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
+        level &= levels - 1
+        power[k0:k1] = np.abs(table[level.reshape(k1 - k0, -1)] @ grid) ** 2
+    return power
+
+
 def select_codeword(
     cb: Codebook,
     h_ris_tx: ChannelMatrix,
@@ -196,21 +269,32 @@ def select_codeword(
     """Score every codeword by its gain power |sum_active exp(1j*theta_i) *
     c_i|^2 (phases quantized first when `bits` is given) and return
     (index, applied configuration, linear SNR) of the best one. Ties go to
-    the lowest index."""
+    the lowest index.
+
+    A separable filter (_filter_power) scores the whole codebook; every
+    codeword within _RESCORE_TOL of its best power is then scored again from
+    its exact phases, so the winner is the one the exact scores pick."""
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != c.shape:
         raise ValueError(f"mask has {mask.size} elements, the RIS {c.size}")
-    active = np.flatnonzero(mask)
-    c_active = c[active]
-    power = np.empty(len(cb))
-    for k0 in range(0, len(cb), _BLOCK_ROWS):
-        block = np.array([row[active] for row in cb.phases[k0 : k0 + _BLOCK_ROWS]])
-        if bits is not None:
-            block = _quantize(block, bits)
-        power[k0 : k0 + len(block)] = np.abs(np.exp(1j * block) @ c_active) ** 2
-    best = int(np.argmax(power))
-    cfg = RisConfiguration(cb.phases[best], mask)
+    power = _filter_power(cb, c, mask, bits)
+    near = np.flatnonzero(power >= power.max() * (1.0 - _RESCORE_TOL))
+    best = int(near[0])
+    if near.size > 1:
+        active = np.flatnonzero(mask)
+        c_active = c[active]
+        exact = []
+        # Blocks of two or more rows: a one-row product sums in another
+        # order than the rows of a matrix product do, and the rows must sum
+        # as in the full scan so that equal-power ties break the same way.
+        for block in np.array_split(near, -(-near.size // _BLOCK_ROWS)):
+            theta = np.array([cb.phases(k)[active] for k in block])
+            if bits is not None:
+                theta = _quantize(theta, bits)
+            exact.append(np.abs(np.exp(1j * theta) @ c_active) ** 2)
+        best = int(near[np.argmax(np.concatenate(exact))])
+    cfg = RisConfiguration(cb.phases(best), mask)
     if bits is not None:
         cfg = quantize_phases(cfg, bits)
     return best, cfg, snr_linear(cfg.gain(c), budget)
@@ -220,23 +304,9 @@ def store_codebook(cb: Codebook, path) -> None:
     payload = {
         "incident_direction": cb.incident_direction.tolist(),
         "entries": [
-            {"direction": d.tolist(), "phases": p.tolist()}
-            for d, p in zip(cb.directions, cb.phases)
+            {"direction": d.tolist(), "phases": cb.phases(k).tolist()}
+            for k, d in enumerate(cb.directions)
         ],
     }
     with open(path, "w") as f:
         json.dump(payload, f)
-
-
-def load_codebook(path) -> Codebook:
-    with open(path) as f:
-        payload = json.load(f)
-    entries = payload["entries"]
-    phases = np.asarray([e["phases"] for e in entries], dtype=float)
-    if phases.ndim != 2 or not np.all(np.isfinite(phases)):
-        raise ValueError(f"{path}: codeword phases must be finite rows of equal length")
-    return Codebook(
-        list(np.mod(phases, TWO_PI)),
-        [e["direction"] for e in entries],
-        np.asarray(payload["incident_direction"], float),
-    )

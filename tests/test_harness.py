@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -191,6 +192,20 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     assert all(args[0].shape[0] == 1 for args in sent)
 
 
+def test_build_scene_retains_no_codeword_arrays():
+    # the default scene keeps its channels (the 1600 x 100 one is 2.4 MiB)
+    # and the codebook's 1296 directions, but no per-codeword arrays: 1296
+    # phase rows of 1600 elements would add 15.8 MiB
+    tracemalloc.start()
+    try:
+        scene = build_scene(ExperimentConfig())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scene.codebook) == 1296
+    assert retained < 6 * 2**20
+
+
 def test_configure_point_scores_codebook_once(tmp_path, monkeypatch):
     scene = build_scene(small_config(tmp_path))
     selected = count_calls(monkeypatch, "select_codeword")
@@ -323,8 +338,8 @@ def test_configure_point_gain_matches_composed_channel():
 
     def scan(mask, bits):
         powers = []
-        for phases in scene.codebook.phases:
-            candidate = RisConfiguration(phases, mask)
+        for k in range(len(scene.codebook)):
+            candidate = RisConfiguration(scene.codebook.phases(k), mask)
             if bits is not None:
                 candidate = quantize_phases(candidate, bits)
             powers.append(abs(np.sum(candidate.reflection_coefficients() * c)) ** 2)
@@ -435,7 +450,14 @@ def test_cli_codebook(tmp_path):
     out = tmp_path / "cb.json"
     assert cli_main(["codebook", "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert len(payload["entries"]) == 32
+    cb = build_scene(ExperimentConfig.from_json(cfg_path)).codebook
+    assert set(payload) == {"incident_direction", "entries"}
+    assert payload["incident_direction"] == cb.incident_direction.tolist()
+    assert len(payload["entries"]) == len(cb) == 32
+    for k, entry in enumerate(payload["entries"]):
+        assert set(entry) == {"direction", "phases"}
+        assert entry["direction"] == cb.directions[k].tolist()
+        np.testing.assert_array_equal(np.array(entry["phases"]), cb.phases(k))
 
 
 def test_cli_transmit_shape_preserved(tmp_path):

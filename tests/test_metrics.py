@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rislink.metrics import (
+    BleuReference,
     KnowledgeGraph,
     bit_error_rate,
     bit_error_rates,
@@ -46,6 +47,15 @@ def test_bleu_bounds_and_self_identity(tokens):
     assert bleu(tokens, tokens) == 1.0
     other = ["z"] * len(tokens)
     assert 0.0 <= bleu(other, tokens) <= 1.0
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=10),
+       st.lists(st.sampled_from("abc"), min_size=1, max_size=10))
+def test_bleu_against_counted_reference(candidate, reference):
+    # n-grams counted once per reference score exactly as counted per call
+    counted = BleuReference.of(reference)
+    assert bleu(candidate, counted) == bleu(candidate, reference)
+    assert bleu(reference, counted) == 1.0
 
 
 def test_relative_bleu():

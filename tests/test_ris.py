@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scene
-from rislink.channel import wavelength
-from rislink.geometry import facing_array, unit
+from rislink.channel import ChannelMatrix, wavelength
+from rislink.geometry import element_positions, facing_array, unit
 from rislink.link import snr_linear
 from rislink.ris import (
+    Codebook,
     RisConfiguration,
     active_mask,
     build_codebook,
     cascaded_coefficients,
     conjugate_phases,
-    load_codebook,
     quantize_phases,
     select_codeword,
-    store_codebook,
 )
 
 LAM = wavelength(28e9)
@@ -137,8 +136,8 @@ def test_codebook_cardinality():
 def test_one_element_ris_codewords_all_zero():
     ris = facing_array([0.0, 0.0, 0.0], 1, 1, LAM / 2, [0.0, 10.0, 0.0])
     cb = build_codebook(ris, [0.0, 1.0, 0.0], (4, 2), LAM)
-    for phases in cb.phases:
-        assert phases[0] == 0.0
+    for k in range(len(cb)):
+        assert cb.phases(k)[0] == 0.0
 
 
 def test_specular_direction_gives_flat_profile():
@@ -150,8 +149,6 @@ def test_specular_direction_gives_flat_profile():
     u_out = 2 * np.dot(u_inc, n) * n - u_inc
     rel = cb.directions
     # evaluate the phase rule directly at the exact mirror direction
-    from rislink.geometry import element_positions
-
     p = element_positions(ris) - ris.center
     phases = np.mod(-2 * np.pi / LAM * (p @ (u_inc + u_out)), 2 * np.pi)
     np.testing.assert_allclose(np.minimum(phases, 2 * np.pi - phases), 0.0, atol=1e-9)
@@ -166,14 +163,28 @@ def test_codebook_rejects_bad_input():
         build_codebook(ris, [0.0, -1.0, 0.0], (4, 4), LAM)  # behind the surface
 
 
-def test_codebook_json_round_trip(tmp_path):
-    cb = build_codebook(make_ris(), [0.0, 1.0, 0.0], (6, 3), LAM)
-    path = tmp_path / "cb.json"
-    store_codebook(cb, path)
-    back = load_codebook(path)
-    assert len(back) == len(cb)
-    np.testing.assert_array_equal(back.phases, cb.phases)
-    np.testing.assert_array_equal(back.directions, cb.directions)
+def test_phases_follow_the_steering_rule():
+    ris = make_ris(3, 5)
+    u_inc = unit([0.3, 1.0, 0.1])
+    cb = build_codebook(ris, u_inc, (6, 3), LAM)
+    p = element_positions(ris) - ris.center
+    for k in range(len(cb)):
+        expected = np.mod(-2 * np.pi / LAM * (p @ (u_inc + cb.directions[k])), 2 * np.pi)
+        np.testing.assert_allclose(cb.phases(k), expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (1, 9), (4, 1)])
+def test_slopes_separate_the_phases(shape):
+    # theta_k(r, c) = row[k] * r' + col[k] * c' modulo 2*pi, up to rounding
+    ris = make_ris(*shape)
+    cb = build_codebook(ris, unit([0.3, 1.0, 0.1]), (6, 3), LAM)
+    row, col = cb.slopes()
+    r = np.arange(shape[0]) - (shape[0] - 1) / 2
+    c = np.arange(shape[1]) - (shape[1] - 1) / 2
+    for k in range(len(cb)):
+        separable = (row[k] * r[:, None] + col[k] * c[None, :]).ravel()
+        np.testing.assert_allclose(np.exp(1j * separable), np.exp(1j * cb.phases(k)),
+                                   rtol=0, atol=1e-12)
 
 
 # --- conjugate phases and selection ---------------------------------------
@@ -212,14 +223,35 @@ def test_conjugate_gain_matches_exhaustive_grid_search():
     assert grid_gain == pytest.approx(conj_gain, rel=1e-2)
 
 
+def block_scan_select(cb, h_ris_tx, h_rx_ris, budget, mask, bits=None):
+    """Reference selector: exponentiates every codeword's (quantized) phases
+    element by element and scores them in blocks of 8 rows, as select_codeword
+    did before its separable filter."""
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    mask = np.asarray(mask, dtype=bool)
+    active = np.flatnonzero(mask)
+    power = np.empty(len(cb))
+    for k0 in range(0, len(cb), 8):
+        block = np.array([cb.phases(k)[active] for k in range(k0, min(k0 + 8, len(cb)))])
+        if bits is not None:
+            step = 2 * np.pi / (1 << bits)
+            block = np.mod(np.ceil(block / step - 0.5), 1 << bits) * step
+        power[k0 : k0 + len(block)] = np.abs(np.exp(1j * block) @ c[active]) ** 2
+    best = int(np.argmax(power))
+    cfg = RisConfiguration(cb.phases(best), mask)
+    if bits is not None:
+        cfg = quantize_phases(cfg, bits)
+    return best, cfg, snr_linear(cfg.gain(c), budget)
+
+
 def test_select_codeword_matches_exhaustive():
     h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(2)
     for bits in (None, 1, 2):
         idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, mask, bits)
         c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
         values = []
-        for phases in cb.phases:
-            candidate = RisConfiguration(phases, mask)
+        for k in range(len(cb)):
+            candidate = RisConfiguration(cb.phases(k), mask)
             if bits is not None:
                 candidate = quantize_phases(candidate, bits)
             gain = np.sum(candidate.reflection_coefficients() * c)
@@ -228,25 +260,55 @@ def test_select_codeword_matches_exhaustive():
         assert idx == int(np.argmax(values))
 
 
-def test_select_codeword_picks_planted_optimum():
-    h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(3)
-    oracle = conjugate_phases(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx, mask)
-    from rislink.ris import Codebook
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5), (1, 9), (4, 1)])
+def test_select_codeword_equals_block_scan(shape):
+    # same index, applied phases and SNR (==) as the reference selector, on
+    # centered, random, full and empty masks; the 1xN and Nx1 arrays and the
+    # coarse depths give many equal and near-equal powers, which must break
+    # as the scan breaks them (equal ones toward the lowest index)
+    for seed in range(6):
+        h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
+        rng = np.random.default_rng(100 + seed)
+        masks = (mask, rng.random(mask.size) < 0.5, np.ones(mask.size, dtype=bool),
+                 np.zeros(mask.size, dtype=bool))
+        for m in masks:
+            for bits in (None, 1, 2, 3):
+                idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, m, bits)
+                ref_idx, ref_cfg, ref_value = block_scan_select(
+                    cb, h_ris_tx, h_rx_ris, budget, m, bits)
+                assert idx == ref_idx
+                np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
+                assert cfg.quantization_bits == ref_cfg.quantization_bits
+                assert value == ref_value
 
-    planted = Codebook(
-        list(cb.phases) + [oracle.phases],
-        np.vstack([cb.directions, [0.0, 1.0, 0.0]]),
-        cb.incident_direction,
-    )
-    idx, _, _ = select_codeword(planted, h_ris_tx, h_rx_ris, budget, mask)
-    assert idx == len(planted) - 1
+
+@pytest.mark.parametrize("bits", [None, 1, 2, 3])
+def test_select_codeword_empty_mask(bits):
+    h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(6, (5, 3))
+    empty = np.zeros(mask.size, dtype=bool)
+    idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, empty, bits)
+    assert (idx, value) == (0, 0.0)
+    assert not cfg.active_mask.any()
+
+
+def test_select_codeword_picks_planted_optimum():
+    # a receive-side channel that makes c_i = exp(-j theta_{k*, i}) aligns
+    # every element under codeword k*, which no other codeword can match
+    h_ris_tx, _, budget, mask, cb = random_scene(3)
+    planted = len(cb) // 2 + 3
+    w = h_ris_tx.entries @ budget.w_tx
+    target = np.exp(-1j * cb.phases(planted)) / w
+    h_rx_ris = ChannelMatrix((target / np.conj(budget.w_rx[0]))[None, :], LAM)
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    np.testing.assert_allclose(c, np.exp(-1j * cb.phases(planted)), rtol=1e-12)
+    for m in (mask, np.ones(mask.size, dtype=bool)):
+        idx, _, _ = select_codeword(cb, h_ris_tx, h_rx_ris, budget, m)
+        assert idx == planted
 
 
 def test_single_codeword_codebook():
     h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(4)
-    from rislink.ris import Codebook
-
-    single = Codebook(cb.phases[:1], cb.directions[:1], cb.incident_direction)
+    single = Codebook(cb.ris, cb.wavelength, cb.directions[:1], cb.incident_direction)
     idx, _, _ = select_codeword(single, h_ris_tx, h_rx_ris, budget, mask)
     assert idx == 0
 
