@@ -101,26 +101,40 @@ class HuffmanCode:
         ) / total
 
     @cached_property
-    def _decode_tree(self) -> list:
-        """Root of the code tree: a node is a [zero child, one child] pair and
-        a child is a node, a symbol, or None (no codeword continues there).
-        A codeword stops at a symbol already on its path, and a symbol takes
-        its slot whatever that held, so the walk emits at the shortest
-        matching codeword, as a greedy prefix match does, whatever the table."""
-        root = [None, None]
-        for sym, cw in self.table.items():
-            node = root
+    def _decoder(self) -> tuple:
+        """The code tree as an automaton that reads one bit per step:
+        (symbols, step). State s < len(symbols) means "symbol s was just
+        emitted" and steps as the root does; the root and the other inner
+        nodes follow; the last state is dead and absorbs every step. A
+        missing child (no codeword continues there) and the pad bit 2 lead
+        to the dead state. States are stored times 3, so the next state is
+        step[state + bit]. A codeword stops at a symbol already on its path,
+        and a symbol takes its slot whatever that held, so a lane emits at
+        the shortest matching codeword, as a greedy prefix match does,
+        whatever the table."""
+        symbols = list(self.table)
+        nodes = [[None, None]]  # inner nodes; a child is a node index or ~symbol
+        for s, cw in enumerate(self.table.values()):
+            node = 0
             for bit in cw[:-1]:
-                child = node[bit == "1"]
+                child = nodes[node][bit == "1"]
                 if child is None:
-                    child = node[bit == "1"] = [None, None]
-                elif not isinstance(child, list):
+                    child = nodes[node][bit == "1"] = len(nodes)
+                    nodes.append([None, None])
+                elif child < 0:
                     break
                 node = child
             else:
                 if cw:
-                    node[cw[-1] == "1"] = sym
-        return root
+                    nodes[node][cw[-1] == "1"] = ~s
+        root, dead = len(symbols), len(symbols) + len(nodes)
+
+        def state(child):
+            return dead if child is None else ~child if child < 0 else root + child
+
+        rows = [[state(c) for c in node] + [dead] for node in nodes]
+        step = np.array(rows[:1] * len(symbols) + rows + [[dead] * 3], dtype=np.intp)
+        return symbols, (3 * step).ravel()
 
 
 def huffman_build(freqs: dict) -> HuffmanCode:
@@ -160,21 +174,35 @@ def huffman_encode(text: str, code: HuffmanCode) -> np.ndarray:
     return np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
 
 
+def huffman_decode_rows(rows, code: HuffmanCode) -> list:
+    """Greedy prefix decoding of many bit streams at once: one lane per
+    stream, all lanes stepped through the code automaton (see
+    HuffmanCode._decoder) one bit at a time. A corrupted stream may
+    desynchronize; trailing bits that end inside the tree are dropped, and
+    a lane whose pending bits start no codeword stops there."""
+    symbols, step = code._decoder
+    lengths = np.array([np.size(r) for r in rows], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    lanes = np.full((len(rows), width), 2, dtype=np.intp)  # 2 pads a lane
+    if width:
+        lanes[np.arange(width) < lengths[:, None]] = np.concatenate(rows) != 0
+    states = np.empty((width, len(rows)), dtype=np.intp)
+    state = np.full(len(rows), 3 * len(symbols), dtype=np.intp)  # the root
+    for t, bits in enumerate(lanes.T):
+        state = np.take(step, state + bits, out=states[t])
+    emitted = states.T < 3 * len(symbols)  # lane-major, as the texts are cut
+    codes = (states.T[emitted] // 3).tolist()
+    text = "".join(map(symbols.__getitem__, codes))
+    sizes = np.fromiter(map(len, symbols), dtype=np.intp, count=len(symbols))
+    ends = np.concatenate(([0], np.cumsum(sizes[codes])))
+    cuts = ends[np.concatenate(([0], np.cumsum(emitted.sum(axis=1))))]
+    return [text[a:b] for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+
+
 def huffman_decode(bits: np.ndarray, code: HuffmanCode) -> str:
-    """Greedy prefix decoding by a walk down the code tree; corrupted streams
-    may desynchronize and trailing undecodable bits are dropped."""
-    root = node = code._decode_tree
-    out = []
-    for b in np.asarray(bits, dtype=bool).tolist():
-        child = node[b]
-        if isinstance(child, list):
-            node = child
-        elif child is None:
-            break  # no codeword starts with the pending bits
-        else:
-            out.append(child)
-            node = root
-    return "".join(out)
+    """Greedy prefix decoding of one bit stream (huffman_decode_rows with
+    one lane)."""
+    return huffman_decode_rows([bits], code)[0]
 
 
 def huffman_frequencies(corpus) -> Counter:
@@ -196,6 +224,7 @@ SIXBIT_ALPHABET = (
 assert len(SIXBIT_ALPHABET) == 64 and len(set(SIXBIT_ALPHABET)) == 64
 
 _SIXBIT_INDEX = {ch: i for i, ch in enumerate(SIXBIT_ALPHABET)}
+_SIXBIT_BYTES = np.frombuffer(SIXBIT_ALPHABET.encode("ascii"), dtype=np.uint8)
 SIXBIT_REPLACEMENT = "?"
 
 
@@ -225,7 +254,16 @@ def sixbit_decode(bits: np.ndarray) -> str:
         return ""
     groups = np.asarray(bits[:n], dtype=np.uint8).reshape(-1, 6)
     codes = groups @ (1 << np.arange(5, -1, -1))
-    return "".join(SIXBIT_ALPHABET[c] for c in codes)
+    return _SIXBIT_BYTES[codes].tobytes().decode("ascii")
+
+
+def sixbit_decode_rows(rows) -> list:
+    """sixbit_decode of each bit stream, from one sixbit_decode call on
+    their whole 6-bit groups, cut at the character bounds."""
+    groups = [np.size(r) // 6 for r in rows]
+    text = sixbit_decode(np.concatenate([r[: 6 * n] for r, n in zip(rows, groups)] or [[]]))
+    cuts = np.cumsum([0] + groups).tolist()
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 # --------------------------------------------------------------------------

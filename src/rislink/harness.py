@@ -283,12 +283,13 @@ class _Corpus:
     bounds[k]:bounds[k + 1]. Each sentence is padded to whole symbols on its
     own; `keep` is False at the pad bits of the demodulated row. Each
     sentence's BLEU reference is tokenized and counted once, in
-    `references`."""
+    `references`, and its edit-distance lane is built once, in `edits`."""
 
     name: str
     sentences: list
     references: list
-    decode: object  # bits -> text
+    edits: metrics.EditReferences
+    decode: object  # list of bit streams -> list of texts
     symbols: coding.SymbolMatrix
     bits: np.ndarray
     bounds: np.ndarray
@@ -302,8 +303,8 @@ def _corpus(name, sentences, encoded, decode, modulate) -> _Corpus:
     runs = [n for bits, (_, pad) in zip(encoded, modulated) for n in (bits.size, pad)]
     keep = np.repeat(np.tile([True, False], len(encoded)), runs)  # bits True, pads False
     references = [metrics.BleuReference.of(metrics.tokenize(s)) for s in sentences]
-    return _Corpus(name, sentences, references, decode, symbols, np.concatenate(encoded),
-                   bounds, keep)
+    return _Corpus(name, sentences, references, metrics.EditReferences.of(sentences), decode,
+                   symbols, np.concatenate(encoded), bounds, keep)
 
 
 def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
@@ -315,18 +316,22 @@ def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
 
 def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
     """Send one method's whole corpus through the scalar channel in a single
-    transmission and demodulate it as one row, then decode and score each
-    sentence and average the text metrics over the corpus."""
+    transmission and demodulate it as one row, then score the row and
+    average the text metrics over the corpus. A sentence that arrived
+    without a bit error decodes to itself (both codes round-trip every
+    sentence), so it scores char_err 0 and BLEU 1 undecoded; the others are
+    decoded together and their edit distances run in one lane each."""
     received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
     recovered, bers = _receive(corpus, equalized, coding.MODULATIONS[modulation][1])
-    char_errs, bleus = [], []
+    errored = np.flatnonzero(bers)
     bounds = corpus.bounds
-    for sentence, reference, start, stop in zip(corpus.sentences, corpus.references,
-                                                bounds, bounds[1:]):
-        decoded = corpus.decode(recovered[start:stop])
-        char_errs.append(metrics.char_error_rate(sentence, decoded))
-        bleus.append(metrics.bleu(metrics.tokenize(decoded), reference))
+    decoded = corpus.decode([recovered[bounds[k] : bounds[k + 1]] for k in errored])
+    char_errs = np.zeros(len(corpus.sentences))
+    char_errs[errored] = corpus.edits.char_error_rates(errored, decoded)
+    bleus = np.ones(len(corpus.sentences))
+    bleus[errored] = [metrics.bleu(metrics.tokenize(text), corpus.references[k])
+                      for k, text in zip(errored, decoded)]
     mean_bleu = float(np.mean(bleus))
     return (
         float(np.mean(bers)),
@@ -352,12 +357,13 @@ def _prepare_methods(cfg: ExperimentConfig):
             encoded = [coding.huffman_encode(s, code) for s in sentences]
             methods.append(_corpus(
                 "huffman", sentences, encoded,
-                lambda bits, c=code: coding.huffman_decode(bits, c), modulate,
+                lambda rows, c=code: coding.huffman_decode_rows(rows, c), modulate,
             ))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode(s) for s in folded]
-            methods.append(_corpus("sixbit", folded, encoded, coding.sixbit_decode, modulate))
+            methods.append(_corpus("sixbit", folded, encoded, coding.sixbit_decode_rows,
+                                   modulate))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)

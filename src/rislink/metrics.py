@@ -51,7 +51,7 @@ def tokenize(text: str) -> list:
 
 
 def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def bleu(candidate, reference, max_n: int = 4) -> float:
     for n in range(1, n_max + 1):
         counts = _ngram_counts(candidate, n)
         ref_counts = reference.ngrams[n - 1]
-        clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
+        clipped = sum(min(counts[g], ref_counts[g]) for g in counts.keys() & ref_counts.keys())
         if clipped == 0:
             return 0.0
-        log_sum += math.log(clipped / sum(counts.values()))
+        log_sum += math.log(clipped / (len(candidate) - n + 1))
 
     c, r = len(candidate), len(reference.tokens)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
@@ -193,6 +193,97 @@ def levenshtein(a: str, b: str) -> int:
         vp = ((hn << 1) | ~(d0 | hp)) & full
         vn = hp & d0
     return distance
+
+
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+_LANE_BITS = 64
+
+
+@dataclass(frozen=True)
+class EditReferences:
+    """Reference sentences for many edit distances at once: each sentence of
+    1 to 64 characters is a Myers/Hyyrö pattern in one np.uint64 lane, and
+    all lanes step together, one text character per step (the multiple-
+    pattern bit-parallelism of Hyyrö, Fredriksson & Navarro, ACM JEA 10,
+    2005). peq[k, a] has bit i set where character i of sentence k is the
+    character alphabet[a - 1]; column 0 stands for every character that no
+    lane sentence holds, and is 0. Other sentences (empty or longer than 64
+    characters) are scored by levenshtein."""
+
+    sentences: tuple
+    lengths: np.ndarray  # characters per sentence
+    alphabet: np.ndarray  # sorted code points of the lane sentences' characters
+    peq: np.ndarray  # (len(sentences), len(alphabet) + 1) np.uint64
+
+    @classmethod
+    def of(cls, sentences) -> "EditReferences":
+        sentences = tuple(sentences)
+        lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+        lanes = [k for k, n in enumerate(lengths) if 0 < n <= _LANE_BITS]
+        alphabet = np.unique(_code_points("".join(sentences[k] for k in lanes)))
+        peq = np.zeros((len(sentences), alphabet.size + 1), dtype=np.uint64)
+        for k in lanes:
+            columns = np.searchsorted(alphabet, _code_points(sentences[k])) + 1
+            bits = np.left_shift(np.uint64(1), np.arange(lengths[k], dtype=np.uint64))
+            np.bitwise_or.at(peq[k], columns, bits)
+        return cls(sentences, lengths, alphabet, peq)
+
+    def _columns(self, text: str) -> np.ndarray:
+        """peq column of each character of `text` (0 for one in no lane)."""
+        points = _code_points(text)
+        at = np.searchsorted(self.alphabet, points)
+        hit = self.alphabet[np.minimum(at, self.alphabet.size - 1)] == points
+        return np.where(hit, at + 1, 0)
+
+    def distances(self, indices, texts) -> np.ndarray:
+        """levenshtein(sentences[indices[i]], texts[i]) for every i."""
+        indices = np.asarray(indices, dtype=np.intp)
+        out = np.empty(indices.size, dtype=np.int64)
+        m = self.lengths[indices]
+        lane = (m > 0) & (m <= _LANE_BITS)
+        for i in np.flatnonzero(~lane):
+            out[i] = levenshtein(self.sentences[indices[i]], texts[i])
+        # lanes sorted by text length, longest first, so that the lanes still
+        # reading at step t are a prefix of them
+        order = np.flatnonzero(lane)
+        n = np.array([len(texts[i]) for i in order], dtype=np.int64)
+        by_length = np.argsort(-n, kind="stable")
+        order, n = order[by_length], n[by_length]
+        m, ref = m[order], indices[order]
+        width = int(n.max(initial=0))
+        reading = np.arange(width) < n[:, None]
+        eq = np.zeros((order.size, width), dtype=np.uint64)
+        eq[reading] = self.peq[np.repeat(ref, n), self._columns("".join(texts[i] for i in order))]
+        eq = np.ascontiguousarray(eq.T)  # eq[t]: the step-t masks of every lane
+        # Hyyro's levenshtein step on every reading lane: bit i of vp/vn says
+        # the DP column rises/falls from row i to row i + 1. Carries and
+        # shifts only move bits up, so the bits above a lane's pattern never
+        # reach it and need no mask while stepping.
+        vp = np.full(order.size, 2**64 - 1, dtype=np.uint64)
+        vn = np.zeros(order.size, dtype=np.uint64)
+        one = np.uint64(1)
+        for t, a in enumerate(reading.sum(axis=0).tolist()):
+            e, p, q = eq[t, :a], vp[:a], vn[:a]
+            d0 = (((e & p) + p) ^ p) | e | q
+            hp = q | ~(d0 | p)
+            hn = d0 & p
+            hp <<= one
+            hp |= one  # the top row rises by 1 per text character
+            p[:] = ~(d0 | hp) | (hn << one)
+            np.bitwise_and(hp, d0, out=q)
+        # the distance is the top of the last column, n, plus its m deltas
+        full = np.right_shift(np.uint64(2**64 - 1), (_LANE_BITS - m).astype(np.uint64))
+        out[order] = n + np.bitwise_count(vp & full) - np.bitwise_count(vn & full).astype(np.int64)
+        return out
+
+    def char_error_rates(self, indices, texts) -> np.ndarray:
+        """char_error_rate(sentences[indices[i]], texts[i]) for every i."""
+        longest = np.maximum(self.lengths[np.asarray(indices, dtype=np.intp)],
+                             np.array([len(t) for t in texts], dtype=np.int64))
+        return self.distances(indices, texts) / np.maximum(longest, 1)
 
 
 def char_error_rate(sent: str, received: str) -> float:

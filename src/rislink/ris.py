@@ -5,10 +5,14 @@ Conventions, frozen for reproducibility:
   - quantization levels are anchored at 0, i.e. {2*pi*k / 2^B};
   - nearest level under circular distance, ties broken toward the lower level;
   - active masks are centered square blocks (row-major flattening);
-  - ties in codeword selection go to the lowest index.
+  - codeword selection keeps the lowest index among bitwise-equal powers.
+    Codewords the array cannot tell apart (directions that differ only
+    along an axis it does not span) have powers equal only up to rounding,
+    and the one that rounds highest wins.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -31,6 +35,15 @@ _BLOCK_ROWS = 32
 _RESCORE_TOL = 1e-9
 
 
+def _check_bits(bits, name: str, optional: bool = False) -> None:
+    """A bit count is an integer >= 1 and not a bool; None (continuous
+    phases) where `optional`."""
+    if bits is None and optional:
+        return
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) or bits < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {bits!r}")
+
+
 @dataclass(frozen=True)
 class RisConfiguration:
     """Per-element phase shifts in [0, 2*pi), an active mask, and the
@@ -47,8 +60,7 @@ class RisConfiguration:
             raise ValueError("phases and active_mask must be 1D with equal length")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        if self.quantization_bits is not None and self.quantization_bits < 1:
-            raise ValueError("quantization_bits must be >= 1")
+        _check_bits(self.quantization_bits, "quantization_bits", optional=True)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "active_mask", mask)
 
@@ -158,8 +170,7 @@ def quantize_phases(cfg: RisConfiguration, bits: int) -> RisConfiguration:
     """Map every active phase to the nearest of the 2^bits uniform levels
     under circular distance; ties go to the lower level. Inactive phases are
     left untouched."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    _check_bits(bits, "bits")
     quantized = np.where(cfg.active_mask, _quantize(cfg.phases, bits), cfg.phases)
     return replace(cfg, phases=quantized, quantization_bits=bits)
 
@@ -268,12 +279,14 @@ def select_codeword(
 ) -> tuple[int, RisConfiguration, float]:
     """Score every codeword by its gain power |sum_active exp(1j*theta_i) *
     c_i|^2 (phases quantized first when `bits` is given) and return
-    (index, applied configuration, linear SNR) of the best one. Ties go to
-    the lowest index.
+    (index, applied configuration, linear SNR) of the best one: the lowest
+    index among bitwise-equal best powers, and among powers equal only up to
+    rounding, the one that rounds highest.
 
     A separable filter (_filter_power) scores the whole codebook; every
     codeword within _RESCORE_TOL of its best power is then scored again from
     its exact phases, so the winner is the one the exact scores pick."""
+    _check_bits(bits, "bits", optional=True)
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != c.shape:

@@ -14,6 +14,7 @@ from rislink.coding import (
     SymbolMatrix,
     huffman_build,
     huffman_decode,
+    huffman_decode_rows,
     huffman_encode,
     huffman_frequencies,
     load_symbol_matrix,
@@ -23,6 +24,7 @@ from rislink.coding import (
     qpsk_demodulate,
     qpsk_modulate,
     sixbit_decode,
+    sixbit_decode_rows,
     sixbit_encode,
     sixbit_fold,
     store_symbol_matrix,
@@ -187,6 +189,23 @@ def test_huffman_decode_greedy_on_any_table():
             assert huffman_decode(bits, code) == huffman_decode_reference(bits, code)
 
 
+@given(st.lists(huffman_streams(), max_size=6))
+def test_huffman_decode_rows_decodes_each_lane(streams):
+    # one code for every lane; lanes of unequal lengths, empty ones included
+    code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
+    rows = [bits for _, bits in streams] + [np.zeros(0, dtype=np.uint8)]
+    decoded = huffman_decode_rows(rows, code)
+    assert decoded == [huffman_decode_reference(bits, code) for bits in rows]
+
+
+def test_huffman_decode_rows_no_lanes_and_multicharacter_symbols():
+    code = huffman_build({"a": 1, "b": 2})
+    assert huffman_decode_rows([], code) == []
+    code = HuffmanCode({"ab": "0", "": "10", "cde": "11"})
+    rows = [np.array(r, dtype=np.uint8) for r in ([0, 1, 1, 0], [1, 0, 1], [1, 1, 0, 1])]
+    assert huffman_decode_rows(rows, code) == ["abcdeab", "", "cdeab"]
+
+
 def test_huffman_deterministic():
     freqs = {"a": 2, "b": 2, "c": 2, "d": 2, "e": 1}
     assert huffman_build(freqs).table == huffman_build(freqs).table
@@ -234,6 +253,13 @@ def test_sixbit_locality_k_flips():
         corrupted[idx] ^= 1
         decoded = sixbit_decode(corrupted)
         assert sum(a != b for a, b in zip(decoded, text)) <= k
+
+
+def test_sixbit_decode_rows_decodes_each_row():
+    rng = np.random.default_rng(5)
+    rows = [rng.integers(0, 2, n).astype(np.uint8) for n in (12, 0, 5, 6, 17, 48)]
+    assert sixbit_decode_rows(rows) == [sixbit_decode(bits) for bits in rows]
+    assert sixbit_decode_rows([]) == []
 
 
 def test_sixbit_partial_group_dropped():

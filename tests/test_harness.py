@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from rislink import coding, harness
+from rislink import coding, harness, metrics
 from rislink.cli import main as cli_main
 from rislink.coding import SymbolMatrix, load_symbol_matrix, store_symbol_matrix
 from rislink.harness import (
@@ -22,9 +23,18 @@ from rislink.harness import (
     run_sweep,
     write_records,
 )
-from rislink.link import effective_gain, end_to_end_channel, snr_linear
+from rislink.link import (
+    effective_gain,
+    end_to_end_channel,
+    equalize,
+    snr_linear,
+    transmit_with_rng,
+)
 from rislink.metrics import bit_error_rate
 from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, quantize_phases
+
+
+SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
 
 
 def small_config(tmp_path, **overrides):
@@ -267,7 +277,7 @@ def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_s
         at = 0
         for k, (start, stop) in enumerate(zip(corpus.bounds, corpus.bounds[1:])):
             bits = corpus.bits[start:stop]
-            assert corpus.decode(bits) == corpus.sentences[k]
+            assert corpus.decode([bits]) == [corpus.sentences[k]]
             symbols, pad = modulate(bits)
             own = demodulate(equalized[at : at + symbols.size], n_bits=bits.size)
             at += symbols.size
@@ -278,6 +288,74 @@ def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_s
         assert 0 < np.mean(bers) < 0.5
     assert pads - {0}  # some sentence's bit count is not a multiple of bits_per_symbol
     assert max(pads) < bits_per_symbol
+
+
+def score_each_sentence(scene, g, corpus, modulation, rng, max_bleu, decode):
+    """_corpus_pipeline as a per-sentence scorer, every sentence decoded on
+    its own by `decode` and scored by char_error_rate and bleu; and each
+    sentence's bit error rate."""
+    received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
+    equalized = equalize(received, g, scene.budget.p_tx).values[0]
+    recovered, bers = harness._receive(corpus, equalized, coding.MODULATIONS[modulation][1])
+    char_errs, bleus = [], []
+    bounds = corpus.bounds
+    for sentence, start, stop in zip(corpus.sentences, bounds, bounds[1:]):
+        decoded = decode(recovered[start:stop])
+        char_errs.append(metrics.char_error_rate(sentence, decoded))
+        bleus.append(metrics.bleu(metrics.tokenize(decoded), metrics.tokenize(sentence)))
+    mean_bleu = float(np.mean(bleus))
+    scores = float(np.mean(bers)), float(np.mean(char_errs)), mean_bleu, mean_bleu / max_bleu
+    return scores, bers
+
+
+@pytest.mark.parametrize("noise_dbm", [8.0, 16.0])
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_row_scorer_equals_per_sentence_scorer(noise_dbm, modulation):
+    # on the default scene these noise floors give rows where some sentences
+    # arrive error-free (scored undecoded) and others do not
+    cfg = ExperimentConfig(noise_dbm=noise_dbm, modulation=modulation,
+                           corpus_path=str(SAMPLE_CORPUS), quantizations=[None])
+    scene = build_scene(cfg)
+    corpora, _ = harness._prepare_methods(cfg)
+    code = coding.huffman_build(coding.huffman_frequencies(corpora[0].sentences))
+    decoders = {"huffman": lambda bits: coding.huffman_decode(bits, code),
+                "sixbit": coding.sixbit_decode}
+    mixed = 0
+    for i, ratio in enumerate([0.05, 0.15, 0.3, 0.6, 1.0]):
+        _, ris_cfg, _ = configure_point(scene, ratio, None)
+        g = ris_cfg.gain(scene.coefficients)
+        for k, corpus in enumerate(corpora):
+            seed = derive_seed(5, i, k)
+            row = harness._corpus_pipeline(scene, g, corpus, modulation,
+                                           np.random.default_rng(seed), 0.6)
+            oracle, bers = score_each_sentence(scene, g, corpus, modulation,
+                                               np.random.default_rng(seed), 0.6,
+                                               decoders[corpus.name])
+            assert row == oracle
+            mixed += 0 < np.count_nonzero(bers) < len(bers)
+    assert mixed >= 2
+
+
+@pytest.mark.parametrize("sentences", [
+    [line for line in SAMPLE_CORPUS.read_text().splitlines() if line.strip()],
+    make_corpus(),
+], ids=["sample_corpus", "make_corpus"])
+def test_every_sentence_decodes_from_its_own_bits(tmp_path, sentences):
+    # the row scorer gives an error-free sentence char_err 0 and BLEU 1
+    # without decoding it; that rests on this round trip
+    corpus_path = tmp_path / "sentences.txt"
+    corpus_path.write_text("\n".join(sentences) + "\n")
+    corpora, _ = harness._prepare_methods(small_config(tmp_path, corpus_path=str(corpus_path)))
+    code = coding.huffman_build(coding.huffman_frequencies(sentences))
+    for corpus in corpora:
+        rows = [corpus.bits[a:b] for a, b in zip(corpus.bounds, corpus.bounds[1:])]
+        assert corpus.decode(rows) == corpus.sentences
+        if corpus.name == "huffman":
+            assert corpus.sentences == sentences
+            assert [coding.huffman_decode(bits, code) for bits in rows] == sentences
+        else:
+            assert corpus.sentences == [coding.sixbit_fold(s) for s in sentences]
+            assert [coding.sixbit_decode(bits) for bits in rows] == corpus.sentences
 
 
 def test_snr_nondecreasing_in_ratio_continuous(tmp_path):

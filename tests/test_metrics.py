@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rislink.metrics import (
     BleuReference,
+    EditReferences,
     KnowledgeGraph,
     bit_error_rate,
     bit_error_rates,
@@ -56,6 +58,40 @@ def test_bleu_against_counted_reference(candidate, reference):
     counted = BleuReference.of(reference)
     assert bleu(candidate, counted) == bleu(candidate, reference)
     assert bleu(reference, counted) == 1.0
+
+
+def bleu_counted_by_slices(candidate, reference, max_n=4):
+    """BLEU with each n-gram cut as a tuple slice and clipped by `min`
+    against the reference's Counter for every candidate n-gram."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    candidate, reference = tuple(candidate), tuple(reference)
+    if not candidate:
+        return 0.0
+    if candidate == reference:
+        return 1.0
+    n_max = min(max_n, len(candidate))
+    log_sum = 0.0
+    for n in range(1, n_max + 1):
+        counts, ref_counts = ngrams(candidate, n), ngrams(reference, n)
+        clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / sum(counts.values()))
+    c, r = len(candidate), len(reference)
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_sum / n_max)
+
+
+@given(st.lists(st.sampled_from("abcd."), max_size=14),
+       st.lists(st.sampled_from("abcde"), min_size=1, max_size=14))
+@example(list("abab"), list("abab"))
+@example(list("aaaaa"), list("aa"))
+def test_bleu_equals_slice_counting(candidate, reference):
+    expected = bleu_counted_by_slices(candidate, reference)
+    assert bleu(candidate, reference) == expected
+    assert bleu(candidate, BleuReference.of(reference)) == expected
 
 
 def test_relative_bleu():
@@ -255,6 +291,53 @@ def test_levenshtein_matches_dp(pair):
     assert levenshtein(a, b) == levenshtein(b, a) == distance
     if a == b:
         assert distance == 0
+
+
+# references of 0 to 70 characters: the lanes hold 1 to 64, the rest fall
+# back to levenshtein; texts also draw characters that no reference holds
+REFERENCE = st.text(alphabet="ab c.é漢", max_size=70)
+DECODED = st.text(alphabet="ab c.é漢xZ🙂", max_size=90)
+
+
+@st.composite
+def decoded_rows(draw):
+    """Reference sentences, and texts to score against some of them: edits
+    of their reference or independent texts."""
+    references = draw(st.lists(REFERENCE, min_size=1, max_size=8))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        k = draw(st.integers(0, len(references) - 1))
+        text = draw(st.one_of(DECODED, st.just(references[k])))
+        if text and draw(st.booleans()):
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + draw(DECODED) + text[at + 1 :]
+        rows.append((k, text))
+    return references, rows
+
+
+@given(decoded_rows())
+@example((["a" * 64, "b" * 65, "ab c." * 13], [(0, "a" * 63 + "x"), (1, "b" * 64),
+                                             (2, ""), (0, "")]))
+@example((["", "é漢 é"], [(0, "xZ"), (1, "🙂"), (1, "漢 éé"), (0, "")]))
+@example((["abc", "cab"], [(0, "xyz"), (1, "ZZZZZZ"), (0, "abc")]))
+def test_lane_edit_distance_matches_levenshtein(case):
+    references, rows = case
+    lanes = EditReferences.of(references)
+    indices = [k for k, _ in rows]
+    texts = [text for _, text in rows]
+    distances = lanes.distances(indices, texts)
+    rates = lanes.char_error_rates(indices, texts)
+    assert distances.tolist() == [levenshtein(references[k], t) for k, t in rows]
+    assert rates.tolist() == [char_error_rate(references[k], t) for k, t in rows]
+
+
+def test_lane_edit_distance_characters_in_no_reference():
+    # characters outside every reference match nothing; they are neither
+    # dropped nor merged, so an all-foreign text costs max(m, n)
+    lanes = EditReferences.of(["abc", "abcd" * 16])
+    assert lanes.alphabet.tolist() == [ord(ch) for ch in "abcd"]
+    texts = ["xyz", "xyzw", "Z" * 70, "abcX" + "abcd" * 15]
+    assert lanes.distances([0, 0, 1, 1], texts).tolist() == [3, 4, 70, 1]
 
 
 # --- file ingestion -------------------------------------------------------------

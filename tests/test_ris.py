@@ -51,6 +51,25 @@ def test_quantize_values(theta, bits, expected):
     assert q.quantization_bits == bits
 
 
+@pytest.mark.parametrize("bits", [True, False, 2.5, 2.0, "2", 0, -1])
+def test_bit_counts_must_be_integers(bits):
+    # a bool would be stored as the bit count and 2.5 would fail in `1 << bits`
+    with pytest.raises(ValueError, match="integer >= 1"):
+        RisConfiguration(np.zeros(2), np.ones(2, bool), bits)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        quantize_phases(config([0.3, 1.0]), bits)
+    h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(2)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        select_codeword(cb, h_ris_tx, h_rx_ris, budget, mask, bits)
+
+
+def test_numpy_integer_bit_counts_accepted():
+    q = quantize_phases(config([0.3, 3.0]), np.int64(1))
+    assert q.quantization_bits == 1
+    assert q.phases.tolist() == [0.0, np.pi]
+    assert RisConfiguration(np.zeros(1), np.ones(1, bool), np.uint8(2)).quantization_bits == 2
+
+
 def test_quantize_leaves_inactive_untouched():
     cfg = config([1.0, 2.5], mask=[True, False])
     q = quantize_phases(cfg, 1)
