@@ -23,6 +23,7 @@ from .harness import (
     build_scene,
     configure_point,
     derive_seed,
+    load_sentences,
     run_sweep,
 )
 from .link import snr, transmit
@@ -89,10 +90,7 @@ def cmd_metrics(args) -> int:
         raise ValueError(f"--max-bleu must be a positive finite number, got {args.max_bleu}")
     report = {}
     if args.ref and args.hyp:
-        with open(args.ref) as f:
-            refs = [line.rstrip("\n") for line in f if line.strip()]
-        with open(args.hyp) as f:
-            hyps = [line.rstrip("\n") for line in f if line.strip()]
+        refs, hyps = load_sentences(args.ref), load_sentences(args.hyp)
         if len(refs) != len(hyps):
             raise ValueError(f"reference has {len(refs)} lines, hypothesis {len(hyps)}")
         scores = [
@@ -114,6 +112,8 @@ def cmd_metrics(args) -> int:
         b = metrics_mod.load_embeddings(args.hyp_emb)
         if a.shape != b.shape:
             raise ValueError(f"embedding shapes differ: {a.shape} vs {b.shape}")
+        if not len(a):
+            raise ValueError("embedding files hold no vectors")
         sims = [metrics_mod.cosine_similarity(x, y) for x, y in zip(a, b)]
         report["similarity"] = float(np.mean(sims))
     if not report:

@@ -73,10 +73,13 @@ def load_symbol_matrix(path) -> SymbolMatrix:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed symbol-matrix file: {exc}") from exc
     try:
-        n_rows, n_cols = int(payload["n_rows"]), int(payload["n_cols"])
+        n_rows, n_cols = payload["n_rows"], payload["n_cols"]
         raw = np.asarray(payload["data"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing symbol-matrix fields: {exc}") from exc
+    for name, n in (("n_rows", n_rows), ("n_cols", n_cols)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"{path}: {name} must be an integer >= 1, got {n!r}")
     if raw.size != 2 * n_rows * n_cols:
         raise ValueError(
             f"{path}: expected {2 * n_rows * n_cols} reals for a "
@@ -236,12 +239,8 @@ def sixbit_fold(text: str) -> str:
 
 
 def sixbit_encode(text: str) -> np.ndarray:
-    codes = np.array(
-        [_SIXBIT_INDEX.get(ch.lower(), _SIXBIT_INDEX[SIXBIT_REPLACEMENT]) for ch in text],
-        dtype=np.uint8,
-    )
-    if codes.size == 0:
-        return np.zeros(0, dtype=np.uint8)
+    """Six bits per character of sixbit_fold(text), most significant first."""
+    codes = np.array([_SIXBIT_INDEX[ch] for ch in sixbit_fold(text)], dtype=np.uint8)
     shifts = np.arange(5, -1, -1)
     return ((codes[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 

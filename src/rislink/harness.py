@@ -341,6 +341,15 @@ def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
     )
 
 
+def load_sentences(path) -> list:
+    """The non-blank lines of a text file, one sentence each."""
+    with open(path) as f:
+        sentences = [line.rstrip("\n") for line in f if line.strip()]
+    if not sentences:
+        raise ValueError(f"{path}: file has no sentences")
+    return sentences
+
+
 def _prepare_methods(cfg: ExperimentConfig):
     """Per-method corpora (see _Corpus) and the semantic matrix when given.
     Huffman frequencies come from the evaluation corpus itself; the sixbit
@@ -348,10 +357,7 @@ def _prepare_methods(cfg: ExperimentConfig):
     modulate = coding.MODULATIONS[cfg.modulation][0]
     methods = []
     if cfg.corpus_path is not None:
-        with open(cfg.corpus_path) as f:
-            sentences = [line.rstrip("\n") for line in f if line.strip()]
-        if not sentences:
-            raise ValueError(f"{cfg.corpus_path}: corpus has no sentences")
+        sentences = load_sentences(cfg.corpus_path)
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
             encoded = [coding.huffman_encode(s, code) for s in sentences]

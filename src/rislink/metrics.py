@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+BLEU_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _ngram_counts(tokens, n: int) -> Counter:
 
 @dataclass(frozen=True)
 class BleuReference:
-    """A BLEU reference's tokens and their 1..max_n-gram counts, counted
+    """A BLEU reference's tokens and their 1..BLEU_ORDER-gram counts, counted
     once so that scoring many candidates against one reference does not
     recount them."""
 
@@ -64,20 +65,20 @@ class BleuReference:
     ngrams: tuple  # ngrams[n - 1] counts the n-grams
 
     @classmethod
-    def of(cls, tokens, max_n: int = 4) -> "BleuReference":
+    def of(cls, tokens) -> "BleuReference":
         tokens = tuple(tokens)
-        return cls(tokens, tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1)))
+        return cls(tokens, tuple(_ngram_counts(tokens, n) for n in range(1, BLEU_ORDER + 1)))
 
 
-def bleu(candidate, reference, max_n: int = 4) -> float:
+def bleu(candidate, reference) -> float:
     """Sentence BLEU against a single reference (its tokens, or a
-    BleuReference counted to at least max_n): uniform weights over the
-    1..max_n modified n-gram precisions (capped at the candidate length)
-    times the brevity penalty. Empty candidate scores 0; a candidate equal to
-    its reference scores exactly 1 (every precision is 1, the penalty exp(0))
-    without counting its n-grams."""
+    BleuReference): uniform weights over the 1..BLEU_ORDER modified n-gram
+    precisions (capped at the candidate length) times the brevity penalty.
+    Empty candidate scores 0; a candidate equal to its reference scores
+    exactly 1 (every precision is 1, the penalty exp(0)) without counting
+    its n-grams."""
     if not isinstance(reference, BleuReference):
-        reference = BleuReference.of(reference, max_n)
+        reference = BleuReference.of(reference)
     candidate = tuple(candidate)
     if not reference.tokens:
         raise ValueError("reference must be non-empty")
@@ -86,7 +87,7 @@ def bleu(candidate, reference, max_n: int = 4) -> float:
     if candidate == reference.tokens:
         return 1.0
 
-    n_max = min(max_n, len(candidate))
+    n_max = min(BLEU_ORDER, len(candidate))
     log_sum = 0.0
     for n in range(1, n_max + 1):
         counts = _ngram_counts(candidate, n)
@@ -161,38 +162,36 @@ def bit_error_rates(sent: np.ndarray, received: np.ndarray, bounds) -> np.ndarra
     return np.diff(errors) / np.maximum(np.diff(bounds), 1)
 
 
+def _hyyro_step(eq, vp, vn):
+    """One text character of Hyyrö's (2003) Levenshtein form of Myers' bit-
+    parallel algorithm (JACM 1999): bit i of `eq` says pattern character i
+    is the text character, bit i of `vp`/`vn` that the DP column rises/falls
+    from row i to row i + 1. Ints and np.uint64 arrays step alike; carries
+    and shifts only move bits up, so bits above the pattern need no mask."""
+    d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+    hp = vn | ~(d0 | vp)
+    hn = d0 & vp
+    hp = (hp << 1) | 1  # the top row rises by 1 per text character
+    return (hn << 1) | ~(d0 | hp), hp & d0
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insertions, deletions and substitutions, by
-    Hyyrö's (2003) Levenshtein form of Myers' bit-parallel algorithm (JACM
-    1999). Python ints are the bit vectors: bit i of `vp`/`vn` says the DP
-    column rises/falls from row i to row i + 1 of the shorter string, so each
-    character of the longer string costs a handful of int operations. Equal
-    strings return 0 at once."""
+    """Edit distance with unit insertions, deletions and substitutions:
+    _hyyro_step on Python ints over the shorter string, the longer one the
+    pattern, which takes the fewest steps and keeps the unmasked bits (one
+    more per step at most) under twice its length. Equal strings return 0."""
     if a == b:
         return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq = {}  # character -> bit mask of its positions in the shorter string
+    a, b = sorted((a, b), key=len)
+    peq = {}  # character -> bit mask of its positions in b
     for i, ch in enumerate(b):
         peq[ch] = peq.get(ch, 0) | 1 << i
     full = (1 << len(b)) - 1
-    last = 1 << (len(b) - 1)
-    vp, vn, distance = full, 0, len(b)
+    vp, vn = full, 0
     for ch in a:
-        eq = peq.get(ch, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = d0 & vp
-        if hp & last:
-            distance += 1
-        elif hn & last:
-            distance -= 1
-        hp = (hp << 1) | 1
-        vp = ((hn << 1) | ~(d0 | hp)) & full
-        vn = hp & d0
-    return distance
+        vp, vn = _hyyro_step(peq.get(ch, 0), vp, vn)
+    # the distance is the top of the last column, len(a), plus its len(b) deltas
+    return len(a) + (vp & full).bit_count() - (vn & full).bit_count()
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -258,22 +257,10 @@ class EditReferences:
         eq = np.zeros((order.size, width), dtype=np.uint64)
         eq[reading] = self.peq[np.repeat(ref, n), self._columns("".join(texts[i] for i in order))]
         eq = np.ascontiguousarray(eq.T)  # eq[t]: the step-t masks of every lane
-        # Hyyro's levenshtein step on every reading lane: bit i of vp/vn says
-        # the DP column rises/falls from row i to row i + 1. Carries and
-        # shifts only move bits up, so the bits above a lane's pattern never
-        # reach it and need no mask while stepping.
         vp = np.full(order.size, 2**64 - 1, dtype=np.uint64)
         vn = np.zeros(order.size, dtype=np.uint64)
-        one = np.uint64(1)
         for t, a in enumerate(reading.sum(axis=0).tolist()):
-            e, p, q = eq[t, :a], vp[:a], vn[:a]
-            d0 = (((e & p) + p) ^ p) | e | q
-            hp = q | ~(d0 | p)
-            hn = d0 & p
-            hp <<= one
-            hp |= one  # the top row rises by 1 per text character
-            p[:] = ~(d0 | hp) | (hn << one)
-            np.bitwise_and(hp, d0, out=q)
+            vp[:a], vn[:a] = _hyyro_step(eq[t, :a], vp[:a], vn[:a])
         # the distance is the top of the last column, n, plus its m deltas
         full = np.right_shift(np.uint64(2**64 - 1), (_LANE_BITS - m).astype(np.uint64))
         out[order] = n + np.bitwise_count(vp & full) - np.bitwise_count(vn & full).astype(np.int64)

@@ -146,16 +146,11 @@ def build_codebook(
 
     # Elevation measured from the normal, offset half a step to avoid
     # grazing directions; azimuth spans [0, 2*pi). Elevation-major order.
-    directions = []
-    for k in range(n_el):
-        el = (k + 0.5) * (np.pi / 2.0) / n_el
-        for j in range(n_az):
-            az = TWO_PI * j / n_az
-            directions.append(
-                np.sin(el) * (np.cos(az) * ris.axis_row + np.sin(az) * ris.axis_col)
-                + np.cos(el) * ris.normal
-            )
-    return Codebook(ris, wavelength, directions, incident)
+    el = ((np.arange(n_el) + 0.5) * (np.pi / 2.0) / n_el)[:, None, None]
+    az = (TWO_PI * np.arange(n_az) / n_az)[:, None]
+    lateral = np.cos(az) * ris.axis_row + np.sin(az) * ris.axis_col  # (n_az, 3)
+    directions = np.sin(el) * lateral + np.cos(el) * ris.normal
+    return Codebook(ris, wavelength, directions.reshape(-1, 3), incident)
 
 
 def _quantize(phases: np.ndarray, bits: int) -> np.ndarray:

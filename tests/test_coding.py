@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_corpus
@@ -226,10 +226,14 @@ def test_sixbit_round_trip():
     assert sixbit_decode(sixbit_encode("")) == ""
 
 
-def test_sixbit_folds_unknown_and_uppercase():
+@given(st.text())
+@example("İstanbul")  # lowercases to two characters, "i" and a combining dot
+def test_sixbit_folds_unknown_and_uppercase(text):
     assert sixbit_fold("Hello`~") == "hello?~"
     assert sixbit_decode(sixbit_encode("ABC")) == "abc"
     assert sixbit_decode(sixbit_encode("é")) == "?"
+    assert sixbit_decode(sixbit_encode("İstanbul")) == sixbit_fold("İstanbul") == "i?stanbul"
+    assert sixbit_decode(sixbit_encode(text)) == sixbit_fold(text)
 
 
 def test_sixbit_single_flip_changes_one_character():
@@ -374,3 +378,14 @@ def test_symbol_matrix_file_errors(tmp_path):
     mismatch.write_text(json.dumps({"n_rows": 2, "n_cols": 2, "data": [1.0, 2.0]}))
     with pytest.raises(ValueError):
         load_symbol_matrix(mismatch)
+    # dimensions are integers >= 1: no rounding, no bools, no strings
+    dims = tmp_path / "dims.json"
+    for name in ("n_rows", "n_cols"):
+        for value in (1.5, 1.0, True, "1", 0, -1, None):
+            payload = {"n_rows": 1, "n_cols": 1, "data": [1.0, 0.0], name: value}
+            dims.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                load_symbol_matrix(dims)
+    dims.write_text(json.dumps({"n_rows": 1, "n_cols": 0, "data": []}))
+    with pytest.raises(ValueError, match="n_cols must be an integer >= 1"):
+        load_symbol_matrix(dims)

@@ -578,6 +578,33 @@ def test_cli_mistyped_config_exits_1(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_transmit_empty_matrix_exits_1(tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"n_rows": 1, "n_cols": 0, "data": []}))
+    assert cli_main(["transmit", "--in", str(infile), "--out", str(tmp_path / "out.json"),
+                     "--ratio", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["blank-text", "no-vectors"])
+def test_cli_metrics_empty_inputs_exit_1(tmp_path, capsys, kind):
+    if kind == "blank-text":
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n  \n")
+        argv = ["--ref", str(blank), "--hyp", str(blank)]
+    else:
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"dim": 3, "vectors": []}))
+        argv = ["--ref-emb", str(emb), "--hyp-emb", str(emb)]
+    assert cli_main(["metrics", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("max_bleu", ["0", "-1", "nan", "inf"])
 def test_cli_metrics_bad_max_bleu_exits_1(tmp_path, capsys, max_bleu):
     ref = tmp_path / "ref.txt"

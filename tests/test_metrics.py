@@ -60,8 +60,8 @@ def test_bleu_against_counted_reference(candidate, reference):
     assert bleu(reference, counted) == 1.0
 
 
-def bleu_counted_by_slices(candidate, reference, max_n=4):
-    """BLEU with each n-gram cut as a tuple slice and clipped by `min`
+def bleu_counted_by_slices(candidate, reference):
+    """BLEU-4 with each n-gram cut as a tuple slice and clipped by `min`
     against the reference's Counter for every candidate n-gram."""
     def ngrams(tokens, n):
         return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -71,7 +71,7 @@ def bleu_counted_by_slices(candidate, reference, max_n=4):
         return 0.0
     if candidate == reference:
         return 1.0
-    n_max = min(max_n, len(candidate))
+    n_max = min(4, len(candidate))
     log_sum = 0.0
     for n in range(1, n_max + 1):
         counts, ref_counts = ngrams(candidate, n), ngrams(reference, n)
@@ -321,14 +321,17 @@ def decoded_rows(draw):
 @example((["", "é漢 é"], [(0, "xZ"), (1, "🙂"), (1, "漢 éé"), (0, "")]))
 @example((["abc", "cab"], [(0, "xyz"), (1, "ZZZZZZ"), (0, "abc")]))
 def test_lane_edit_distance_matches_levenshtein(case):
+    # the DP is the oracle: levenshtein steps the same recurrence as the lanes
     references, rows = case
     lanes = EditReferences.of(references)
     indices = [k for k, _ in rows]
     texts = [text for _, text in rows]
     distances = lanes.distances(indices, texts)
     rates = lanes.char_error_rates(indices, texts)
-    assert distances.tolist() == [levenshtein(references[k], t) for k, t in rows]
-    assert rates.tolist() == [char_error_rate(references[k], t) for k, t in rows]
+    expected = [levenshtein_dp(references[k], t) for k, t in rows]
+    assert distances.tolist() == expected
+    assert rates.tolist() == [d / max(len(references[k]), len(t), 1)
+                              for d, (k, t) in zip(expected, rows)]
 
 
 def test_lane_edit_distance_characters_in_no_reference():

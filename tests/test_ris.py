@@ -174,6 +174,27 @@ def test_specular_direction_gives_flat_profile():
     assert rel.shape == (32, 3)
 
 
+def codebook_directions_by_loop(ris, n_az, n_el):
+    """One direction at a time, elevation-major, as build_codebook documents."""
+    directions = []
+    for k in range(n_el):
+        el = (k + 0.5) * (np.pi / 2.0) / n_el
+        for j in range(n_az):
+            az = 2 * np.pi * j / n_az
+            directions.append(
+                np.sin(el) * (np.cos(az) * ris.axis_row + np.sin(az) * ris.axis_col)
+                + np.cos(el) * ris.normal
+            )
+    return np.array(directions)
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (5, 3), (8, 4), (24, 12), (72, 18), (360, 90)])
+def test_codebook_directions_match_loop(grid):
+    ris = facing_array([0.0, 0.0, 0.0], 4, 4, LAM / 2, [3.0, 7.0, 2.0])
+    cb = build_codebook(ris, ris.normal, grid, LAM)
+    assert np.array_equal(cb.directions, codebook_directions_by_loop(ris, *grid))
+
+
 def test_codebook_rejects_bad_input():
     ris = make_ris()
     with pytest.raises(ValueError):
