@@ -9,6 +9,10 @@ cos_rx / cos_tx are the aperture cosines at each end (clamped at 0), and
 beta = (d_centers / d0)^alpha is the per-link path loss evaluated once at
 the center-to-center distance, with the reference distance d0 fixed at
 1 m. No NLoS component and no direct tx-rx link are modeled.
+
+`los_channel` builds a whole channel matrix; `cascaded_los_coefficients`
+reduces the two links through a RIS to one coefficient per RIS element,
+building the entries of both links a block of RIS elements at a time.
 """
 
 from dataclasses import dataclass
@@ -19,6 +23,10 @@ from .geometry import PlanarArray, element_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
+# RIS elements per block in cascaded_los_coefficients. On the default scene
+# (one BLAS thread) blocks of 32 to 256 elements all took about 24 ms, the
+# whole matrices 34 ms; 64 peaks at 0.95 MiB traced against 17.2 MiB.
+_BLOCK_ELEMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -63,22 +71,22 @@ def wavelength(frequency: float) -> float:
     return SPEED_OF_LIGHT / frequency
 
 
-def los_channel(
-    tx: PlanarArray, rx: PlanarArray, wavelength: float, pl: PathLossModel
-) -> ChannelMatrix:
-    """LoS channel from every tx element to every rx element.
-
-    Amplitudes use the per-link path loss at the center-to-center distance;
-    per-element distances enter only the phase and the aperture cosines.
-    """
+def _link(tx: PlanarArray, rx: PlanarArray, wavelength: float,
+          pl: PathLossModel) -> tuple[float, float]:
+    """(kappa, beta) of one link: the wavenumber and the path loss at the
+    center-to-center distance."""
     if not wavelength > 0:
         raise ValueError("wavelength must be positive")
     d_centers = float(np.linalg.norm(rx.center - tx.center))
     if d_centers == 0.0:
         raise ValueError("overlapping arrays: zero center distance")
+    return 2.0 * np.pi / wavelength, pl.beta(d_centers)
 
-    p_tx = element_positions(tx)  # (N, 3)
-    p_rx = element_positions(rx)  # (M, 3)
+
+def _los_entries(p_tx: np.ndarray, p_rx: np.ndarray, tx: PlanarArray, rx: PlanarArray,
+                 kappa: float, beta: float) -> np.ndarray:
+    """Channel entries (M, N) from the tx element positions p_tx (N, 3) of
+    array `tx` to the rx element positions p_rx (M, 3) of array `rx`."""
     diff = p_tx[None, :, :] - p_rx[:, None, :]  # rx -> tx, shape (M, N, 3)
     d = np.linalg.norm(diff, axis=-1)
     if np.any(d == 0.0):
@@ -87,7 +95,47 @@ def los_channel(
     u = diff / d[..., None]  # unit vectors from rx elements toward tx elements
     cos_rx = np.clip(u @ rx.normal, 0.0, None)
     cos_tx = np.clip(-(u @ tx.normal), 0.0, None)
-    beta = pl.beta(d_centers)
     amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)
-    kappa = 2.0 * np.pi / wavelength
-    return ChannelMatrix(amplitude * np.exp(-1j * kappa * d), wavelength)
+    return amplitude * np.exp(-1j * kappa * d)
+
+
+def los_channel(
+    tx: PlanarArray, rx: PlanarArray, wavelength: float, pl: PathLossModel
+) -> ChannelMatrix:
+    """LoS channel from every tx element to every rx element.
+
+    Amplitudes use the per-link path loss at the center-to-center distance;
+    per-element distances enter only the phase and the aperture cosines.
+    """
+    link = _link(tx, rx, wavelength, pl)
+    entries = _los_entries(element_positions(tx), element_positions(rx), tx, rx, *link)
+    return ChannelMatrix(entries, wavelength)
+
+
+def cascaded_los_coefficients(
+    tx: PlanarArray,
+    ris: PlanarArray,
+    rx: PlanarArray,
+    wavelength: float,
+    pl: PathLossModel,
+    w_tx: np.ndarray,
+    w_rx: np.ndarray,
+) -> np.ndarray:
+    """Per-RIS-element cascaded coefficient c_i = (w_rx^H H_rx,ris)_i *
+    (H_ris,tx w_tx)_i of the LoS links tx -> ris -> rx, the same numbers as
+    ris.cascaded_coefficients on the two los_channel matrices. The entries
+    of both links are built and reduced _BLOCK_ELEMENTS RIS elements at a
+    time, so neither channel matrix is ever held whole."""
+    link_in = _link(tx, ris, wavelength, pl)
+    link_out = _link(ris, rx, wavelength, pl)
+    p_tx, p_ris, p_rx = element_positions(tx), element_positions(ris), element_positions(rx)
+    w_rx_conj = np.conj(w_rx)
+    c = np.empty(len(p_ris), dtype=complex)
+    for i in range(0, len(p_ris), _BLOCK_ELEMENTS):
+        block = p_ris[i : i + _BLOCK_ELEMENTS]
+        h_in = _los_entries(p_tx, block, tx, ris, *link_in)  # (block, N_tx)
+        h_out = _los_entries(block, p_rx, ris, rx, *link_out)  # (M_rx, block)
+        c[i : i + len(block)] = (w_rx_conj @ h_out) * (h_in @ w_tx)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cascaded coefficients must be finite")
+    return c

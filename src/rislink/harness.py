@@ -14,12 +14,19 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import get_args
 
 import numpy as np
 
 from . import coding, metrics
-from .channel import PathLossModel, los_channel, wavelength
+from .channel import (
+    ChannelMatrix,
+    PathLossModel,
+    cascaded_los_coefficients,
+    los_channel,
+    wavelength,
+)
 from .geometry import PlanarArray, facing_array, orthonormal_frame, unit
 from .link import (
     LinkBudget,
@@ -34,9 +41,8 @@ from .ris import (
     Codebook,
     active_mask,
     build_codebook,
-    cascaded_coefficients,
     quantize_phases,
-    select_codeword,
+    select_by_coefficients,
 )
 
 
@@ -162,14 +168,26 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Scene:
+    """A config's arrays, link budget, codebook and per-element cascaded
+    coefficients c_i under the budget's weights, which are all a sweep
+    reads. The two channel matrices are built from the arrays on first
+    access."""
+
     tx: PlanarArray
     rx: PlanarArray
     ris: PlanarArray
     budget: LinkBudget
-    h_ris_tx: object
-    h_rx_ris: object
+    path_loss: PathLossModel
     codebook: Codebook
-    coefficients: np.ndarray  # cascaded per-element c_i under the scene's weights
+    coefficients: np.ndarray
+
+    @cached_property
+    def h_ris_tx(self) -> ChannelMatrix:
+        return los_channel(self.tx, self.ris, self.codebook.wavelength, self.path_loss)
+
+    @cached_property
+    def h_rx_ris(self) -> ChannelMatrix:
+        return los_channel(self.ris, self.rx, self.codebook.wavelength, self.path_loss)
 
 
 def _build_array(spec: ArraySpec, default_spacing: float, default_toward) -> PlanarArray:
@@ -181,7 +199,8 @@ def _build_array(spec: ArraySpec, default_spacing: float, default_toward) -> Pla
 
 
 def build_scene(cfg: ExperimentConfig) -> Scene:
-    """Arrays, channels, precoders, and the codebook for a config.
+    """Arrays, precoders, the codebook and the cascaded coefficients for a
+    config.
 
     Default orientations: tx faces the RIS; the RIS faces the midpoint of tx
     and rx (both links in its front half-space); rx faces the RIS.
@@ -198,17 +217,14 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     ris = _build_array(cfg.ris, spacing, midpoint)
 
     pl = PathLossModel(cfg.path_loss_exponent)
-    h_ris_tx = los_channel(tx, ris, lam, pl)
-    h_rx_ris = los_channel(ris, rx, lam, pl)
-
     w_tx = steering_precoder(tx, ris.center, lam)
     w_rx = steering_precoder(rx, ris.center, lam)
     budget = LinkBudget(cfg.p_tx_w, dbm_to_watts(cfg.noise_dbm), w_tx, w_rx)
 
     incident = unit(tx.center - ris.center)
     cb = build_codebook(ris, incident, cfg.codebook_grid, lam)
-    c = cascaded_coefficients(h_ris_tx, h_rx_ris, w_tx, w_rx)
-    return Scene(tx, rx, ris, budget, h_ris_tx, h_rx_ris, cb, c)
+    c = cascaded_los_coefficients(tx, ris, rx, lam, pl, w_tx, w_rx)
+    return Scene(tx, rx, ris, budget, pl, cb, c)
 
 
 @dataclass(frozen=True)
@@ -256,8 +272,8 @@ def _configure_ratio(scene: Scene, ratio: float, quantizations,
     mask = active_mask(scene.ris, ratio)
 
     def select(bits):
-        return select_codeword(
-            scene.codebook, scene.h_ris_tx, scene.h_rx_ris, scene.budget, mask, bits
+        return select_by_coefficients(
+            scene.codebook, scene.coefficients, scene.budget, mask, bits
         )[:2]
 
     if quantize_before_select:
@@ -325,13 +341,14 @@ def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
     recovered, bers = _receive(corpus, equalized, coding.MODULATIONS[modulation][1])
     errored = np.flatnonzero(bers)
-    bounds = corpus.bounds
-    decoded = corpus.decode([recovered[bounds[k] : bounds[k + 1]] for k in errored])
     char_errs = np.zeros(len(corpus.sentences))
-    char_errs[errored] = corpus.edits.char_error_rates(errored, decoded)
     bleus = np.ones(len(corpus.sentences))
-    bleus[errored] = [metrics.bleu(metrics.tokenize(text), corpus.references[k])
-                      for k, text in zip(errored, decoded)]
+    if errored.size:
+        bounds = corpus.bounds
+        decoded = corpus.decode([recovered[bounds[k] : bounds[k + 1]] for k in errored])
+        char_errs[errored] = corpus.edits.char_error_rates(errored, decoded)
+        bleus[errored] = [metrics.bleu(metrics.tokenize(text), corpus.references[k])
+                          for k, text in zip(errored, decoded)]
     mean_bleu = float(np.mean(bleus))
     return (
         float(np.mean(bers)),

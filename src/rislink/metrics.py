@@ -285,7 +285,8 @@ def char_error_rate(sent: str, received: str) -> float:
 def load_graph(path) -> KnowledgeGraph:
     """Graph JSON: {"nodes": [str], "edges": [[src, dst, relation]]}. A bare
     list of [source, relation, target] textual triplets is also accepted and
-    converted (nodes deduplicated in first-appearance order)."""
+    converted (nodes deduplicated in first-appearance order). JSON of any
+    other shape is a ValueError."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -296,7 +297,7 @@ def load_graph(path) -> KnowledgeGraph:
         index: dict = {}
         edges = []
         for triplet in payload:
-            if len(triplet) != 3:
+            if not isinstance(triplet, list) or len(triplet) != 3:
                 raise ValueError(f"{path}: triplet {triplet!r} is not a 3-item list")
             s, r, t = (str(x) for x in triplet)
             for attr in (s, t):
@@ -305,26 +306,41 @@ def load_graph(path) -> KnowledgeGraph:
                     nodes.append(attr)
             edges.append((index[s], index[t], r))
         return KnowledgeGraph(tuple(nodes), tuple(edges))
+    if not isinstance(payload, dict) or not {"nodes", "edges"} <= payload.keys():
+        raise ValueError(f"{path}: graph must be an object with nodes and edges, "
+                         "or a list of triplets")
+    nodes, edges = payload["nodes"], payload["edges"]
+    if not (isinstance(nodes, list) and isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 3 for e in edges)):
+        raise ValueError(f"{path}: nodes must be a list and edges a list of "
+                         "[source, target, relation] lists")
     try:
-        return KnowledgeGraph(tuple(payload["nodes"]), tuple(tuple(e) for e in payload["edges"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: missing graph fields: {exc}") from exc
+        return KnowledgeGraph(tuple(nodes), tuple(map(tuple, edges)))
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad edge: {exc}") from exc
 
 
 def load_embeddings(path) -> np.ndarray:
     """Embedding JSON: {"dim": int, "vectors": [[real]]}; all vectors must
-    share the declared dimension."""
+    share the declared dimension. JSON of any other shape is a ValueError."""
     with open(path) as f:
         try:
             payload = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed embedding file: {exc}") from exc
+    if not isinstance(payload, dict) or not {"dim", "vectors"} <= payload.keys():
+        raise ValueError(f"{path}: embeddings must be an object with dim and vectors")
+    vectors = payload["vectors"]
     try:
         dim = int(payload["dim"])
-        vectors = payload["vectors"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: missing embedding fields: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: dim must be an integer: {exc}") from exc
+    if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+        raise ValueError(f"{path}: vectors must be a list of lists of numbers")
     for i, v in enumerate(vectors):
         if len(v) != dim:
             raise ValueError(f"{path}: vector {i} has dimension {len(v)}, expected {dim}")
-    return np.asarray(vectors, dtype=float).reshape(len(vectors), dim)
+    try:
+        return np.asarray(vectors, dtype=float).reshape(len(vectors), dim)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: vectors must hold numbers: {exc}") from exc

@@ -23,15 +23,17 @@ from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords per block in _filter_power and in select_codeword's re-score.
-# Blocks of 8 to 64 rows scored the default scene's quantized selections
-# within timing noise of each other, 32 fastest in two of three runs; a
-# select-quantized sweep peaked at 57.0 MB RSS for every size from 8 to 128.
+# Codewords per block in _filter_power and in select_by_coefficients'
+# re-score. Blocks of 8 to 64 rows scored the default scene's quantized
+# selections within timing noise of each other, 32 fastest in two of three
+# runs; a select-quantized sweep peaked at 57.0 MB RSS for every size from 8
+# to 128.
 _BLOCK_ROWS = 32
-# Relative distance from the best filter power within which select_codeword
-# scores a codeword again from its exact phases. On the default scene the
-# filter differed from the exact powers by at most 3.4e-14 of the best one
-# on continuous phases, and not at all on quantized ones.
+# Relative distance from the best filter power within which
+# select_by_coefficients scores a codeword again from its exact phases. On
+# the default scene the filter differed from the exact powers by at most
+# 3.4e-14 of the best one on continuous phases, and not at all on quantized
+# ones.
 _RESCORE_TOL = 1e-9
 
 
@@ -272,17 +274,30 @@ def select_codeword(
     mask: np.ndarray,
     bits: int | None = None,
 ) -> tuple[int, RisConfiguration, float]:
+    """select_by_coefficients on the cascaded coefficients of the two
+    channel matrices under the budget's weights."""
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    return select_by_coefficients(cb, c, budget, mask, bits)
+
+
+def select_by_coefficients(
+    cb: Codebook,
+    c: np.ndarray,
+    budget,
+    mask: np.ndarray,
+    bits: int | None = None,
+) -> tuple[int, RisConfiguration, float]:
     """Score every codeword by its gain power |sum_active exp(1j*theta_i) *
-    c_i|^2 (phases quantized first when `bits` is given) and return
-    (index, applied configuration, linear SNR) of the best one: the lowest
-    index among bitwise-equal best powers, and among powers equal only up to
-    rounding, the one that rounds highest.
+    c_i|^2 for the per-element cascaded coefficients c (phases quantized
+    first when `bits` is given) and return (index, applied configuration,
+    linear SNR) of the best one: the lowest index among bitwise-equal best
+    powers, and among powers equal only up to rounding, the one that rounds
+    highest.
 
     A separable filter (_filter_power) scores the whole codebook; every
     codeword within _RESCORE_TOL of its best power is then scored again from
     its exact phases, so the winner is the one the exact scores pick."""
     _check_bits(bits, "bits", optional=True)
-    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != c.shape:
         raise ValueError(f"mask has {mask.size} elements, the RIS {c.size}")

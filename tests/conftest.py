@@ -43,13 +43,12 @@ def corpus_file(tmp_path, corpus):
     return path
 
 
-def random_scene(seed: int, ris_shape=(4, 4), grid=(8, 4)):
+def random_arrays(seed: int, ris_shape=(4, 4), rx_shape=(1, 1)):
     """Small randomized geometry with all links in the RIS front half-space.
 
-    Returns (h_ris_tx, h_rx_ris, budget, mask, codebook)."""
+    Returns (tx, rx, ris, rng), the generator left after placing them."""
     rng = np.random.default_rng(seed)
-    lam = WAVELENGTH_28GHZ
-    spacing = lam / 2.0
+    spacing = WAVELENGTH_28GHZ / 2.0
     ris_center = np.zeros(3)
 
     def sample_position():
@@ -60,9 +59,18 @@ def random_scene(seed: int, ris_shape=(4, 4), grid=(8, 4)):
     midpoint = (tx_pos + rx_pos) / 2.0
 
     tx = facing_array(tx_pos, 2, 2, spacing, ris_center)
-    rx = facing_array(rx_pos, 1, 1, spacing, ris_center)
+    rx = facing_array(rx_pos, *rx_shape, spacing, ris_center)
     ris = facing_array(ris_center, *ris_shape, spacing, midpoint)
+    return tx, rx, ris, rng
 
+
+def random_scene(seed: int, ris_shape=(4, 4), grid=(8, 4)):
+    """Channels, budget, a random-ratio mask and a codebook on the geometry
+    of random_arrays.
+
+    Returns (h_ris_tx, h_rx_ris, budget, mask, codebook)."""
+    tx, rx, ris, rng = random_arrays(seed, ris_shape)
+    lam = WAVELENGTH_28GHZ
     pl = PathLossModel(4.0)
     h_ris_tx = los_channel(tx, ris, lam, pl)
     h_rx_ris = los_channel(ris, rx, lam, pl)
@@ -71,6 +79,6 @@ def random_scene(seed: int, ris_shape=(4, 4), grid=(8, 4)):
     budget = LinkBudget(0.1, 1e-12, w_tx, w_rx)
 
     mask = active_mask(ris, rng.uniform(0.3, 1.0))
-    incident = (tx_pos - ris_center) / np.linalg.norm(tx_pos - ris_center)
+    incident = (tx.center - ris.center) / np.linalg.norm(tx.center - ris.center)
     cb = build_codebook(ris, incident, grid, lam)
     return h_ris_tx, h_rx_ris, budget, mask, cb

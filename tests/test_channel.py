@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from rislink.channel import SPEED_OF_LIGHT, PathLossModel, los_channel, wavelength
+from conftest import random_arrays
+from rislink import channel
+from rislink.channel import (
+    SPEED_OF_LIGHT,
+    PathLossModel,
+    cascaded_los_coefficients,
+    los_channel,
+    wavelength,
+)
 from rislink.geometry import PlanarArray, facing_array
+from rislink.link import steering_precoder
+from rislink.ris import cascaded_coefficients
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -94,3 +104,56 @@ def test_path_loss_model_validation():
     with pytest.raises(ValueError):
         PathLossModel(1.5)
 
+
+
+def whole_and_blocked(tx, ris, rx, lam):
+    """c from the two whole los_channel matrices and from
+    cascaded_los_coefficients, under the steering precoders toward the RIS."""
+    pl = PathLossModel(4.0)
+    w_tx = steering_precoder(tx, ris.center, lam)
+    w_rx = steering_precoder(rx, ris.center, lam)
+    whole = cascaded_coefficients(los_channel(tx, ris, lam, pl), los_channel(ris, rx, lam, pl),
+                                  w_tx, w_rx)
+    return whole, cascaded_los_coefficients(tx, ris, rx, lam, pl, w_tx, w_rx)
+
+
+@pytest.mark.parametrize("tx_shape, rx_shape, ris_shape", [
+    ((10, 10), (1, 1), (40, 40)),  # the default scene
+    ((10, 10), (1, 1), (37, 23)),  # 851 elements: a last block of 19
+    ((7, 13), (1, 1), (40, 40)),
+    ((10, 10), (2, 3), (40, 40)),
+])
+def test_blocked_coefficients_equal_whole_matrices(tx_shape, rx_shape, ris_shape):
+    # bitwise: each coefficient is the same two dot products in either
+    # form, summed in the same order. (With several BLAS threads the whole
+    # product over a multi-element receiver and an odd number of RIS
+    # elements is not: on a 33 x 41 RIS the first and last coefficients of
+    # the second thread's share rounded differently. So that case is not
+    # compared here.)
+    lam = wavelength(28e9)
+    ris_center = np.array([10.0, 0.0, 0.0])
+    tx = facing_array([0.0, 10.0, 0.0], *tx_shape, lam / 2, ris_center)
+    rx = facing_array([10.0, 15.0, 0.0], *rx_shape, lam / 2, ris_center)
+    ris = facing_array(ris_center, *ris_shape, lam / 2, (tx.center + rx.center) / 2)
+    whole, blocked = whole_and_blocked(tx, ris, rx, lam)
+    assert np.array_equal(blocked, whole)
+    if ris_shape == (37, 23):
+        assert ris.num_elements % channel._BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ris_shape, rx_shape", [((4, 4), (1, 1)), ((13, 11), (1, 1)),
+                                                 ((12, 16), (2, 3))])
+def test_blocked_coefficients_equal_whole_on_random_scenes(seed, ris_shape, rx_shape):
+    tx, rx, ris, _ = random_arrays(seed, ris_shape, rx_shape)
+    whole, blocked = whole_and_blocked(tx, ris, rx, wavelength(28e9))
+    assert np.array_equal(blocked, whole)
+
+
+def test_blocked_coefficients_reject_overlapping_arrays():
+    a = PlanarArray([0.0, 0.0, 0.0], 1, 1, 0.5, X, Y, Z)
+    b = PlanarArray([1.0, 0.0, 0.0], 1, 1, 0.5, -X, Y, -Z)
+    w = np.ones(1)
+    for tx, ris, rx in ((a, a, b), (b, a, a)):
+        with pytest.raises(ValueError, match="overlapping"):
+            cascaded_los_coefficients(tx, ris, rx, 0.01, PathLossModel(4.0), w, w)

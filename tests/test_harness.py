@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus
 from rislink import coding, harness, metrics
+from rislink.channel import PathLossModel, los_channel, wavelength
 from rislink.cli import main as cli_main
 from rislink.coding import SymbolMatrix, load_symbol_matrix, store_symbol_matrix
 from rislink.harness import (
@@ -193,7 +194,7 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     # the default order scores the codebook once per ratio and quantizes the
     # winner per bits; quantize-before-select re-ranks once per (ratio, bits)
     cfg = small_config(tmp_path, quantizations=[1, 2, None])
-    selected = count_calls(monkeypatch, "select_codeword")
+    selected = count_calls(monkeypatch, "select_by_coefficients")
     sent = count_calls(monkeypatch, "transmit_with_rng")
     records = run_sweep(cfg, quantize_before_select=before, write_csv=False)
     assert len(selected) == selections
@@ -202,23 +203,65 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     assert all(args[0].shape[0] == 1 for args in sent)
 
 
-def test_build_scene_retains_no_codeword_arrays():
-    # the default scene keeps its channels (the 1600 x 100 one is 2.4 MiB)
-    # and the codebook's 1296 directions, but no per-codeword arrays: 1296
-    # phase rows of 1600 elements would add 15.8 MiB
+def traced_build_scene(cfg):
+    """(scene, bytes retained, peak bytes) of build_scene under tracemalloc."""
     tracemalloc.start()
     try:
-        scene = build_scene(ExperimentConfig())
-        retained, _ = tracemalloc.get_traced_memory()
+        scene = build_scene(cfg)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return scene, retained, peak
+
+
+def test_build_scene_retains_no_codeword_arrays():
+    # the default scene keeps the codebook's 1296 directions and c (1600
+    # elements), but no channel matrix (the 1600 x 100 one is 2.4 MiB) and
+    # no per-codeword arrays: 1296 phase rows of 1600 elements would add
+    # 15.8 MiB
+    scene, retained, _ = traced_build_scene(ExperimentConfig())
     assert len(scene.codebook) == 1296
-    assert retained < 6 * 2**20
+    assert retained < 2**19
+
+
+def test_build_scene_peak_memory():
+    # c is built a block of RIS elements at a time; the whole 1600 x 100
+    # channel built through (1600, 100, 3) float temporaries peaked at
+    # 17.1 MiB
+    _, _, peak = traced_build_scene(ExperimentConfig())
+    assert peak < 4 * 2**20
+
+
+def test_scene_channels_are_los_channels():
+    cfg = ExperimentConfig()
+    scene = build_scene(cfg)
+    lam = wavelength(cfg.frequency_hz)
+    pl = PathLossModel(cfg.path_loss_exponent)
+    for built, (tx, rx) in ((scene.h_ris_tx, (scene.tx, scene.ris)),
+                            (scene.h_rx_ris, (scene.ris, scene.rx))):
+        expected = los_channel(tx, rx, lam, pl)
+        assert np.array_equal(built.entries, expected.entries)
+        assert built.wavelength == expected.wavelength
+    # the scene's c is the one the two matrices give
+    budget = scene.budget
+    assert np.array_equal(scene.coefficients, cascaded_coefficients(
+        scene.h_ris_tx, scene.h_rx_ris, budget.w_tx, budget.w_rx))
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_sweep_builds_no_channel_matrix(tmp_path, monkeypatch, before):
+    built = count_calls(monkeypatch, "los_channel")
+    run_sweep(small_config(tmp_path), quantize_before_select=before, write_csv=False)
+    assert built == []
+    # the scene builds each matrix on first access, once
+    scene = build_scene(small_config(tmp_path))
+    h = scene.h_ris_tx
+    assert scene.h_ris_tx is h and len(built) == 1
 
 
 def test_configure_point_scores_codebook_once(tmp_path, monkeypatch):
     scene = build_scene(small_config(tmp_path))
-    selected = count_calls(monkeypatch, "select_codeword")
+    selected = count_calls(monkeypatch, "select_by_coefficients")
     for bits in (None, 1):
         for before in (False, True):
             configure_point(scene, 1.0, bits, before)
@@ -611,6 +654,20 @@ def test_cli_metrics_bad_max_bleu_exits_1(tmp_path, capsys, max_bleu):
     ref.write_text("the node reports a value.\n")
     assert cli_main(["metrics", "--ref", str(ref), "--hyp", str(ref),
                      "--max-bleu", max_bleu]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("graph", [1, 2]),
+    ("emb", {"dim": 2, "vectors": 5}),
+    ("emb", {"dim": 2, "vectors": [5]}),
+])
+def test_cli_metrics_misshapen_files_exit_1(tmp_path, capsys, kind, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["metrics", f"--ref-{kind}", str(path), f"--hyp-{kind}", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

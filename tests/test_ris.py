@@ -15,6 +15,7 @@ from rislink.ris import (
     cascaded_coefficients,
     conjugate_phases,
     quantize_phases,
+    select_by_coefficients,
     select_codeword,
 )
 
@@ -320,6 +321,20 @@ def test_select_codeword_equals_block_scan(shape):
                 np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
                 assert cfg.quantization_bits == ref_cfg.quantization_bits
                 assert value == ref_value
+
+
+def test_select_codeword_equals_selection_on_coefficients():
+    for seed in range(4):
+        h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, (6, 5))
+        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        for m in (mask, np.ones(mask.size, dtype=bool)):
+            for bits in (None, 1, 2):
+                idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, m, bits)
+                c_idx, c_cfg, c_value = select_by_coefficients(cb, c, budget, m, bits)
+                assert idx == c_idx
+                np.testing.assert_array_equal(cfg.phases, c_cfg.phases)
+                np.testing.assert_array_equal(cfg.active_mask, c_cfg.active_mask)
+                assert value == c_value
 
 
 @pytest.mark.parametrize("bits", [None, 1, 2, 3])
