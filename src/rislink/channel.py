@@ -15,6 +15,7 @@ reduces the two links through a RIS to one coefficient per RIS element,
 building the entries of both links a block of RIS elements at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .geometry import PlanarArray, element_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
-# RIS elements per block in cascaded_los_coefficients. On the default scene
+# RIS elements per block in _cascade_blocks. On the default scene
 # (one BLAS thread) blocks of 32 to 256 elements all took about 24 ms, the
 # whole matrices 34 ms; 64 peaks at 0.95 MiB traced against 17.2 MiB.
 _BLOCK_ELEMENTS = 64
@@ -38,7 +39,14 @@ class PathLossModel:
             raise ValueError("path loss exponent must be >= 2")
 
     def beta(self, distance: float) -> float:
-        return (distance / REFERENCE_DISTANCE) ** self.exponent
+        try:
+            beta = math.pow(distance / REFERENCE_DISTANCE, self.exponent)
+        except OverflowError:
+            beta = math.inf
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"path loss at {float(distance)!r} m with exponent "
+                             f"{self.exponent!r} is out of float range")
+        return beta
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,23 @@ def los_channel(
     return ChannelMatrix(entries, wavelength)
 
 
+def _cascade_blocks(n_ris: int, blocks, w_tx: np.ndarray,
+                    w_rx: np.ndarray) -> np.ndarray:
+    """Per-RIS-element cascaded coefficient c_i = (w_rx^H H_rx,ris)_i *
+    (H_ris,tx w_tx)_i, reduced _BLOCK_ELEMENTS RIS elements at a time:
+    blocks(s) gives the rows H_ris,tx[s] and the columns H_rx,ris[:, s] of
+    the RIS elements in slice s. Products over blocks of this width round
+    the same at any number of BLAS threads, which whole-matrix products do
+    not."""
+    w_rx_conj = np.conj(w_rx)
+    c = np.empty(n_ris, dtype=complex)
+    for i in range(0, n_ris, _BLOCK_ELEMENTS):
+        s = slice(i, min(i + _BLOCK_ELEMENTS, n_ris))
+        h_in, h_out = blocks(s)
+        c[s] = (w_rx_conj @ h_out) * (h_in @ w_tx)
+    return c
+
+
 def cascaded_los_coefficients(
     tx: PlanarArray,
     ris: PlanarArray,
@@ -121,21 +146,20 @@ def cascaded_los_coefficients(
     w_tx: np.ndarray,
     w_rx: np.ndarray,
 ) -> np.ndarray:
-    """Per-RIS-element cascaded coefficient c_i = (w_rx^H H_rx,ris)_i *
-    (H_ris,tx w_tx)_i of the LoS links tx -> ris -> rx, the same numbers as
-    ris.cascaded_coefficients on the two los_channel matrices. The entries
-    of both links are built and reduced _BLOCK_ELEMENTS RIS elements at a
-    time, so neither channel matrix is ever held whole."""
+    """Per-RIS-element cascaded coefficients (see _cascade_blocks) of the LoS
+    links tx -> ris -> rx, the same numbers as ris.cascaded_coefficients on
+    the two los_channel matrices. The entries of both links are built a
+    block of RIS elements at a time, so neither channel matrix is ever held
+    whole."""
     link_in = _link(tx, ris, wavelength, pl)
     link_out = _link(ris, rx, wavelength, pl)
     p_tx, p_ris, p_rx = element_positions(tx), element_positions(ris), element_positions(rx)
-    w_rx_conj = np.conj(w_rx)
-    c = np.empty(len(p_ris), dtype=complex)
-    for i in range(0, len(p_ris), _BLOCK_ELEMENTS):
-        block = p_ris[i : i + _BLOCK_ELEMENTS]
-        h_in = _los_entries(p_tx, block, tx, ris, *link_in)  # (block, N_tx)
-        h_out = _los_entries(block, p_rx, ris, rx, *link_out)  # (M_rx, block)
-        c[i : i + len(block)] = (w_rx_conj @ h_out) * (h_in @ w_tx)
+
+    def blocks(s):
+        return (_los_entries(p_tx, p_ris[s], tx, ris, *link_in),  # (block, N_tx)
+                _los_entries(p_ris[s], p_rx, ris, rx, *link_out))  # (M_rx, block)
+
+    c = _cascade_blocks(len(p_ris), blocks, w_tx, w_rx)
     if not np.all(np.isfinite(c)):
         raise ValueError("cascaded coefficients must be finite")
     return c

@@ -42,7 +42,7 @@ from .ris import (
     active_mask,
     build_codebook,
     quantize_phases,
-    select_by_coefficients,
+    select_by_coefficients_rows,
 )
 
 
@@ -261,34 +261,36 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([master_seed, *indices]).generate_state(1)[0])
 
 
-def _configure_ratio(scene: Scene, ratio: float, quantizations,
-                     quantize_before_select: bool) -> list:
-    """(codeword index, applied configuration) for each entry of
-    `quantizations` at one ratio. The default order follows the evaluated
+def _configure_ratios(scene: Scene, ratios, quantizations,
+                      quantize_before_select: bool) -> list:
+    """For each ratio, the (codeword index, applied configuration) of each
+    entry of `quantizations`. The default order follows the evaluated
     protocol: one selection on continuous phases, whose winner each entry
     then quantizes. The quantize-before-select alternative re-ranks the
     codebook on quantized gains for every entry (a stronger, non-default
-    scheme)."""
-    mask = active_mask(scene.ris, ratio)
+    scheme). Each selection scores the codebook under every ratio's mask in
+    one pass, so the codebook is scored once per selection depth."""
+    masks = [active_mask(scene.ris, ratio) for ratio in ratios]
 
     def select(bits):
-        return select_by_coefficients(
-            scene.codebook, scene.coefficients, scene.budget, mask, bits
-        )[:2]
+        return select_by_coefficients_rows(
+            scene.codebook, scene.coefficients, scene.budget, masks, bits
+        )
 
     if quantize_before_select:
-        return [select(bits) for bits in quantizations]
-    idx, continuous = select(None)
-    return [(idx, continuous if bits is None else quantize_phases(continuous, bits))
-            for bits in quantizations]
+        by_bits = [select(bits) for bits in quantizations]
+        return [[point[:2] for point in points] for points in zip(*by_bits)]
+    return [[(idx, continuous if bits is None else quantize_phases(continuous, bits))
+             for bits in quantizations]
+            for idx, continuous, _ in select(None)]
 
 
 def configure_point(scene: Scene, ratio: float, bits: int | None,
                     quantize_before_select: bool = False):
     """(codeword index, applied configuration, linear SNR) at one sweep
-    point, as a sweep selects it (see _configure_ratio); scores the codebook
+    point, as a sweep selects it (see _configure_ratios); scores the codebook
     once."""
-    idx, cfg = _configure_ratio(scene, ratio, [bits], quantize_before_select)[0]
+    idx, cfg = _configure_ratios(scene, [ratio], [bits], quantize_before_select)[0][0]
     return idx, cfg, snr_linear(cfg.gain(scene.coefficients), scene.budget)
 
 
@@ -397,18 +399,22 @@ def _prepare_methods(cfg: ExperimentConfig):
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               quantize_before_select: bool = False,
               write_csv: bool = True) -> list:
-    """Full sweep over ratios x quantizations x methods, one task per ratio.
+    """Full sweep over ratios x quantizations x methods. Every ratio's
+    codeword is selected first (see _configure_ratios); then the
+    transmission and scoring run one task per ratio, on `jobs` threads.
     Records come in (ratio, quantization, method) order and are
     deterministic for a given master seed regardless of `jobs`; the CSV is
     written atomically."""
+    _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
     scene = build_scene(cfg)
     methods, semantic = _prepare_methods(cfg)
     method_names = [c.name for c in methods] + (["semantic"] if semantic is not None else [])
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
+    configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
+                                   quantize_before_select)
 
-    def run_ratio(i, ratio):
-        points = _configure_ratio(scene, ratio, cfg.quantizations, quantize_before_select)
+    def run_ratio(i, ratio, points):
         records = []
         for j, (bits, (idx, ris_cfg)) in enumerate(zip(cfg.quantizations, points)):
             g = ris_cfg.gain(scene.coefficients)
@@ -434,9 +440,9 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run_ratio, range(len(cfg.ratios)), cfg.ratios))
+            nested = list(pool.map(run_ratio, range(len(cfg.ratios)), cfg.ratios, configured))
     else:
-        nested = [run_ratio(i, ratio) for i, ratio in enumerate(cfg.ratios)]
+        nested = [run_ratio(i, *task) for i, task in enumerate(zip(cfg.ratios, configured))]
     records = [rec for group in nested for rec in group]
     if write_csv:
         write_records(records, cfg.output_path)

@@ -41,7 +41,10 @@ class LinkBudget:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return math.pow(10.0, (dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"a power of {dbm!r} dBm is too large in watts") from None
 
 
 def steering_precoder(tx: PlanarArray, target, wavelength: float) -> np.ndarray:

@@ -18,19 +18,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, _cascade_blocks
 from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords per block in _filter_power and in select_by_coefficients'
-# re-score. Blocks of 8 to 64 rows scored the default scene's quantized
-# selections within timing noise of each other, 32 fastest in two of three
-# runs; a select-quantized sweep peaked at 57.0 MB RSS for every size from 8
-# to 128.
+# Codewords per block in _filter_powers and in select_by_coefficients_rows'
+# re-score. On the default scene (20 ratios, one BLAS thread) every size from
+# 16 to 128 selected within timing noise of the others: 79-93 ms for the
+# three quantize-before-select depths, 25-31 ms for the default order. The
+# peak RSS of a select-quantized sweep grows with the size: 41.4 MB at 16,
+# 42.0 at 32, 42.7 at 64 and 44.4 at 128.
 _BLOCK_ROWS = 32
 # Relative distance from the best filter power within which
-# select_by_coefficients scores a codeword again from its exact phases. On
+# select_by_coefficients_rows scores a codeword again from its exact phases. On
 # the default scene the filter differed from the exact powers by at most
 # 3.4e-14 of the best one on continuous phases, and not at all on quantized
 # ones.
@@ -196,8 +197,11 @@ def cascaded_coefficients(
     w_rx: np.ndarray,
 ) -> np.ndarray:
     """Per-RIS-element complex coefficient c_i such that the end-to-end gain
-    for any configuration is sum_i mask_i * exp(1j*theta_i) * c_i."""
-    return (np.conj(w_rx) @ h_rx_ris.entries) * (h_ris_tx.entries @ w_tx)
+    for any configuration is sum_i mask_i * exp(1j*theta_i) * c_i, reduced
+    in the blocks of channel.cascaded_los_coefficients."""
+    return _cascade_blocks(h_ris_tx.shape[0],
+                          lambda s: (h_ris_tx.entries[s], h_rx_ris.entries[:, s]),
+                          w_tx, w_rx)
 
 
 def conjugate_phases(
@@ -224,46 +228,53 @@ def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
     return np.cumprod(z, axis=1)
 
 
-def _filter_power(
-    cb: Codebook, c: np.ndarray, mask: np.ndarray, bits: int | None
+def _filter_powers(
+    cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int | None
 ) -> np.ndarray:
-    """Every codeword's gain power from its separable phases (see
-    Codebook.slopes), over the bounding box of the mask. Equal to the exact
-    power up to rounding, which may also move a quantized phase lying on a
-    level boundary to the neighbouring level."""
+    """Every codeword's gain power under each of the masks (M, N), shape
+    (M, K), from its separable phases (see Codebook.slopes), over the union
+    bounding box of the masks. Each block of codewords builds its phasors
+    over the box once and scores them under every mask in one product.
+    Equal to the exact powers up to rounding, which may also move a
+    quantized phase lying on a level boundary to the neighbouring level."""
     ris = cb.ris
-    mask = mask.reshape(ris.rows, ris.cols)
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
+    grids = masks.reshape(-1, ris.rows, ris.cols)
+    union = grids.any(axis=0)
+    rows = np.flatnonzero(union.any(axis=1))
+    cols = np.flatnonzero(union.any(axis=0))
     if not rows.size:
-        return np.zeros(len(cb))
+        return np.zeros((len(masks), len(cb)))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    grid = np.where(mask, c.reshape(mask.shape), 0.0)[r0:r1, c0:c1]
+    # (box, M): one column per mask, its coefficient grid over the box
+    box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
+    box = box.reshape(len(masks), -1).T
     row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
     col_first = c0 - (ris.cols - 1) / 2.0
     row_slope, col_slope = cb.slopes()
     if bits is None:
-        gain = np.sum(
-            (_ramp_phasors(row_slope, row_first, r1 - r0) @ grid)
-            * _ramp_phasors(col_slope, col_first, c1 - c0),
-            axis=1,
-        )
-        return np.abs(gain) ** 2
+        row_z = _ramp_phasors(row_slope, row_first, r1 - r0)
+        col_z = _ramp_phasors(col_slope, col_first, c1 - c0)
 
-    levels = 1 << bits
-    step = TWO_PI / levels
-    table = np.exp(1j * np.arange(levels) * step)  # the 2^bits level phasors
-    grid = grid.ravel()
-    a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
-    b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
-    power = np.empty(len(cb))
+        def phasors(k0, k1):
+            return row_z[k0:k1, :, None] * col_z[k0:k1, None, :]
+    else:
+        levels = 1 << bits
+        step = TWO_PI / levels
+        table = np.exp(1j * np.arange(levels) * step)  # the 2^bits level phasors
+        a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
+        b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
+
+        def phasors(k0, k1):
+            # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
+            level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
+            level &= levels - 1
+            return table[level]
+
+    power = np.empty((len(cb), len(masks)))
     for k0 in range(0, len(cb), _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, len(cb))
-        # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
-        level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
-        level &= levels - 1
-        power[k0:k1] = np.abs(table[level.reshape(k1 - k0, -1)] @ grid) ** 2
-    return power
+        power[k0:k1] = np.abs(phasors(k0, k1).reshape(k1 - k0, -1) @ box) ** 2
+    return power.T
 
 
 def select_codeword(
@@ -287,40 +298,55 @@ def select_by_coefficients(
     mask: np.ndarray,
     bits: int | None = None,
 ) -> tuple[int, RisConfiguration, float]:
-    """Score every codeword by its gain power |sum_active exp(1j*theta_i) *
-    c_i|^2 for the per-element cascaded coefficients c (phases quantized
-    first when `bits` is given) and return (index, applied configuration,
-    linear SNR) of the best one: the lowest index among bitwise-equal best
-    powers, and among powers equal only up to rounding, the one that rounds
-    highest.
+    """select_by_coefficients_rows under one mask."""
+    return select_by_coefficients_rows(cb, c, budget, np.asarray(mask)[None], bits)[0]
 
-    A separable filter (_filter_power) scores the whole codebook; every
-    codeword within _RESCORE_TOL of its best power is then scored again from
-    its exact phases, so the winner is the one the exact scores pick."""
+
+def select_by_coefficients_rows(
+    cb: Codebook,
+    c: np.ndarray,
+    budget,
+    masks: np.ndarray,
+    bits: int | None = None,
+) -> list:
+    """Under each mask of the stack `masks` (M, N), score every codeword by
+    its gain power |sum_active exp(1j*theta_i) * c_i|^2 for the per-element
+    cascaded coefficients c (phases quantized first when `bits` is given)
+    and pick the best one: the lowest index among bitwise-equal best powers,
+    and among powers equal only up to rounding, the one that rounds highest.
+    Returns one (index, applied configuration, linear SNR) per mask.
+
+    One separable filter pass (_filter_powers) scores the whole codebook
+    under every mask; then, per mask, every codeword within _RESCORE_TOL of
+    its best power is scored again from its exact phases, so the winner is
+    the one the exact scores pick."""
     _check_bits(bits, "bits", optional=True)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != c.shape:
-        raise ValueError(f"mask has {mask.size} elements, the RIS {c.size}")
-    power = _filter_power(cb, c, mask, bits)
-    near = np.flatnonzero(power >= power.max() * (1.0 - _RESCORE_TOL))
-    best = int(near[0])
-    if near.size > 1:
-        active = np.flatnonzero(mask)
-        c_active = c[active]
-        exact = []
-        # Blocks of two or more rows: a one-row product sums in another
-        # order than the rows of a matrix product do, and the rows must sum
-        # as in the full scan so that equal-power ties break the same way.
-        for block in np.array_split(near, -(-near.size // _BLOCK_ROWS)):
-            theta = np.array([cb.phases(k)[active] for k in block])
-            if bits is not None:
-                theta = _quantize(theta, bits)
-            exact.append(np.abs(np.exp(1j * theta) @ c_active) ** 2)
-        best = int(near[np.argmax(np.concatenate(exact))])
-    cfg = RisConfiguration(cb.phases(best), mask)
-    if bits is not None:
-        cfg = quantize_phases(cfg, bits)
-    return best, cfg, snr_linear(cfg.gain(c), budget)
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or masks.shape[1:] != c.shape:
+        raise ValueError(f"masks have shape {masks.shape}, the RIS {c.size} elements")
+    selected = []
+    for mask, power in zip(masks, _filter_powers(cb, c, masks, bits)):
+        near = np.flatnonzero(power >= power.max() * (1.0 - _RESCORE_TOL))
+        best = int(near[0])
+        if near.size > 1:
+            active = np.flatnonzero(mask)
+            c_active = c[active]
+            exact = []
+            # Blocks of two or more rows: a one-row product sums in another
+            # order than the rows of a matrix product do, and the rows must
+            # sum as in the full scan so that equal-power ties break the same
+            # way.
+            for block in np.array_split(near, -(-near.size // _BLOCK_ROWS)):
+                theta = np.array([cb.phases(k)[active] for k in block])
+                if bits is not None:
+                    theta = _quantize(theta, bits)
+                exact.append(np.abs(np.exp(1j * theta) @ c_active) ** 2)
+            best = int(near[np.argmax(np.concatenate(exact))])
+        cfg = RisConfiguration(cb.phases(best), mask)
+        if bits is not None:
+            cfg = quantize_phases(cfg, bits)
+        selected.append((best, cfg, snr_linear(cfg.gain(c), budget)))
+    return selected
 
 
 def store_codebook(cb: Codebook, path) -> None:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +39,7 @@ from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, qu
 
 
 SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config(tmp_path, **overrides):
@@ -189,15 +193,17 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("before, selections", [(False, 3), (True, 9)])
+@pytest.mark.parametrize("before, selections", [(False, 1), (True, 3)])
 def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections):
-    # the default order scores the codebook once per ratio and quantizes the
-    # winner per bits; quantize-before-select re-ranks once per (ratio, bits)
+    # every ratio is selected in one pass over the codebook per depth: the
+    # default order scores it once on continuous phases and quantizes each
+    # ratio's winner per bits; quantize-before-select re-ranks once per bits
     cfg = small_config(tmp_path, quantizations=[1, 2, None])
-    selected = count_calls(monkeypatch, "select_by_coefficients")
+    selected = count_calls(monkeypatch, "select_by_coefficients_rows")
     sent = count_calls(monkeypatch, "transmit_with_rng")
     records = run_sweep(cfg, quantize_before_select=before, write_csv=False)
     assert len(selected) == selections
+    assert all(len(args[3]) == len(cfg.ratios) for args in selected)
     # one channel pass per (point, corpus method), carrying the whole corpus
     assert len(sent) == len(records) == 3 * 3 * 2
     assert all(args[0].shape[0] == 1 for args in sent)
@@ -248,6 +254,42 @@ def test_scene_channels_are_los_channels():
         scene.h_ris_tx, scene.h_rx_ris, budget.w_tx, budget.w_rx))
 
 
+BLAS_THREADS_CHILD = """\
+import sys
+import numpy as np
+from rislink.harness import ArraySpec, ExperimentConfig, build_scene
+from rislink.ris import cascaded_coefficients, conjugate_phases, select_codeword
+cfg = ExperimentConfig(rx=ArraySpec([10.0, 15.0, 0.0], 3, 5),
+                       ris=ArraySpec([10.0, 0.0, 0.0], 33, 41))
+scene = build_scene(cfg)
+h_in, h_out, budget = scene.h_ris_tx, scene.h_rx_ris, scene.budget
+mask = np.ones(scene.coefficients.size, dtype=bool)
+idx, cfg, snr = select_codeword(scene.codebook, h_in, h_out, budget, mask)
+oracle = conjugate_phases(h_in, h_out, budget.w_tx, budget.w_rx, mask)
+np.savez(sys.argv[1], scene=scene.coefficients,
+         c=cascaded_coefficients(h_in, h_out, budget.w_tx, budget.w_rx),
+         selected=[idx, snr], phases=cfg.phases, oracle=oracle.phases)
+"""
+
+
+def test_coefficients_do_not_depend_on_blas_threads(tmp_path):
+    # with 2 BLAS threads, whole-matrix products over this geometry rounded
+    # coefficients 676 and 1352 differently than 1 thread and the blocks of
+    # the scene's c did; every path now reduces in the same blocks
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD, str(path)],
+                       env=env, check=True, timeout=300)
+        out[threads] = dict(np.load(path))
+    for got in out.values():
+        np.testing.assert_array_equal(got["c"], got["scene"])
+        for key in ("scene", "selected", "phases", "oracle"):
+            np.testing.assert_array_equal(got[key], out["1"][key])
+
+
 @pytest.mark.parametrize("before", [False, True])
 def test_sweep_builds_no_channel_matrix(tmp_path, monkeypatch, before):
     built = count_calls(monkeypatch, "los_channel")
@@ -261,7 +303,7 @@ def test_sweep_builds_no_channel_matrix(tmp_path, monkeypatch, before):
 
 def test_configure_point_scores_codebook_once(tmp_path, monkeypatch):
     scene = build_scene(small_config(tmp_path))
-    selected = count_calls(monkeypatch, "select_by_coefficients")
+    selected = count_calls(monkeypatch, "select_by_coefficients_rows")
     for bits in (None, 1):
         for before in (False, True):
             configure_point(scene, 1.0, bits, before)
@@ -276,6 +318,18 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
     run_sweep(cfg2, jobs=4)
     blob2 = (tmp_path / "b.csv").read_bytes()
     assert blob1 == blob2
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 1.5, "2"])
+def test_sweep_rejects_invalid_jobs(tmp_path, capsys, jobs):
+    # 0 and negative counts used to run serially without a word
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(small_config(tmp_path), jobs=jobs, write_csv=False)
+    if isinstance(jobs, int) and not isinstance(jobs, bool):
+        cfg_path = cli_config(tmp_path)
+        assert cli_main(["sweep", "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: jobs") and err.count("\n") == 1
 
 
 def test_noiseless_override_gives_zero_char_error(tmp_path):
@@ -619,6 +673,21 @@ def test_cli_mistyped_config_exits_1(tmp_path, capsys, key, value):
     assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, quantity", [
+    ({"noise_dbm": 4000}, "dBm"),
+    ({"path_loss_exponent": 1e308}, "path loss"),
+    ({"path_loss_exponent": 400,
+      "ris": {"center": [1000.0, 0.0, 0.0], "rows": 40, "cols": 40}}, "path loss"),
+])
+def test_cli_overflowing_config_exits_1(tmp_path, capsys, config, quantity):
+    # each overflowed a float power and ended in an OverflowError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and quantity in err
 
 
 def test_cli_transmit_empty_matrix_exits_1(tmp_path, capsys):

@@ -16,6 +16,7 @@ from rislink.ris import (
     conjugate_phases,
     quantize_phases,
     select_by_coefficients,
+    select_by_coefficients_rows,
     select_codeword,
 )
 
@@ -321,6 +322,41 @@ def test_select_codeword_equals_block_scan(shape):
                 np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
                 assert cfg.quantization_bits == ref_cfg.quantization_bits
                 assert value == ref_value
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 7), (1, 9)])
+def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
+    # one filter pass over a stack of nested centered, random, full and empty
+    # masks picks, for every mask, what a one-mask selection and the
+    # reference scan pick (==)
+    for seed in range(6):
+        h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
+        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        rng = np.random.default_rng(200 + seed)
+        masks = np.array([active_mask(cb.ris, r) for r in (0.2, 0.5, 0.8)]
+                         + [mask, rng.random(mask.size) < 0.5, np.ones(mask.size, dtype=bool),
+                            np.zeros(mask.size, dtype=bool)])
+        for bits in (None, 1, 2, 3):
+            rows = select_by_coefficients_rows(cb, c, budget, masks, bits)
+            assert len(rows) == len(masks)
+            for m, (idx, cfg, value) in zip(masks, rows):
+                for ref_idx, ref_cfg, ref_value in (
+                        select_by_coefficients(cb, c, budget, m, bits),
+                        block_scan_select(cb, h_ris_tx, h_rx_ris, budget, m, bits)):
+                    assert idx == ref_idx
+                    np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
+                    np.testing.assert_array_equal(cfg.active_mask, ref_cfg.active_mask)
+                    assert value == ref_value
+
+
+def test_selection_rejects_misshapen_masks():
+    h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(1)
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    for masks in (mask, mask[None, :-1], mask.reshape(1, 4, 4)):
+        with pytest.raises(ValueError):
+            select_by_coefficients_rows(cb, c, budget, masks)
+    with pytest.raises(ValueError):
+        select_by_coefficients(cb, c, budget, mask[:-1])
 
 
 def test_select_codeword_equals_selection_on_coefficients():
