@@ -93,10 +93,8 @@ def cmd_metrics(args) -> int:
         refs, hyps = load_sentences(args.ref), load_sentences(args.hyp)
         if len(refs) != len(hyps):
             raise ValueError(f"reference has {len(refs)} lines, hypothesis {len(hyps)}")
-        scores = [
-            metrics_mod.bleu(metrics_mod.tokenize(h), metrics_mod.tokenize(r))
-            for h, r in zip(hyps, refs)
-        ]
+        table = metrics_mod.BleuReferences.of(map(metrics_mod.tokenize, refs))
+        scores = table.scores(range(len(refs)), list(map(metrics_mod.tokenize, hyps)))
         report["bleu"] = float(np.mean(scores))
         report["rel_bleu"] = report["bleu"] / args.max_bleu
         report["char_err"] = float(

@@ -121,6 +121,11 @@ class ExperimentConfig:
             setattr(self, name, value)
         for name in ("frequency_hz", "p_tx_w", "noise_dbm", "path_loss_exponent"):
             _require(_is_real(getattr(self, name)), name, "a number", getattr(self, name))
+        for name in ("frequency_hz", "p_tx_w"):
+            _require(0 < getattr(self, name) < math.inf,
+                     name, "a positive finite number", getattr(self, name))
+        _require(self.noise_dbm < math.inf,  # -inf is the noiseless override
+                 "noise_dbm", "finite or -Infinity", self.noise_dbm)
         _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf,
                  "max_bleu", "a positive finite number", self.max_bleu)
         _require(_is_count(self.master_seed, 0),
@@ -299,13 +304,13 @@ class _Corpus:
     """One method's corpus, modulated once into a single symbol row. The
     sentences' bits are concatenated in `bits`, sentence k spanning
     bounds[k]:bounds[k + 1]. Each sentence is padded to whole symbols on its
-    own; `keep` is False at the pad bits of the demodulated row. Each
-    sentence's BLEU reference is tokenized and counted once, in
-    `references`, and its edit-distance lane is built once, in `edits`."""
+    own; `keep` is False at the pad bits of the demodulated row. The
+    sentences' BLEU references are tokenized and counted once, in
+    `references`, and their edit-distance lanes built once, in `edits`."""
 
     name: str
     sentences: list
-    references: list
+    references: metrics.BleuReferences
     edits: metrics.EditReferences
     decode: object  # list of bit streams -> list of texts
     symbols: coding.SymbolMatrix
@@ -320,7 +325,7 @@ def _corpus(name, sentences, encoded, decode, modulate) -> _Corpus:
     bounds = np.cumsum([0] + [bits.size for bits in encoded])
     runs = [n for bits, (_, pad) in zip(encoded, modulated) for n in (bits.size, pad)]
     keep = np.repeat(np.tile([True, False], len(encoded)), runs)  # bits True, pads False
-    references = [metrics.BleuReference.of(metrics.tokenize(s)) for s in sentences]
+    references = metrics.BleuReferences.of(map(metrics.tokenize, sentences))
     return _Corpus(name, sentences, references, metrics.EditReferences.of(sentences), decode,
                    symbols, np.concatenate(encoded), bounds, keep)
 
@@ -332,32 +337,39 @@ def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
     return recovered, metrics.bit_error_rates(corpus.bits, recovered, corpus.bounds)
 
 
-def _corpus_pipeline(scene, g, corpus, modulation, rng, max_bleu):
-    """Send one method's whole corpus through the scalar channel in a single
-    transmission and demodulate it as one row, then score the row and
-    average the text metrics over the corpus. A sentence that arrived
-    without a bit error decodes to itself (both codes round-trip every
-    sentence), so it scores char_err 0 and BLEU 1 undecoded; the others are
-    decoded together and their edit distances run in one lane each."""
-    received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
-    equalized = equalize(received, g, scene.budget.p_tx).values[0]
-    recovered, bers = _receive(corpus, equalized, coding.MODULATIONS[modulation][1])
-    errored = np.flatnonzero(bers)
-    char_errs = np.zeros(len(corpus.sentences))
-    bleus = np.ones(len(corpus.sentences))
-    if errored.size:
+def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
+    """Score one method's corpus at several gains: for each gain (a row),
+    send the whole corpus through the scalar channel in a single
+    transmission, drawing from that row's rng, and demodulate it as one row.
+    A sentence that arrived without a bit error decodes to itself (both
+    codes round-trip every sentence), so it scores char_err 0 and BLEU 1
+    undecoded. The other sentences of every row are decoded in one call,
+    and their edit distances and BLEU scores computed in one call each.
+    Returns each row's corpus means (ber, char_err, bleu, rel_bleu)."""
+    demodulate = coding.MODULATIONS[modulation][1]
+    rows = []
+    for g, rng in zip(gains, rngs):
+        received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
+        equalized = equalize(received, g, scene.budget.p_tx).values[0]
+        rows.append(_receive(corpus, equalized, demodulate))
+    errored = [np.flatnonzero(bers) for _, bers in rows]
+    indices = np.concatenate(errored)
+    char_errs = np.zeros((len(rows), len(corpus.sentences)))
+    bleus = np.ones((len(rows), len(corpus.sentences)))
+    if indices.size:
+        row = np.repeat(np.arange(len(rows)), [e.size for e in errored])
         bounds = corpus.bounds
-        decoded = corpus.decode([recovered[bounds[k] : bounds[k + 1]] for k in errored])
-        char_errs[errored] = corpus.edits.char_error_rates(errored, decoded)
-        bleus[errored] = [metrics.bleu(metrics.tokenize(text), corpus.references[k])
-                          for k, text in zip(errored, decoded)]
-    mean_bleu = float(np.mean(bleus))
-    return (
-        float(np.mean(bers)),
-        float(np.mean(char_errs)),
-        mean_bleu,
-        mean_bleu / max_bleu,
-    )
+        decoded = corpus.decode([rows[j][0][bounds[k] : bounds[k + 1]]
+                                 for j, k in zip(row.tolist(), indices.tolist())])
+        char_errs[row, indices] = corpus.edits.char_error_rates(indices, decoded)
+        tokens = list(map(metrics.tokenize, decoded))
+        bleus[row, indices] = corpus.references.scores(indices, tokens)
+    scores = []
+    for (_, bers), row_char_errs, row_bleus in zip(rows, char_errs, bleus):
+        mean_bleu = float(np.mean(row_bleus))
+        scores.append((float(np.mean(bers)), float(np.mean(row_char_errs)),
+                       mean_bleu, mean_bleu / max_bleu))
+    return scores
 
 
 def load_sentences(path) -> list:
@@ -401,7 +413,9 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               write_csv: bool = True) -> list:
     """Full sweep over ratios x quantizations x methods. Every ratio's
     codeword is selected first (see _configure_ratios); then the
-    transmission and scoring run one task per ratio, on `jobs` threads.
+    transmission and scoring run one task per ratio, on `jobs` threads, and
+    each task scores all of its quantizations' rows of a corpus method in
+    one _corpus_pipeline call.
     Records come in (ratio, quantization, method) order and are
     deterministic for a given master seed regardless of `jobs`; the CSV is
     written atomically."""
@@ -415,15 +429,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                                    quantize_before_select)
 
     def run_ratio(i, ratio, points):
-        records = []
-        for j, (bits, (idx, ris_cfg)) in enumerate(zip(cfg.quantizations, points)):
-            g = ris_cfg.gain(scene.coefficients)
-            _, snr_db = snr(g, scene.budget)
-            for k, name in enumerate(method_names):
-                seed = derive_seed(cfg.master_seed, i, j, k)
-                rng = np.random.default_rng(seed)
-                scores = (None, None, None, None)
-                if name == "semantic":
+        gains = [ris_cfg.gain(scene.coefficients) for _, ris_cfg in points]
+        seeds = [[derive_seed(cfg.master_seed, i, j, k) for k in range(len(method_names))]
+                 for j in range(len(points))]
+        by_method = []
+        for k, name in enumerate(method_names):
+            rngs = [np.random.default_rng(row[k]) for row in seeds]
+            if name == "semantic":
+                for bits, g, rng in zip(cfg.quantizations, gains, rngs):
                     received = transmit_with_rng(semantic, g, scene.budget, rng)
                     if cfg.received_matrix_dir is not None:
                         bits_tag = "none" if bits is None else str(bits)
@@ -431,12 +444,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                             cfg.received_matrix_dir, f"semantic_r{ratio}_b{bits_tag}.json"
                         )
                         coding.store_symbol_matrix(received, out)
-                else:
-                    scores = _corpus_pipeline(
-                        scene, g, methods[k], cfg.modulation, rng, cfg.max_bleu
-                    )
-                records.append(SweepRecord(ratio, bits, idx, snr_db, name, *scores, seed))
-        return records
+                by_method.append([(None, None, None, None)] * len(points))
+            else:
+                by_method.append(_corpus_pipeline(scene, gains, methods[k], cfg.modulation,
+                                                  rngs, cfg.max_bleu))
+        return [SweepRecord(ratio, bits, idx, snr(g, scene.budget)[1], name,
+                            *by_method[k][j], seeds[j][k])
+                for j, (bits, (idx, _), g) in enumerate(zip(cfg.quantizations, points, gains))
+                for k, name in enumerate(method_names)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -27,10 +27,10 @@ class LinkBudget:
     w_rx: np.ndarray
 
     def __post_init__(self):
-        if not self.p_tx > 0:
-            raise ValueError("transmit power must be positive")
-        if self.noise_power < 0:
-            raise ValueError("noise power must be non-negative")
+        if not 0 < self.p_tx < math.inf:
+            raise ValueError("transmit power must be positive and finite")
+        if not 0 <= self.noise_power < math.inf:
+            raise ValueError("noise power must be non-negative and finite")
         for name in ("w_tx", "w_rx"):
             w = np.asarray(getattr(self, name), dtype=complex)
             if w.ndim != 1:

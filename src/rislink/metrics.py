@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,55 +52,118 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _flatten(sequences, vocabulary: dict):
+    """Token ids of `sequences` end to end (len(vocabulary) for a token not
+    in it), each token's sequence, each sequence's length, and the number of
+    tokens from each token to the end of its sequence."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    tokens = chain.from_iterable(sequences)
+    ids = np.fromiter(map(vocabulary.get, tokens, repeat(len(vocabulary))),
+                      dtype=np.int64, count=int(lengths.sum()))
+    owner = np.repeat(np.arange(len(sequences)), lengths)
+    room = np.cumsum(lengths)[owner] - np.arange(ids.size)
+    return ids, owner, lengths, room
 
 
 @dataclass(frozen=True)
-class BleuReference:
-    """A BLEU reference's tokens and their 1..BLEU_ORDER-gram counts, counted
-    once so that scoring many candidates against one reference does not
-    recount them."""
+class BleuReferences:
+    """BLEU reference sentences, tokenized and counted once, for scoring many
+    candidates at once. Tokens have ids 0..V-1, V = len(vocabulary). So do
+    the n-grams of each order n: an n-gram's key is its (n - 1)-gram
+    prefix's id times V + 1 plus its last token's id (the empty 0-gram has
+    id 0), and its id is the key's index in ngrams[n - 1], the sorted keys of
+    the n-grams the references hold; for T reference tokens, keys stay below
+    (T + 1)^2, far inside int64. keys[n - 1] holds sentence *
+    len(ngrams[n - 1]) + id, sorted, for each n-gram a sentence holds, and
+    counts[n - 1] how often it holds it."""
 
-    tokens: tuple
-    ngrams: tuple  # ngrams[n - 1] counts the n-grams
+    vocabulary: dict  # token -> id
+    lengths: np.ndarray  # tokens per sentence
+    ngrams: tuple
+    keys: tuple
+    counts: tuple
 
     @classmethod
-    def of(cls, tokens) -> "BleuReference":
-        tokens = tuple(tokens)
-        return cls(tokens, tuple(_ngram_counts(tokens, n) for n in range(1, BLEU_ORDER + 1)))
+    def of(cls, references) -> "BleuReferences":
+        references = [tuple(r) for r in references]
+        vocabulary = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(references)))}
+        tokens, owner, lengths, room = _flatten(references, vocabulary)
+        ngrams, keys, counts = [], [], []
+        ids = np.zeros(tokens.size, dtype=np.int64)
+        for n in range(1, BLEU_ORDER + 1):
+            inside = np.flatnonzero(room >= n)  # where an n-gram starts
+            if not inside.size:
+                break  # no sentence holds an n-gram, nor a longer one
+            table, gram = np.unique(ids[inside] * (len(vocabulary) + 1) + tokens[inside + n - 1],
+                                    return_inverse=True)
+            ids = np.full(tokens.size, -1, dtype=np.int64)
+            ids[inside] = gram
+            held, count = np.unique(owner[inside] * table.size + gram, return_counts=True)
+            ngrams.append(table)
+            keys.append(held)
+            counts.append(count)
+        return cls(vocabulary, lengths, tuple(ngrams), tuple(keys), tuple(counts))
+
+    def scores(self, indices, candidates) -> np.ndarray:
+        """bleu(candidates[i], the tokens of sentence indices[i]) for every i.
+        Per order, one search of ngrams[n - 1] gives the candidates' n-grams
+        their ids (none for an n-gram holding a token or a prefix that no
+        reference holds, which so matches nothing), one np.unique counts
+        them per candidate, and one bincount sums their counts, clipped by
+        the reference's, per candidate."""
+        indices = np.asarray(indices, dtype=np.intp)
+        if len(candidates) != indices.size:
+            raise ValueError(f"{indices.size} indices for {len(candidates)} candidates")
+        if np.any(self.lengths[indices] == 0):
+            raise ValueError("reference must be non-empty")
+        tokens, owner, lengths, room = _flatten(candidates, self.vocabulary)
+        matches = np.zeros((BLEU_ORDER, indices.size), dtype=np.int64)
+        ids = np.zeros(tokens.size, dtype=np.int64)
+        for n, (table, keys, counts) in enumerate(zip(self.ngrams, self.keys, self.counts), 1):
+            inside = np.flatnonzero(room >= n)  # a prefix without an id keys below 0
+            gram = _index_in(table, ids[inside] * (len(self.vocabulary) + 1)
+                             + tokens[inside + n - 1])
+            ids = np.full(tokens.size, -1, dtype=np.int64)
+            ids[inside] = gram
+            pair, held = np.unique(owner[inside[gram >= 0]] * table.size + gram[gram >= 0],
+                                   return_counts=True)
+            candidate, gram = np.divmod(pair, table.size)
+            ref = _index_in(keys, indices[candidate] * table.size + gram)
+            clipped = np.where(ref >= 0, np.minimum(held, counts[ref]), 0)
+            matches[n - 1] = np.bincount(candidate, clipped, indices.size)
+        return np.array([_bleu_from_matches(c, r, matched) for c, r, matched in zip(
+            lengths.tolist(), self.lengths[indices].tolist(), matches.T.tolist())])
+
+
+def _index_in(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each key's index in the sorted array `table` (non-empty, unless `keys`
+    is empty too); -1 where absent."""
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return np.where(table[at] == keys, at, -1)
+
+
+def _bleu_from_matches(c: int, r: int, matched) -> float:
+    """BLEU of a candidate of c tokens against a reference of r, matched[n -
+    1] of its n-grams clipped-matching the reference's: uniform weights over
+    the modified precisions of orders 1..min(BLEU_ORDER, c) times the brevity
+    penalty; 0 for an empty candidate. It stays scalar: numpy's log and exp
+    may round differently from math's in the last place."""
+    n_max = min(BLEU_ORDER, c)
+    if n_max == 0 or 0 in matched[:n_max]:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, n_max + 1):
+        log_sum += math.log(matched[n - 1] / (c - n + 1))
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_sum / n_max)
 
 
 def bleu(candidate, reference) -> float:
-    """Sentence BLEU against a single reference (its tokens, or a
-    BleuReference): uniform weights over the 1..BLEU_ORDER modified n-gram
-    precisions (capped at the candidate length) times the brevity penalty.
-    Empty candidate scores 0; a candidate equal to its reference scores
-    exactly 1 (every precision is 1, the penalty exp(0)) without counting
-    its n-grams."""
-    if not isinstance(reference, BleuReference):
-        reference = BleuReference.of(reference)
-    candidate = tuple(candidate)
-    if not reference.tokens:
-        raise ValueError("reference must be non-empty")
-    if not candidate:
-        return 0.0
-    if candidate == reference.tokens:
-        return 1.0
-
-    n_max = min(BLEU_ORDER, len(candidate))
-    log_sum = 0.0
-    for n in range(1, n_max + 1):
-        counts = _ngram_counts(candidate, n)
-        ref_counts = reference.ngrams[n - 1]
-        clipped = sum(min(counts[g], ref_counts[g]) for g in counts.keys() & ref_counts.keys())
-        if clipped == 0:
-            return 0.0
-        log_sum += math.log(clipped / (len(candidate) - n + 1))
-
-    c, r = len(candidate), len(reference.tokens)
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_sum / n_max)
+    """Sentence BLEU of a candidate's tokens against one reference's tokens,
+    scored as a one-candidate BleuReferences.scores call. An empty candidate
+    scores 0, one equal to its reference exactly 1 (every precision 1, the
+    penalty exp(0)), and an empty reference is a ValueError."""
+    return float(BleuReferences.of([reference]).scores([0], [tuple(candidate)])[0])
 
 
 def relative_bleu(candidate, reference, max_bleu: float) -> float:
@@ -232,10 +296,7 @@ class EditReferences:
 
     def _columns(self, text: str) -> np.ndarray:
         """peq column of each character of `text` (0 for one in no lane)."""
-        points = _code_points(text)
-        at = np.searchsorted(self.alphabet, points)
-        hit = self.alphabet[np.minimum(at, self.alphabet.size - 1)] == points
-        return np.where(hit, at + 1, 0)
+        return _index_in(self.alphabet, _code_points(text)) + 1
 
     def distances(self, indices, texts) -> np.ndarray:
         """levenshtein(sentences[indices[i]], texts[i]) for every i."""

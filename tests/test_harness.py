@@ -320,6 +320,24 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
     assert blob1 == blob2
 
 
+def test_sweep_deterministic_across_parallelism_with_errors(tmp_path):
+    # at this noise floor every row has errored sentences, so the rows of a
+    # ratio are decoded and scored together; and the semantic route rides along
+    cfg = small_config(tmp_path, noise_dbm=16.0, quantizations=[1, 2, None])
+    store_symbol_matrix(SymbolMatrix(np.exp(1j * np.arange(12.0)).reshape(3, 4)),
+                        tmp_path / "m.json")
+    cfg.symbol_matrix_path = str(tmp_path / "m.json")
+    blobs = []
+    for jobs in (1, 4):
+        cfg.output_path = str(tmp_path / f"jobs{jobs}.csv")
+        records = run_sweep(cfg, jobs=jobs)
+        blobs.append(Path(cfg.output_path).read_bytes())
+    assert blobs[0] == blobs[1]
+    corpus_records = [r for r in records if r.method != "semantic"]
+    assert len(records) == 3 * 3 * 3 and len(corpus_records) == 18
+    assert all(0 < r.ber and 0 < r.char_err and r.bleu < 1 for r in corpus_records)
+
+
 @pytest.mark.parametrize("jobs", [0, -3, True, 1.5, "2"])
 def test_sweep_rejects_invalid_jobs(tmp_path, capsys, jobs):
     # 0 and negative counts used to run serially without a word
@@ -417,14 +435,16 @@ def test_row_scorer_equals_per_sentence_scorer(noise_dbm, modulation):
     code = coding.huffman_build(coding.huffman_frequencies(corpora[0].sentences))
     decoders = {"huffman": lambda bits: coding.huffman_decode(bits, code),
                 "sixbit": coding.sixbit_decode}
+    gains = [configure_point(scene, ratio, None)[1].gain(scene.coefficients)
+             for ratio in [0.05, 0.15, 0.3, 0.6, 1.0]]
     mixed = 0
-    for i, ratio in enumerate([0.05, 0.15, 0.3, 0.6, 1.0]):
-        _, ris_cfg, _ = configure_point(scene, ratio, None)
-        g = ris_cfg.gain(scene.coefficients)
-        for k, corpus in enumerate(corpora):
-            seed = derive_seed(5, i, k)
-            row = harness._corpus_pipeline(scene, g, corpus, modulation,
-                                           np.random.default_rng(seed), 0.6)
+    for k, corpus in enumerate(corpora):
+        # every row of a corpus is scored in one call, each from its own rng
+        seeds = [derive_seed(5, i, k) for i in range(len(gains))]
+        rows = harness._corpus_pipeline(scene, gains, corpus, modulation,
+                                        [np.random.default_rng(s) for s in seeds], 0.6)
+        assert len(rows) == len(gains)
+        for row, g, seed in zip(rows, gains, seeds):
             oracle, bers = score_each_sentence(scene, g, corpus, modulation,
                                                np.random.default_rng(seed), 0.6,
                                                decoders[corpus.name])
@@ -660,6 +680,20 @@ def test_cli_metrics_identity(tmp_path, capsys):
     assert report["char_err"] == 0.0
 
 
+def test_cli_metrics_bleu_is_mean_of_sentence_bleu(tmp_path, capsys):
+    # one table scores every line; the report is the mean of per-line bleu
+    refs = ["the node reports a value.", "the cat sat on the mat", "b"]
+    hyps = ["the node reported a value.", "the cat sat on mat", "b b"]
+    (tmp_path / "ref.txt").write_text("\n".join(refs) + "\n")
+    (tmp_path / "hyp.txt").write_text("\n".join(hyps) + "\n")
+    assert cli_main(["metrics", "--ref", str(tmp_path / "ref.txt"),
+                     "--hyp", str(tmp_path / "hyp.txt")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    scores = [metrics.bleu(metrics.tokenize(h), metrics.tokenize(r)) for r, h in zip(refs, hyps)]
+    assert 0 < report["bleu"] == float(np.mean(scores)) < 1
+    assert report["rel_bleu"] == report["bleu"] / 0.6
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["sweep", "--config", str(missing)]) == 1
@@ -688,6 +722,38 @@ def test_cli_overflowing_config_exits_1(tmp_path, capsys, config, quantity):
     assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and quantity in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise_dbm", math.inf), ("p_tx_w", math.inf), ("frequency_hz", math.inf),
+])
+def test_cli_non_finite_link_input_exits_1(tmp_path, capsys, key, value):
+    # snr reported snr_db=-inf or inf and exited 0; sweep ended in "symbols
+    # must be finite", and an infinite frequency in "spacing must be positive"
+    payload = json.loads(cli_config(tmp_path).read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**payload, key: value}))
+    for command in (["snr", "--ratio", "1.0"], ["sweep"]):
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be ") and "inf" in captured.err
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_noiseless_noise_floor_is_accepted(tmp_path, capsys):
+    # noise_dbm -Infinity is the noiseless case: zero noise power, and every
+    # sentence arrives intact
+    payload = json.loads(cli_config(tmp_path).read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**payload, "noise_dbm": -math.inf}))
+    assert build_scene(ExperimentConfig.from_json(path)).budget.noise_power == 0.0
+    assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 0
+    assert "snr_db=inf" in capsys.readouterr().out
+    assert cli_main(["sweep", "--config", str(path)]) == 0
+    records = read_records(tmp_path / "sweep.csv")
+    assert records and all((r.ber, r.char_err, r.bleu) == (0.0, 0.0, 1.0) for r in records)
 
 
 def test_cli_transmit_empty_matrix_exits_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ def test_budget_validation():
         LinkBudget(0.1, -1.0, np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         LinkBudget(0.1, 1e-15, np.array([1.0, 1.0]), np.array([1.0]))  # not unit norm
+
+
+@pytest.mark.parametrize("p_tx, noise", [(math.inf, 1e-15), (math.nan, 1e-15),
+                                          (0.1, math.inf), (0.1, math.nan)])
+def test_budget_rejects_non_finite_powers(p_tx, noise):
+    with pytest.raises(ValueError, match="finite"):
+        LinkBudget(p_tx, noise, np.array([1.0]), np.array([1.0]))
 
 
 def test_noise_power_from_dbm():

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rislink.metrics import (
-    BleuReference,
+    BleuReferences,
     EditReferences,
     KnowledgeGraph,
     bit_error_rate,
@@ -51,15 +51,6 @@ def test_bleu_bounds_and_self_identity(tokens):
     assert 0.0 <= bleu(other, tokens) <= 1.0
 
 
-@given(st.lists(st.sampled_from("abc"), max_size=10),
-       st.lists(st.sampled_from("abc"), min_size=1, max_size=10))
-def test_bleu_against_counted_reference(candidate, reference):
-    # n-grams counted once per reference score exactly as counted per call
-    counted = BleuReference.of(reference)
-    assert bleu(candidate, counted) == bleu(candidate, reference)
-    assert bleu(reference, counted) == 1.0
-
-
 def bleu_counted_by_slices(candidate, reference):
     """BLEU-4 with each n-gram cut as a tuple slice and clipped by `min`
     against the reference's Counter for every candidate n-gram."""
@@ -91,7 +82,84 @@ def bleu_counted_by_slices(candidate, reference):
 def test_bleu_equals_slice_counting(candidate, reference):
     expected = bleu_counted_by_slices(candidate, reference)
     assert bleu(candidate, reference) == expected
-    assert bleu(candidate, BleuReference.of(reference)) == expected
+    assert BleuReferences.of([reference]).scores([0], [candidate]).tolist() == [expected]
+
+
+# references repeat tokens from a small alphabet; candidates also draw "x"
+# and ".", which no reference holds
+BLEU_REFERENCE = st.lists(st.sampled_from("abcde"), min_size=1, max_size=14)
+BLEU_CANDIDATE = st.lists(st.sampled_from("abcdx."), max_size=14)
+
+
+@st.composite
+def bleu_batches(draw):
+    """Reference token lists, and candidates to score against some of them:
+    free draws (empty and shorter than BLEU_ORDER among them), a reference
+    itself, a reference with some tokens changed, or a run of one reference
+    n-gram repeated so that its count must be clipped."""
+    references = draw(st.lists(BLEU_REFERENCE, min_size=1, max_size=6))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, len(references) - 1))
+        reference = references[k]
+        kind = draw(st.sampled_from(["free", "equal", "edited", "repeated"]))
+        if kind == "free":
+            candidate = draw(BLEU_CANDIDATE)
+        elif kind == "equal":
+            candidate = list(reference)
+        elif kind == "edited":
+            candidate = list(reference)
+            for at, token in draw(st.lists(st.tuples(st.integers(0, 13),
+                                                     st.sampled_from("abx.")), max_size=3)):
+                candidate[at % len(candidate)] = token
+        else:
+            at = draw(st.integers(0, len(reference) - 1))
+            candidate = reference[at : at + draw(st.integers(1, 3))] * draw(st.integers(2, 5))
+        rows.append((k, candidate))
+    return references, rows
+
+
+@given(bleu_batches())
+@example(([list("aab"), list("ab")], [(0, []), (1, list("ab")), (0, list("aab")),
+                                      (1, list("x")), (0, list("aaaa")), (1, list("abab"))]))
+@example(([list("aaaaa")], [(0, list("aaaaaaa")), (0, list("aa")), (0, list("a.a"))]))
+@example(([list("abcd"), list("a")], [(1, list("abcd")), (0, list("xbcd")), (1, list("a"))]))
+def test_bleu_table_equals_slice_counting(case):
+    references, rows = case
+    table = BleuReferences.of(references)
+    scores = table.scores([k for k, _ in rows], [candidate for _, candidate in rows])
+    assert scores.tolist() == [bleu_counted_by_slices(candidate, references[k])
+                               for k, candidate in rows]
+
+
+def test_bleu_table_ids():
+    # tokens get ids in order of first appearance; an n-gram's key is its
+    # prefix's id times V + 1 plus its last token's id, its id the key's rank
+    table = BleuReferences.of([list("abab"), list("ba")])
+    assert table.vocabulary == {"a": 0, "b": 1}
+    assert table.lengths.tolist() == [4, 2]
+    assert [g.tolist() for g in table.ngrams] == [[0, 1], [1, 3], [0, 4], [1]]
+    # bigrams "ab" (id 0) twice and "ba" (id 1) once in sentence 0, "ba" in 1
+    assert table.keys[1].tolist() == [0, 1, 3] and table.counts[1].tolist() == [2, 1, 1]
+    assert table.keys[3].tolist() == [0] and table.counts[3].tolist() == [1]
+
+
+def test_bleu_table_without_long_references():
+    # no reference holds a trigram, so a candidate of 3 or more tokens has
+    # none to match and scores 0, and a shorter one is scored on its orders
+    table = BleuReferences.of([list("ab"), list("b")])
+    assert len(table.ngrams) == 2
+    candidates = [list("ab"), list("abab"), list("b"), list("ba")]
+    assert table.scores([0, 0, 1, 0], candidates).tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
+def test_bleu_table_rejects_bad_batches():
+    table = BleuReferences.of([list("ab"), []])
+    with pytest.raises(ValueError, match="non-empty"):
+        table.scores([0, 1], [list("ab"), list("ab")])
+    with pytest.raises(ValueError, match="candidates"):
+        table.scores([0, 0], [list("ab")])
+    assert table.scores([], []).tolist() == []
 
 
 def test_relative_bleu():
