@@ -12,7 +12,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import get_args
@@ -37,13 +36,7 @@ from .link import (
     steering_precoder,
     transmit_with_rng,
 )
-from .ris import (
-    Codebook,
-    active_mask,
-    build_codebook,
-    quantize_phases,
-    select_by_coefficients_rows,
-)
+from .ris import Codebook, _select_rows, active_mask, build_codebook
 
 
 def _is_real(x) -> bool:
@@ -268,8 +261,8 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 def _configure_ratios(scene: Scene, ratios, quantizations,
                       quantize_before_select: bool) -> list:
-    """For each ratio, the (codeword index, applied configuration) of each
-    entry of `quantizations`. The default order follows the evaluated
+    """For each ratio, the (codeword index, applied configuration, gain) of
+    each entry of `quantizations`. The default order follows the evaluated
     protocol: one selection on continuous phases, whose winner each entry
     then quantizes. The quantize-before-select alternative re-ranks the
     codebook on quantized gains for every entry (a stronger, non-default
@@ -277,17 +270,13 @@ def _configure_ratios(scene: Scene, ratios, quantizations,
     one pass, so the codebook is scored once per selection depth."""
     masks = [active_mask(scene.ris, ratio) for ratio in ratios]
 
-    def select(bits):
-        return select_by_coefficients_rows(
-            scene.codebook, scene.coefficients, scene.budget, masks, bits
-        )
+    def select(bits, applied):
+        return _select_rows(scene.codebook, scene.coefficients, masks, bits, applied)
 
     if quantize_before_select:
-        by_bits = [select(bits) for bits in quantizations]
-        return [[point[:2] for point in points] for points in zip(*by_bits)]
-    return [[(idx, continuous if bits is None else quantize_phases(continuous, bits))
-             for bits in quantizations]
-            for idx, continuous, _ in select(None)]
+        by_bits = [select(bits, [bits]) for bits in quantizations]
+        return [[point for [point] in points] for points in zip(*by_bits)]
+    return select(None, quantizations)
 
 
 def configure_point(scene: Scene, ratio: float, bits: int | None,
@@ -295,8 +284,8 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     """(codeword index, applied configuration, linear SNR) at one sweep
     point, as a sweep selects it (see _configure_ratios); scores the codebook
     once."""
-    idx, cfg = _configure_ratios(scene, [ratio], [bits], quantize_before_select)[0][0]
-    return idx, cfg, snr_linear(cfg.gain(scene.coefficients), scene.budget)
+    idx, cfg, g = _configure_ratios(scene, [ratio], [bits], quantize_before_select)[0][0]
+    return idx, cfg, snr_linear(g, scene.budget)
 
 
 @dataclass(frozen=True)
@@ -415,7 +404,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     codeword is selected first (see _configure_ratios); then the
     transmission and scoring run one task per ratio, on `jobs` threads, and
     each task scores all of its quantizations' rows of a corpus method in
-    one _corpus_pipeline call.
+    one _corpus_pipeline call. The semantic matrix is transmitted only when
+    `received_matrix_dir` is set, since no record field reads it.
     Records come in (ratio, quantization, method) order and are
     deterministic for a given master seed regardless of `jobs`; the CSV is
     written atomically."""
@@ -429,16 +419,18 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                                    quantize_before_select)
 
     def run_ratio(i, ratio, points):
-        gains = [ris_cfg.gain(scene.coefficients) for _, ris_cfg in points]
+        gains = [g for _, _, g in points]
+        snrs_db = [snr(g, scene.budget)[1] for g in gains]  # raises on overflow, before any draw
         seeds = [[derive_seed(cfg.master_seed, i, j, k) for k in range(len(method_names))]
                  for j in range(len(points))]
         by_method = []
         for k, name in enumerate(method_names):
-            rngs = [np.random.default_rng(row[k]) for row in seeds]
             if name == "semantic":
-                for bits, g, rng in zip(cfg.quantizations, gains, rngs):
-                    received = transmit_with_rng(semantic, g, scene.budget, rng)
-                    if cfg.received_matrix_dir is not None:
+                # no record field reads the received matrix: draw it only to store it
+                if cfg.received_matrix_dir is not None:
+                    for bits, g, row in zip(cfg.quantizations, gains, seeds):
+                        received = transmit_with_rng(semantic, g, scene.budget,
+                                                     np.random.default_rng(row[k]))
                         bits_tag = "none" if bits is None else str(bits)
                         out = os.path.join(
                             cfg.received_matrix_dir, f"semantic_r{ratio}_b{bits_tag}.json"
@@ -446,14 +438,18 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                         coding.store_symbol_matrix(received, out)
                 by_method.append([(None, None, None, None)] * len(points))
             else:
+                rngs = [np.random.default_rng(row[k]) for row in seeds]
                 by_method.append(_corpus_pipeline(scene, gains, methods[k], cfg.modulation,
                                                   rngs, cfg.max_bleu))
-        return [SweepRecord(ratio, bits, idx, snr(g, scene.budget)[1], name,
-                            *by_method[k][j], seeds[j][k])
-                for j, (bits, (idx, _), g) in enumerate(zip(cfg.quantizations, points, gains))
+        return [SweepRecord(ratio, bits, idx, snr_db, name, *by_method[k][j], seeds[j][k])
+                for j, (bits, (idx, _, _), snr_db) in enumerate(
+                    zip(cfg.quantizations, points, snrs_db))
                 for k, name in enumerate(method_names)]
 
     if jobs > 1:
+        # imported here: it loads logging, which a jobs=1 run need not pay for
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             nested = list(pool.map(run_ratio, range(len(cfg.ratios)), cfg.ratios, configured))
     else:

@@ -86,10 +86,15 @@ def effective_gain(h_e2e: ChannelMatrix, budget: LinkBudget) -> complex:
 
 
 def snr_linear(g: complex, budget: LinkBudget) -> float:
-    power = abs(g) ** 2 * budget.p_tx
-    if budget.noise_power == 0.0:  # noiseless: inf, or 0 for a zero gain
+    with np.errstate(over="ignore"):
+        power = abs(g) ** 2 * budget.p_tx
+        linear = power / budget.noise_power if budget.noise_power > 0.0 else None
+    if power == math.inf or linear == math.inf:
+        raise ValueError(f"the SNR overflows with p_tx_w = {budget.p_tx!r} W and "
+                         f"{budget.noise_power!r} W of noise from noise_dbm")
+    if linear is None:  # noiseless: inf, or 0 for a zero gain
         return math.inf if power > 0.0 else 0.0
-    return power / budget.noise_power
+    return linear
 
 
 def snr(g: complex, budget: LinkBudget) -> tuple[float, float]:

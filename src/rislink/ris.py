@@ -14,7 +14,7 @@ Conventions, frozen for reproducibility:
 import json
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,19 +23,23 @@ from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords per block in _filter_powers and in select_by_coefficients_rows'
-# re-score. On the default scene (20 ratios, one BLAS thread) every size from
-# 16 to 128 selected within timing noise of the others: 79-93 ms for the
-# three quantize-before-select depths, 25-31 ms for the default order. The
-# peak RSS of a select-quantized sweep grows with the size: 41.4 MB at 16,
-# 42.0 at 32, 42.7 at 64 and 44.4 at 128.
+# Codewords per block in _filter_amplitudes and in _select_rows' re-score. On
+# the default scene (20 masks, one BLAS thread) a filter pass took 9-20 ms at
+# 16 to 64 codewords per block, within timing noise of each other, and 32 ms
+# at 2 bits with 128.
 _BLOCK_ROWS = 32
-# Relative distance from the best filter power within which
-# select_by_coefficients_rows scores a codeword again from its exact phases. On
-# the default scene the filter differed from the exact powers by at most
-# 3.4e-14 of the best one on continuous phases, and not at all on quantized
-# ones.
-_RESCORE_TOL = 1e-9
+# A codeword's filter amplitude under a mask lies within
+# _MARGIN_PER_TERM * (n + 3) * sum_{e in mask} |c_e| of its exact amplitude,
+# n being the number of terms of the filter's product (the box size). With
+# u = 2^-24 and every |phasor| = 1, per term: the phasor is rounded to single
+# precision (u) and, on continuous phases, made as a single-precision complex
+# product of two rounded ramps (2u + sqrt(2) * gamma_2), and c_e is rounded
+# (u); the complex inner product of n terms then errs by at most
+# sqrt(2) * gamma_2n * sum |x_e| |y_e| in any summation order (Higham,
+# Accuracy and Stability of Numerical Algorithms, section 3.1), and |.| adds
+# 2u. That is below (2.9 n + 8) u, hence the factor kappa = 4; the double
+# precision ramps and exact scores add less than 1e-5 u per term.
+_MARGIN_PER_TERM = 4.0 * 2.0**-24
 
 
 def _check_bits(bits, name: str, optional: bool = False) -> None:
@@ -73,7 +77,9 @@ class RisConfiguration:
 
     def reflection_coefficients(self) -> np.ndarray:
         """Diagonal of the reflection matrix; inactive elements absorb (0)."""
-        return np.where(self.active_mask, np.exp(1j * self.phases), 0.0)
+        out = np.zeros(self.phases.size, dtype=complex)
+        out[self.active_mask] = np.exp(1j * self.phases[self.active_mask])
+        return out
 
     def gain(self, c: np.ndarray) -> complex:
         """End-to-end scalar gain sum_i mask_i * exp(1j*theta_i) * c_i for the
@@ -228,39 +234,44 @@ def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
     return np.cumprod(z, axis=1)
 
 
-def _filter_powers(
+def _filter_amplitudes(
     cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int | None
-) -> np.ndarray:
-    """Every codeword's gain power under each of the masks (M, N), shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every codeword's gain amplitude under each of the masks (M, N), shape
     (M, K), from its separable phases (see Codebook.slopes), over the union
-    bounding box of the masks. Each block of codewords builds its phasors
-    over the box once and scores them under every mask in one product.
-    Equal to the exact powers up to rounding, which may also move a
-    quantized phase lying on a level boundary to the neighbouring level."""
+    bounding box of the masks, and each mask's margin (M,): a codeword's
+    filter amplitude lies within its mask's margin of the amplitude of its
+    exact phases (see _MARGIN_PER_TERM). Each block of codewords builds its
+    phasors over the box once and scores them under every mask in one
+    single-precision product. The phase ramps and the quantization levels
+    are computed in double precision, so a quantized phase lands on the
+    level its exact phase takes unless it lies on a level boundary up to
+    rounding."""
     ris = cb.ris
     grids = masks.reshape(-1, ris.rows, ris.cols)
     union = grids.any(axis=0)
     rows = np.flatnonzero(union.any(axis=1))
     cols = np.flatnonzero(union.any(axis=0))
     if not rows.size:
-        return np.zeros((len(masks), len(cb)))
+        return np.zeros((len(masks), len(cb))), np.zeros(len(masks))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     # (box, M): one column per mask, its coefficient grid over the box
     box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
-    box = box.reshape(len(masks), -1).T
+    box = box.reshape(len(masks), -1).T.astype(np.complex64)
+    margin = _MARGIN_PER_TERM * (len(box) + 3) * (masks @ np.abs(c))
     row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
     col_first = c0 - (ris.cols - 1) / 2.0
     row_slope, col_slope = cb.slopes()
     if bits is None:
-        row_z = _ramp_phasors(row_slope, row_first, r1 - r0)
-        col_z = _ramp_phasors(col_slope, col_first, c1 - c0)
+        row_z = _ramp_phasors(row_slope, row_first, r1 - r0).astype(np.complex64)
+        col_z = _ramp_phasors(col_slope, col_first, c1 - c0).astype(np.complex64)
 
         def phasors(k0, k1):
             return row_z[k0:k1, :, None] * col_z[k0:k1, None, :]
     else:
         levels = 1 << bits
         step = TWO_PI / levels
-        table = np.exp(1j * np.arange(levels) * step)  # the 2^bits level phasors
+        table = np.exp(1j * np.arange(levels) * step).astype(np.complex64)  # level phasors
         a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
         b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
 
@@ -270,11 +281,11 @@ def _filter_powers(
             level &= levels - 1
             return table[level]
 
-    power = np.empty((len(cb), len(masks)))
+    amplitude = np.empty((len(cb), len(masks)))
     for k0 in range(0, len(cb), _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, len(cb))
-        power[k0:k1] = np.abs(phasors(k0, k1).reshape(k1 - k0, -1) @ box) ** 2
-    return power.T
+        amplitude[k0:k1] = np.abs(phasors(k0, k1).reshape(k1 - k0, -1) @ box)
+    return amplitude.T, margin
 
 
 def select_codeword(
@@ -314,19 +325,36 @@ def select_by_coefficients_rows(
     cascaded coefficients c (phases quantized first when `bits` is given)
     and pick the best one: the lowest index among bitwise-equal best powers,
     and among powers equal only up to rounding, the one that rounds highest.
-    Returns one (index, applied configuration, linear SNR) per mask.
+    Returns one (index, applied configuration, linear SNR) per mask; see
+    _select_rows."""
+    return [(k, cfg, snr_linear(g, budget))
+            for [(k, cfg, g)] in _select_rows(cb, c, masks, bits, [bits])]
 
-    One separable filter pass (_filter_powers) scores the whole codebook
-    under every mask; then, per mask, every codeword within _RESCORE_TOL of
-    its best power is scored again from its exact phases, so the winner is
-    the one the exact scores pick."""
-    _check_bits(bits, "bits", optional=True)
+
+def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) -> list:
+    """Per mask of `masks` (M, N), the codeword select_by_coefficients_rows
+    picks under `bits`, applied at each depth of `applied`: one (index,
+    configuration, gain) per entry, the winner's phases quantized to that
+    many bits first (None: continuous).
+
+    One separable filter pass (_filter_amplitudes) scores the whole codebook
+    under every mask in single precision. The exact winner's filter
+    amplitude is within twice its mask's margin of the best one, so every
+    codeword that close is scored again from its exact phases, and the
+    winner is the one the exact scores pick."""
+    for b in (bits, *applied):
+        _check_bits(b, "bits", optional=True)
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1:] != c.shape:
         raise ValueError(f"masks have shape {masks.shape}, the RIS {c.size} elements")
+
+    @cache  # masks share winners and near-best codewords
+    def phases(k, b=None):
+        return cb.phases(k) if b is None else _quantize(phases(k), b)
+
     selected = []
-    for mask, power in zip(masks, _filter_powers(cb, c, masks, bits)):
-        near = np.flatnonzero(power >= power.max() * (1.0 - _RESCORE_TOL))
+    for mask, amplitude, margin in zip(masks, *_filter_amplitudes(cb, c, masks, bits)):
+        near = np.flatnonzero(amplitude >= amplitude.max() - 2.0 * margin)
         best = int(near[0])
         if near.size > 1:
             active = np.flatnonzero(mask)
@@ -337,15 +365,15 @@ def select_by_coefficients_rows(
             # sum as in the full scan so that equal-power ties break the same
             # way.
             for block in np.array_split(near, -(-near.size // _BLOCK_ROWS)):
-                theta = np.array([cb.phases(k)[active] for k in block])
-                if bits is not None:
-                    theta = _quantize(theta, bits)
+                theta = np.array([phases(k, bits)[active] for k in block])
                 exact.append(np.abs(np.exp(1j * theta) @ c_active) ** 2)
             best = int(near[np.argmax(np.concatenate(exact))])
-        cfg = RisConfiguration(cb.phases(best), mask)
-        if bits is not None:
-            cfg = quantize_phases(cfg, bits)
-        selected.append((best, cfg, snr_linear(cfg.gain(c), budget)))
+        points = []
+        for b in applied:
+            theta = phases(best) if b is None else np.where(mask, phases(best, b), phases(best))
+            cfg = RisConfiguration(theta, mask, b)
+            points.append((best, cfg, cfg.gain(c)))
+        selected.append(points)
     return selected
 
 

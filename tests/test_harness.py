@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, qu
 
 SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def small_config(tmp_path, **overrides):
@@ -199,11 +201,11 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     # default order scores it once on continuous phases and quantizes each
     # ratio's winner per bits; quantize-before-select re-ranks once per bits
     cfg = small_config(tmp_path, quantizations=[1, 2, None])
-    selected = count_calls(monkeypatch, "select_by_coefficients_rows")
+    selected = count_calls(monkeypatch, "_select_rows")
     sent = count_calls(monkeypatch, "transmit_with_rng")
     records = run_sweep(cfg, quantize_before_select=before, write_csv=False)
     assert len(selected) == selections
-    assert all(len(args[3]) == len(cfg.ratios) for args in selected)
+    assert all(len(args[2]) == len(cfg.ratios) for args in selected)
     # one channel pass per (point, corpus method), carrying the whole corpus
     assert len(sent) == len(records) == 3 * 3 * 2
     assert all(args[0].shape[0] == 1 for args in sent)
@@ -303,7 +305,7 @@ def test_sweep_builds_no_channel_matrix(tmp_path, monkeypatch, before):
 
 def test_configure_point_scores_codebook_once(tmp_path, monkeypatch):
     scene = build_scene(small_config(tmp_path))
-    selected = count_calls(monkeypatch, "select_by_coefficients_rows")
+    selected = count_calls(monkeypatch, "_select_rows")
     for bits in (None, 1):
         for before in (False, True):
             configure_point(scene, 1.0, bits, before)
@@ -580,6 +582,66 @@ def test_semantic_matrix_route(tmp_path):
     assert received.shape == (5, 3)
 
 
+def semantic_config(tmp_path, **overrides):
+    rng = np.random.default_rng(0)
+    matrix_path = tmp_path / "symbols.json"
+    store_symbol_matrix(SymbolMatrix(rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))),
+                        matrix_path)
+    return small_config(tmp_path, corpus_path=None, baselines=[], noise_dbm=-80.0,
+                        symbol_matrix_path=str(matrix_path), quantizations=[1, 2, None],
+                        **overrides)
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_semantic_route_transmits_only_to_store(tmp_path, monkeypatch, before):
+    # no record field reads the received matrix: without a directory the
+    # sweep draws nothing, and its records are those of the sweep that
+    # writes the files
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+    records = run_sweep(semantic_config(tmp_path), quantize_before_select=before,
+                        write_csv=False)
+    assert sent == []
+    out_dir = tmp_path / "received"
+    out_dir.mkdir()
+    cfg = semantic_config(tmp_path, received_matrix_dir=str(out_dir))
+    assert run_sweep(cfg, quantize_before_select=before, write_csv=False) == records
+    assert len(sent) == len(records) == 9
+    # each file holds the draw of its record's seed at its point's gain
+    scene = build_scene(cfg)
+    semantic = coding.normalize_rows(load_symbol_matrix(cfg.symbol_matrix_path))
+    for r in records:
+        _, ris_cfg, _ = configure_point(scene, r.ratio, r.bits, before)
+        expected = transmit_with_rng(semantic, ris_cfg.gain(scene.coefficients), scene.budget,
+                                     np.random.default_rng(r.seed))
+        tag = "none" if r.bits is None else r.bits
+        stored = load_symbol_matrix(out_dir / f"semantic_r{r.ratio}_b{tag}.json")
+        np.testing.assert_array_equal(stored.values, expected.values)
+
+
+@pytest.mark.parametrize("workload", ["sweep-clean", "select-quantized"])
+def test_benchmark_points_match_the_reference(tmp_path, workload):
+    # every point's codeword (exactly) and SNR (to 1e-12 relative) on two
+    # benchmark workloads, so that a selection drift fails here too
+    points = json.loads(BENCHMARK_REFERENCE.read_text())["points"][workload]
+    if workload == "sweep-clean":
+        cfg = ExperimentConfig(noise_dbm=-120.0, corpus_path=str(SAMPLE_CORPUS),
+                               master_seed=11)
+        before = False
+    else:
+        rng = np.random.default_rng(11)
+        path = tmp_path / "symbols.json"
+        store_symbol_matrix(SymbolMatrix(rng.standard_normal((16, 256))
+                                         + 1j * rng.standard_normal((16, 256))), path)
+        cfg = ExperimentConfig(symbol_matrix_path=str(path), master_seed=11)
+        before = True
+    records = run_sweep(cfg, quantize_before_select=before, write_csv=False)
+    got = {(r.ratio, r.bits): (r.codeword, r.snr_db) for r in records}
+    assert len(got) == len(points) == 60
+    for ratio, bits, codeword, snr_db in points:
+        assert got[ratio, bits][0] == codeword
+        assert got[ratio, bits][1] == pytest.approx(snr_db, rel=1e-12, abs=0.0)
+
+
 def test_sweep_without_inputs_fails(tmp_path):
     cfg = small_config(tmp_path, corpus_path=None, baselines=[])
     with pytest.raises(ValueError):
@@ -740,6 +802,36 @@ def test_cli_non_finite_link_input_exits_1(tmp_path, capsys, key, value):
         assert captured.err.startswith(f"error: {key} must be ") and "inf" in captured.err
         assert captured.err.count("\n") == 1
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"p_tx_w": 1e308}, {"p_tx_w": 1e308, "noise_dbm": -math.inf}, {"noise_dbm": -3200.0},
+])
+def test_cli_overflowing_snr_exits_1(tmp_path, capsys, overrides):
+    # on the default scene each made the SNR overflow: snr printed a
+    # RuntimeWarning and snr_db=inf, and exited 0
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(make_corpus(10)) + "\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"corpus_path": str(corpus),
+                                "output_path": str(tmp_path / "sweep.csv"), **overrides}))
+    for command in (["snr", "--ratio", "1.0"], ["sweep"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the SNR overflows with p_tx_w = ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures loads logging; only a sweep with jobs > 1 needs it
+    code = "import sys, rislink, rislink.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_noiseless_noise_floor_is_accepted(tmp_path, capsys):

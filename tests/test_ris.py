@@ -19,6 +19,7 @@ from rislink.ris import (
     select_by_coefficients_rows,
     select_codeword,
 )
+from rislink.ris import _filter_amplitudes, _quantize
 
 LAM = wavelength(28e9)
 
@@ -347,6 +348,27 @@ def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
                     np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
                     np.testing.assert_array_equal(cfg.active_mask, ref_cfg.active_mask)
                     assert value == ref_value
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (5, 5), (3, 7), (12, 10)])
+def test_filter_amplitudes_lie_within_their_margins(shape):
+    # the single-precision filter's amplitude of every codeword under every
+    # mask is within that mask's margin of the amplitude of the codeword's
+    # exact (quantized) phases, on centered, random, full and empty masks
+    for seed in range(4):
+        h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
+        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        rng = np.random.default_rng(300 + seed)
+        masks = np.array([mask, rng.random(c.size) < 0.5, np.ones(c.size, dtype=bool),
+                          np.zeros(c.size, dtype=bool)])
+        theta = np.array([cb.phases(k) for k in range(len(cb))])
+        for bits in (None, 1, 2, 3):
+            phasors = np.exp(1j * (theta if bits is None else _quantize(theta, bits)))
+            exact = np.abs((phasors * c) @ masks.T).T
+            amplitude, margin = _filter_amplitudes(cb, c, masks, bits)
+            assert amplitude.shape == exact.shape == (len(masks), len(cb))
+            assert np.all(np.abs(amplitude - exact) <= margin[:, None])
+            np.testing.assert_array_equal(margin == 0.0, ~masks.any(axis=1))
 
 
 def test_selection_rejects_misshapen_masks():
