@@ -13,7 +13,7 @@ Conventions, frozen for reproducibility:
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -38,7 +38,10 @@ _BLOCK_ROWS = 32
 # sqrt(2) * gamma_2n * sum |x_e| |y_e| in any summation order (Higham,
 # Accuracy and Stability of Numerical Algorithms, section 3.1), and |.| adds
 # 2u. That is below (2.9 n + 8) u, hence the factor kappa = 4; the double
-# precision ramps and exact scores add less than 1e-5 u per term.
+# precision ramps and exact scores add less than 1e-5 u per term. The bound
+# holds without underflow, so the filter scales each mask's coefficients to
+# a largest modulus in [1/2, 1): a term that still underflows adds at most
+# 2^-149 absolutely, far below a margin of at least 2 (n + 3) u.
 _MARGIN_PER_TERM = 4.0 * 2.0**-24
 
 
@@ -77,9 +80,7 @@ class RisConfiguration:
 
     def reflection_coefficients(self) -> np.ndarray:
         """Diagonal of the reflection matrix; inactive elements absorb (0)."""
-        out = np.zeros(self.phases.size, dtype=complex)
-        out[self.active_mask] = np.exp(1j * self.phases[self.active_mask])
-        return out
+        return np.where(self.active_mask, np.exp(1j * self.phases), 0.0)
 
     def gain(self, c: np.ndarray) -> complex:
         """End-to-end scalar gain sum_i mask_i * exp(1j*theta_i) * c_i for the
@@ -175,8 +176,14 @@ def quantize_phases(cfg: RisConfiguration, bits: int) -> RisConfiguration:
     under circular distance; ties go to the lower level. Inactive phases are
     left untouched."""
     _check_bits(bits, "bits")
-    quantized = np.where(cfg.active_mask, _quantize(cfg.phases, bits), cfg.phases)
-    return replace(cfg, phases=quantized, quantization_bits=bits)
+    quantized = _quantize(cfg.phases, bits)
+    return _quantized_configuration(cfg.phases, cfg.active_mask, quantized, bits)
+
+
+def _quantized_configuration(phases, mask, quantized, bits) -> RisConfiguration:
+    """The configuration of `phases` under `mask` with every active phase
+    replaced by its `quantized` one (_quantize(phases, bits))."""
+    return RisConfiguration(np.where(mask, quantized, phases), mask, bits)
 
 
 def active_mask(ris: PlanarArray, ratio: float) -> np.ndarray:
@@ -255,10 +262,17 @@ def _filter_amplitudes(
     if not rows.size:
         return np.zeros((len(masks), len(cb))), np.zeros(len(masks))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    # (box, M): one column per mask, its coefficient grid over the box
+    # Each mask's coefficients are scaled exactly by the power of two that
+    # brings their largest modulus into [1/2, 1) (or up by at most 2^1022),
+    # so that single precision neither overflows nor loses them to
+    # underflow, whatever the path loss
+    modulus = np.abs(c)
+    e = np.frexp(np.where(masks, modulus, 0.0).max(axis=1))[1]
+    scale = np.ldexp(1.0, -np.maximum(e, -1022))[:, None]  # (M, 1)
+    # (box, M): one column per mask, its scaled coefficient grid over the box
     box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
-    box = box.reshape(len(masks), -1).T.astype(np.complex64)
-    margin = _MARGIN_PER_TERM * (len(box) + 3) * (masks @ np.abs(c))
+    box = (box.reshape(len(masks), -1) * scale).T.astype(np.complex64)
+    margin = _MARGIN_PER_TERM * (len(box) + 3) * (masks @ modulus)
     row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
     col_first = c0 - (ris.cols - 1) / 2.0
     row_slope, col_slope = cb.slopes()
@@ -285,7 +299,7 @@ def _filter_amplitudes(
     for k0 in range(0, len(cb), _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, len(cb))
         amplitude[k0:k1] = np.abs(phasors(k0, k1).reshape(k1 - k0, -1) @ box)
-    return amplitude.T, margin
+    return amplitude.T / scale, margin
 
 
 def select_codeword(
@@ -334,8 +348,8 @@ def select_by_coefficients_rows(
 def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) -> list:
     """Per mask of `masks` (M, N), the codeword select_by_coefficients_rows
     picks under `bits`, applied at each depth of `applied`: one (index,
-    configuration, gain) per entry, the winner's phases quantized to that
-    many bits first (None: continuous).
+    configuration, gain) per entry, the winner's configuration quantized to
+    that many bits (None: continuous).
 
     One separable filter pass (_filter_amplitudes) scores the whole codebook
     under every mask in single precision. The exact winner's filter
@@ -347,14 +361,19 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1:] != c.shape:
         raise ValueError(f"masks have shape {masks.shape}, the RIS {c.size} elements")
-
-    @cache  # masks share winners and near-best codewords
+    # Masks share winners and near-best codewords: on the default scene this
+    # cache took a select-quantized sweep from 0.062 to 0.057 s
+    @cache
     def phases(k, b=None):
         return cb.phases(k) if b is None else _quantize(phases(k), b)
 
     selected = []
     for mask, amplitude, margin in zip(masks, *_filter_amplitudes(cb, c, masks, bits)):
         near = np.flatnonzero(amplitude >= amplitude.max() - 2.0 * margin)
+        if amplitude.max() < 2.0**-510:
+            # the exact powers may be subnormal or 0, rounded absolutely
+            # rather than within the margin: score every codeword exactly
+            near = np.arange(len(cb))
         best = int(near[0])
         if near.size > 1:
             active = np.flatnonzero(mask)
@@ -370,8 +389,8 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
             best = int(near[np.argmax(np.concatenate(exact))])
         points = []
         for b in applied:
-            theta = phases(best) if b is None else np.where(mask, phases(best, b), phases(best))
-            cfg = RisConfiguration(theta, mask, b)
+            cfg = (RisConfiguration(phases(best), mask) if b is None else
+                   _quantized_configuration(phases(best), mask, phases(best, b), b))
             points.append((best, cfg, cfg.gain(c)))
         selected.append(points)
     return selected

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,11 @@ def block_scan_select(cb, h_ris_tx, h_rx_ris, budget, mask, bits=None):
     element by element and scores them in blocks of 8 rows, as select_codeword
     did before its separable filter."""
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    return block_scan_select_by_coefficients(cb, c, budget, mask, bits)
+
+
+def block_scan_select_by_coefficients(cb, c, budget, mask, bits=None):
+    """block_scan_select on the cascaded coefficients c."""
     mask = np.asarray(mask, dtype=bool)
     active = np.flatnonzero(mask)
     power = np.empty(len(cb))
@@ -329,10 +336,13 @@ def test_select_codeword_equals_block_scan(shape):
 def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
     # one filter pass over a stack of nested centered, random, full and empty
     # masks picks, for every mask, what a one-mask selection and the
-    # reference scan pick (==)
-    for seed in range(6):
+    # reference scan pick (==), also on coefficients scaled far out of the
+    # single-precision range (a steep or shallow path loss), and so far down
+    # that the exact powers are subnormal (2^-520) or 0 (2^-600)
+    scales = (1.0, 2.0**-140, 2.0**140, 2.0**-520, 2.0**-600)
+    for seed, scale in itertools.product(range(6), scales):
         h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
-        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        c = scale * cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
         rng = np.random.default_rng(200 + seed)
         masks = np.array([active_mask(cb.ris, r) for r in (0.2, 0.5, 0.8)]
                          + [mask, rng.random(mask.size) < 0.5, np.ones(mask.size, dtype=bool),
@@ -343,7 +353,7 @@ def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
             for m, (idx, cfg, value) in zip(masks, rows):
                 for ref_idx, ref_cfg, ref_value in (
                         select_by_coefficients(cb, c, budget, m, bits),
-                        block_scan_select(cb, h_ris_tx, h_rx_ris, budget, m, bits)):
+                        block_scan_select_by_coefficients(cb, c, budget, m, bits)):
                     assert idx == ref_idx
                     np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
                     np.testing.assert_array_equal(cfg.active_mask, ref_cfg.active_mask)
@@ -354,10 +364,12 @@ def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
 def test_filter_amplitudes_lie_within_their_margins(shape):
     # the single-precision filter's amplitude of every codeword under every
     # mask is within that mask's margin of the amplitude of the codeword's
-    # exact (quantized) phases, on centered, random, full and empty masks
-    for seed in range(4):
+    # exact (quantized) phases, on centered, random, full and empty masks,
+    # also with coefficients that would underflow or overflow single
+    # precision
+    for seed, scale in itertools.product(range(4), (1.0, 2.0**-140, 2.0**140)):
         h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
-        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        c = scale * cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
         rng = np.random.default_rng(300 + seed)
         masks = np.array([mask, rng.random(c.size) < 0.5, np.ones(c.size, dtype=bool),
                           np.zeros(c.size, dtype=bool)])
