@@ -95,12 +95,16 @@ def _los_entries(p_tx: np.ndarray, p_rx: np.ndarray, tx: PlanarArray, rx: Planar
                  kappa: float, beta: float) -> np.ndarray:
     """Channel entries (M, N) from the tx element positions p_tx (N, 3) of
     array `tx` to the rx element positions p_rx (M, 3) of array `rx`."""
-    diff = p_tx[None, :, :] - p_rx[:, None, :]  # rx -> tx, shape (M, N, 3)
-    d = np.linalg.norm(diff, axis=-1)
+    # u holds the vectors from rx elements toward tx elements, (M, N, 3),
+    # built one coordinate at a time, and d their lengths from the same sum
+    # np.linalg.norm takes, without its reduction over the short last axis
+    u = np.empty((len(p_rx), len(p_tx), 3))
+    dx, dy, dz = (np.subtract(p_tx[:, k], p_rx[:, k, None], out=u[..., k]) for k in range(3))
+    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
     if np.any(d == 0.0):
         raise ValueError("overlapping arrays: coincident elements")
 
-    u = diff / d[..., None]  # unit vectors from rx elements toward tx elements
+    u /= d[..., None]  # unit vectors
     cos_rx = np.clip(u @ rx.normal, 0.0, None)
     cos_tx = np.clip(-(u @ tx.normal), 0.0, None)
     amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)

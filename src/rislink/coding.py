@@ -30,10 +30,10 @@ class SymbolMatrix:
     normalized: bool = False
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=complex))
+        v = np.ascontiguousarray(np.atleast_2d(np.asarray(self.values, dtype=complex)))
         if v.ndim != 2:
             raise ValueError("symbol matrix must be 2D")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v.view(np.float64)).all():  # each real and imaginary part
             raise ValueError("symbols must be finite")
         if self.normalized:
             power = np.mean(np.abs(v) ** 2, axis=1)
@@ -252,7 +252,7 @@ def sixbit_decode(bits: np.ndarray) -> str:
     if n == 0:
         return ""
     groups = np.asarray(bits[:n], dtype=np.uint8).reshape(-1, 6)
-    codes = groups @ (1 << np.arange(5, -1, -1))
+    codes = np.packbits(groups, axis=1)[:, 0] >> 2  # uint8: the 6 bits, then 2 zeros
     return _SIXBIT_BYTES[codes].tobytes().decode("ascii")
 
 
@@ -267,6 +267,16 @@ def sixbit_decode_rows(rows) -> list:
 
 # --------------------------------------------------------------------------
 # Modulation
+
+# bits carried by one symbol; each modulator pads a stream with zero bits to
+# a multiple of this
+BITS_PER_SYMBOL = {"qpsk": 2, "16qam": 4}
+
+
+def _components(symbols) -> np.ndarray:
+    """The real and imaginary parts of a flattened symbol array, interleaved:
+    re_0, im_0, re_1, im_1, ..."""
+    return np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
 
 
 def qpsk_modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
@@ -284,11 +294,7 @@ def qpsk_modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
 
 def qpsk_demodulate(symbols: np.ndarray, n_bits: int | None = None) -> np.ndarray:
     """Per-component sign decisions; trims to n_bits when given."""
-    symbols = np.asarray(symbols).ravel()
-    bits = np.empty((symbols.size, 2), dtype=np.uint8)
-    bits[:, 0] = symbols.real < 0
-    bits[:, 1] = symbols.imag < 0
-    flat = bits.ravel()
+    flat = (_components(symbols) < 0).view(np.uint8)
     return flat[:n_bits] if n_bits is not None else flat
 
 
@@ -315,14 +321,10 @@ def _qam16_slice(values: np.ndarray) -> np.ndarray:
 
 
 def qam16_demodulate(symbols: np.ndarray, n_bits: int | None = None) -> np.ndarray:
-    symbols = np.asarray(symbols).ravel()
-    i_idx = _qam16_slice(symbols.real)
-    q_idx = _qam16_slice(symbols.imag)
-    bits = np.empty((symbols.size, 4), dtype=np.uint8)
-    bits[:, 0] = i_idx >> 1
-    bits[:, 1] = i_idx & 1
-    bits[:, 2] = q_idx >> 1
-    bits[:, 3] = q_idx & 1
+    levels = _qam16_slice(_components(symbols))  # the I, then the Q level of each symbol
+    bits = np.empty((levels.size, 2), dtype=np.uint8)
+    bits[:, 0] = levels >> 1
+    bits[:, 1] = levels & 1
     flat = bits.ravel()
     return flat[:n_bits] if n_bits is not None else flat
 

@@ -290,12 +290,13 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
 
 @dataclass(frozen=True)
 class _Corpus:
-    """One method's corpus, modulated once into a single symbol row. The
-    sentences' bits are concatenated in `bits`, sentence k spanning
-    bounds[k]:bounds[k + 1]. Each sentence is padded to whole symbols on its
-    own; `keep` is False at the pad bits of the demodulated row. The
-    sentences' BLEU references are tokenized and counted once, in
-    `references`, and their edit-distance lanes built once, in `edits`."""
+    """One method's corpus, modulated once into a single symbol row. Each
+    sentence's bits are padded with zero bits to whole symbols on their own;
+    `sent` is the padded bits of every sentence in turn, which is the layout
+    of the demodulated row: sentence k spans starts[k]:starts[k] + sizes[k]
+    there, and its pad follows. The sentences' BLEU references are
+    tokenized and counted once, in `references`, and their edit-distance
+    lanes built once, in `edits`."""
 
     name: str
     sentences: list
@@ -303,27 +304,30 @@ class _Corpus:
     edits: metrics.EditReferences
     decode: object  # list of bit streams -> list of texts
     symbols: coding.SymbolMatrix
-    bits: np.ndarray
-    bounds: np.ndarray
-    keep: np.ndarray
+    sent: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
 
 
-def _corpus(name, sentences, encoded, decode, modulate) -> _Corpus:
-    modulated = [modulate(bits) for bits in encoded]
-    symbols = coding.SymbolMatrix(np.concatenate([row for row, _ in modulated]).reshape(1, -1))
-    bounds = np.cumsum([0] + [bits.size for bits in encoded])
-    runs = [n for bits, (_, pad) in zip(encoded, modulated) for n in (bits.size, pad)]
-    keep = np.repeat(np.tile([True, False], len(encoded)), runs)  # bits True, pads False
+def _corpus(name, sentences, encoded, decode, modulation) -> _Corpus:
+    sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
+    pads = -sizes % coding.BITS_PER_SYMBOL[modulation]
+    starts = np.cumsum(sizes + pads) - (sizes + pads)
+    sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
+                           for part in (bits, np.zeros(pad, dtype=np.uint8))])
+    symbols, _ = coding.MODULATIONS[modulation][0](sent)
     references = metrics.BleuReferences.of(map(metrics.tokenize, sentences))
     return _Corpus(name, sentences, references, metrics.EditReferences.of(sentences), decode,
-                   symbols, np.concatenate(encoded), bounds, keep)
+                   coding.SymbolMatrix(symbols.reshape(1, -1)), sent, starts, sizes)
 
 
 def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
-    """The corpus's bits demodulated from its equalized row in one call, and
-    each sentence's bit error rate from one comparison."""
-    recovered = demodulate(equalized)[corpus.keep]
-    return recovered, metrics.bit_error_rates(corpus.bits, recovered, corpus.bounds)
+    """The corpus's padded bits demodulated from its equalized row in one
+    call, and each sentence's bit error rate from one comparison with the
+    sent row (see metrics.bit_error_rates), in which a pad bit never
+    counts."""
+    received = demodulate(equalized)
+    return received, metrics.bit_error_rates(corpus.sent, received, corpus.starts, corpus.sizes)
 
 
 def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
@@ -347,18 +351,15 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     bleus = np.ones((len(rows), len(corpus.sentences)))
     if indices.size:
         row = np.repeat(np.arange(len(rows)), [e.size for e in errored])
-        bounds = corpus.bounds
-        decoded = corpus.decode([rows[j][0][bounds[k] : bounds[k + 1]]
+        starts, stops = corpus.starts.tolist(), (corpus.starts + corpus.sizes).tolist()
+        decoded = corpus.decode([rows[j][0][starts[k] : stops[k]]
                                  for j, k in zip(row.tolist(), indices.tolist())])
         char_errs[row, indices] = corpus.edits.char_error_rates(indices, decoded)
         tokens = list(map(metrics.tokenize, decoded))
         bleus[row, indices] = corpus.references.scores(indices, tokens)
-    scores = []
-    for (_, bers), row_char_errs, row_bleus in zip(rows, char_errs, bleus):
-        mean_bleu = float(np.mean(row_bleus))
-        scores.append((float(np.mean(bers)), float(np.mean(row_char_errs)),
-                       mean_bleu, mean_bleu / max_bleu))
-    return scores
+    bers = np.array([row_bers for _, row_bers in rows])
+    means = zip(*(a.mean(axis=1).tolist() for a in (bers, char_errs, bleus)))
+    return [(ber, char_err, bleu, bleu / max_bleu) for ber, char_err, bleu in means]
 
 
 def load_sentences(path) -> list:
@@ -374,7 +375,6 @@ def _prepare_methods(cfg: ExperimentConfig):
     """Per-method corpora (see _Corpus) and the semantic matrix when given.
     Huffman frequencies come from the evaluation corpus itself; the sixbit
     route folds the corpus into its 64-character alphabet first."""
-    modulate = coding.MODULATIONS[cfg.modulation][0]
     methods = []
     if cfg.corpus_path is not None:
         sentences = load_sentences(cfg.corpus_path)
@@ -383,13 +383,13 @@ def _prepare_methods(cfg: ExperimentConfig):
             encoded = [coding.huffman_encode(s, code) for s in sentences]
             methods.append(_corpus(
                 "huffman", sentences, encoded,
-                lambda rows, c=code: coding.huffman_decode_rows(rows, c), modulate,
+                lambda rows, c=code: coding.huffman_decode_rows(rows, c), cfg.modulation,
             ))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode(s) for s in folded]
             methods.append(_corpus("sixbit", folded, encoded, coding.sixbit_decode_rows,
-                                   modulate))
+                                   cfg.modulation))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)

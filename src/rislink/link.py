@@ -93,15 +93,21 @@ def snr_linear(g: complex, budget: LinkBudget) -> float:
         raise ValueError(f"the SNR overflows with p_tx_w = {budget.p_tx!r} W and "
                          f"{budget.noise_power!r} W of noise from noise_dbm")
     if linear is None:  # noiseless: inf, or 0 for a zero gain
-        return math.inf if power > 0.0 else 0.0
+        return math.inf if g != 0 else 0.0
     return linear
 
 
 def snr(g: complex, budget: LinkBudget) -> tuple[float, float]:
-    """(linear SNR, dB). A zero gain reports -inf dB."""
+    """(linear SNR, dB). A zero gain reports -inf dB. A nonzero gain whose
+    linear SNR underflows to 0 (|g|^2 below the float range) reports its dB
+    from log10|g| instead, which stays finite."""
     linear = snr_linear(g, budget)
-    db = 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
-    return linear, db
+    if linear > 0.0:
+        return linear, 10.0 * math.log10(linear)
+    if g == 0:
+        return linear, -math.inf
+    return linear, (20.0 * math.log10(abs(g)) + 10.0 * math.log10(budget.p_tx)
+                    - 10.0 * math.log10(budget.noise_power))
 
 
 def transmit(
@@ -118,10 +124,14 @@ def transmit(
 def transmit_with_rng(
     s: SymbolMatrix, g: complex, budget: LinkBudget, rng: np.random.Generator
 ) -> SymbolMatrix:
-    shape = s.values.shape
-    scale = np.sqrt(budget.noise_power / 2.0)
-    noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return SymbolMatrix(g * np.sqrt(budget.p_tx) * s.values + noise)
+    # one call draws the real parts, then the imaginary parts: the same
+    # numbers, in the same order, as two calls
+    noise = rng.standard_normal((2, *s.values.shape))
+    noise *= np.sqrt(budget.noise_power / 2.0)
+    received = g * np.sqrt(budget.p_tx) * s.values
+    received.real += noise[0]
+    received.imag += noise[1]
+    return SymbolMatrix(received)
 
 
 def equalize(s_hat: SymbolMatrix, g: complex, p_tx: float) -> SymbolMatrix:

@@ -213,17 +213,20 @@ def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
     return float(np.mean(sent != received))
 
 
-def bit_error_rates(sent: np.ndarray, received: np.ndarray, bounds) -> np.ndarray:
-    """bit_error_rate of each segment bounds[k]:bounds[k + 1] of two bit
-    streams of equal length, from one comparison of the whole streams. An
-    empty segment scores 0."""
+def bit_error_rates(sent: np.ndarray, received: np.ndarray, starts, sizes) -> np.ndarray:
+    """bit_error_rate of each segment starts[k]:starts[k] + sizes[k] of two
+    bit streams of equal length, from one comparison of the whole streams:
+    each segment counts the positions of the differing bits that fall in
+    it, so bits outside every segment never count. An empty segment scores
+    0."""
     sent = np.asarray(sent).ravel()
     received = np.asarray(received).ravel()
     if sent.size != received.size:
         raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
-    bounds = np.asarray(bounds)
-    errors = np.concatenate(([0], np.cumsum(sent != received)))[bounds]
-    return np.diff(errors) / np.maximum(np.diff(bounds), 1)
+    starts, sizes = np.asarray(starts), np.asarray(sizes)
+    errors = np.flatnonzero(sent != received)
+    counts = np.searchsorted(errors, starts + sizes) - np.searchsorted(errors, starts)
+    return counts / np.maximum(sizes, 1)
 
 
 def _hyyro_step(eq, vp, vn):

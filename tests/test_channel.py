@@ -105,7 +105,6 @@ def test_path_loss_model_validation():
         PathLossModel(1.5)
 
 
-
 def whole_and_blocked(tx, ris, rx, lam):
     """c from the two whole los_channel matrices and from
     cascaded_los_coefficients, under the steering precoders toward the RIS."""
@@ -130,12 +129,8 @@ def test_blocked_coefficients_equal_whole_matrices(tx_shape, rx_shape, ris_shape
     # elements is not: on a 33 x 41 RIS the first and last coefficients of
     # the second thread's share rounded differently. So that case is not
     # compared here.)
-    lam = wavelength(28e9)
-    ris_center = np.array([10.0, 0.0, 0.0])
-    tx = facing_array([0.0, 10.0, 0.0], *tx_shape, lam / 2, ris_center)
-    rx = facing_array([10.0, 15.0, 0.0], *rx_shape, lam / 2, ris_center)
-    ris = facing_array(ris_center, *ris_shape, lam / 2, (tx.center + rx.center) / 2)
-    whole, blocked = whole_and_blocked(tx, ris, rx, lam)
+    tx, rx, ris = default_layout(tx_shape, rx_shape, ris_shape)
+    whole, blocked = whole_and_blocked(tx, ris, rx, wavelength(28e9))
     assert np.array_equal(blocked, whole)
     if ris_shape == (37, 23):
         assert ris.num_elements % channel._BLOCK_ELEMENTS
@@ -148,6 +143,72 @@ def test_blocked_coefficients_equal_whole_on_random_scenes(seed, ris_shape, rx_s
     tx, rx, ris, _ = random_arrays(seed, ris_shape, rx_shape)
     whole, blocked = whole_and_blocked(tx, ris, rx, wavelength(28e9))
     assert np.array_equal(blocked, whole)
+
+
+def norm_los_entries(p_tx, p_rx, tx, rx, kappa, beta):
+    """The LoS entries as an (M, N, 3) difference array reduced by
+    np.linalg.norm: the oracle channel._los_entries must equal bitwise."""
+    diff = p_tx[None, :, :] - p_rx[:, None, :]
+    d = np.linalg.norm(diff, axis=-1)
+    u = diff / d[..., None]
+    cos_rx = np.clip(u @ rx.normal, 0.0, None)
+    cos_tx = np.clip(-(u @ tx.normal), 0.0, None)
+    amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)
+    return amplitude * np.exp(-1j * kappa * d)
+
+
+def default_layout(tx_shape, rx_shape, ris_shape):
+    lam = wavelength(28e9)
+    ris_center = np.array([10.0, 0.0, 0.0])
+    tx = facing_array([0.0, 10.0, 0.0], *tx_shape, lam / 2, ris_center)
+    rx = facing_array([10.0, 15.0, 0.0], *rx_shape, lam / 2, ris_center)
+    ris = facing_array(ris_center, *ris_shape, lam / 2, (tx.center + rx.center) / 2)
+    return tx, rx, ris
+
+
+def assert_los_entries_equal_norm_oracle(monkeypatch, tx, rx, ris):
+    """The channels between the three arrays, both ways, and c, from
+    channel._los_entries and then again from norm_los_entries."""
+    lam, pl = wavelength(28e9), PathLossModel(4.0)
+    w_tx = steering_precoder(tx, ris.center, lam)
+    w_rx = steering_precoder(rx, ris.center, lam)
+    pairs = [(tx, ris), (ris, rx), (rx, ris), (ris, tx)]
+
+    def build():
+        return ([los_channel(a, b, lam, pl).entries for a, b in pairs],
+                cascaded_los_coefficients(tx, ris, rx, lam, pl, w_tx, w_rx))
+
+    channels, c = build()
+    monkeypatch.setattr(channel, "_los_entries", norm_los_entries)
+    oracle_channels, oracle_c = build()
+    for entries, oracle in zip(channels, oracle_channels):
+        assert np.array_equal(entries, oracle)
+    assert np.array_equal(c, oracle_c)
+
+
+@pytest.mark.parametrize("tx_shape, rx_shape, ris_shape", [
+    ((10, 10), (1, 1), (40, 40)),
+    ((10, 10), (1, 1), (37, 23)),
+    ((7, 13), (1, 1), (40, 40)),
+    ((10, 10), (2, 3), (40, 40)),
+    ((10, 10), (1, 1), (1, 40)),  # 1 x N and N x 1 RIS arrays
+    ((10, 10), (2, 3), (40, 1)),
+    ((1, 1), (1, 1), (1, 65)),  # single elements: a last RIS block of one
+    ((1, 7), (3, 1), (9, 1)),
+])
+def test_los_entries_equal_norm_oracle(monkeypatch, tx_shape, rx_shape, ris_shape):
+    assert_los_entries_equal_norm_oracle(monkeypatch,
+                                         *default_layout(tx_shape, rx_shape, ris_shape))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ris_shape, rx_shape", [((4, 4), (1, 1)), ((13, 11), (1, 1)),
+                                                 ((12, 16), (2, 3)), ((1, 20), (1, 1)),
+                                                 ((20, 1), (2, 3))])
+def test_los_entries_equal_norm_oracle_on_random_scenes(monkeypatch, seed, ris_shape,
+                                                        rx_shape):
+    tx, rx, ris, _ = random_arrays(seed, ris_shape, rx_shape)
+    assert_los_entries_equal_norm_oracle(monkeypatch, tx, rx, ris)
 
 
 def test_blocked_coefficients_reject_overlapping_arrays():

@@ -266,6 +266,17 @@ def test_sixbit_decode_rows_decodes_each_row():
     assert sixbit_decode_rows([]) == []
 
 
+def test_sixbit_codes_equal_weighted_sum():
+    # the codes, formed in uint8, are the int64 weighted sums of each group
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2, 6 * 5000 + 4).astype(np.uint8)
+    groups = bits[: 6 * 5000].reshape(-1, 6).astype(np.int64)
+    codes = groups @ (1 << np.arange(5, -1, -1))
+    assert sixbit_decode(bits) == "".join(SIXBIT_ALPHABET[k] for k in codes)
+    every_code = sixbit_encode(SIXBIT_ALPHABET)
+    assert sixbit_decode(every_code) == SIXBIT_ALPHABET
+
+
 def test_sixbit_partial_group_dropped():
     bits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], dtype=np.uint8)
     assert sixbit_decode(bits) == "ab"  # 13 bits -> 2 chars, 1 bit dropped
@@ -312,6 +323,40 @@ def test_qam16_round_trip_and_power():
     assert pad == 2
     np.testing.assert_array_equal(qam16_demodulate(symbols, n_bits=bits.size), bits)
     assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, abs=0.02)
+
+
+def per_component_oracle(symbols, decide):
+    """Bits of each symbol: the bit columns `decide` gives for its real
+    part, then those for its imaginary part."""
+    symbols = np.asarray(symbols).ravel()
+    return np.concatenate([decide(symbols.real), decide(symbols.imag)], axis=1).ravel()
+
+
+def test_demodulators_equal_per_component_decisions():
+    # decisions on the interleaved real and imaginary parts equal decisions
+    # on each part, also on exact zeros of either sign, on the 16-QAM
+    # decision thresholds and on non-contiguous input
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(4000) * 0.6
+    values[::7] = 0.0
+    values[1::7] = -0.0
+    values[2::7] = rng.choice([-2.0, 0.0, 2.0], values[2::7].size) / math.sqrt(10.0)
+    symbols = (values[:2000] + 1j * values[2000:]).reshape(40, 50)
+    levels = np.array([-3.0, -1.0, 3.0, 1.0]) / math.sqrt(10.0)
+
+    def qpsk(x):
+        return (x < 0).astype(np.uint8)[:, None]
+
+    def qam16(x):
+        k = np.argmin(np.abs(x[:, None] - levels[None, :]), axis=1)
+        return np.stack([k >> 1, k & 1], axis=1).astype(np.uint8)
+
+    for demodulate, decide in ((qpsk_demodulate, qpsk), (qam16_demodulate, qam16)):
+        for s in (symbols, symbols[:, ::3], symbols.T):
+            got = demodulate(s)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, per_component_oracle(s, decide))
+            assert np.array_equal(demodulate(s, n_bits=7), got[:7])
 
 
 def test_qpsk_ber_matches_q_function():

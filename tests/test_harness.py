@@ -375,36 +375,83 @@ def nondecreasing_one_step_tolerance(values):
     return True
 
 
-@pytest.mark.parametrize("modulation, bits_per_symbol", [("qpsk", 2), ("16qam", 4)])
-def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_symbol):
-    # sentences 1..12 characters long, so that some sentences' bit counts are
-    # not whole symbols (sixbit: an odd length under 16qam; Huffman: any) and
-    # each sentence's own pad has to be skipped in the demodulated row
+def short_sentence_corpora(tmp_path, modulation):
+    """Both methods' corpora of sentences 1..12 characters long, so that
+    some sentences' bit counts are not whole symbols (sixbit: an odd length
+    under 16qam; Huffman: any) and each sentence's own pad follows its bits
+    in the demodulated row."""
     corpus_path = tmp_path / "corpus.txt"
     corpus_path.write_text("\n".join(make_corpus(12)[k][: k + 1] for k in range(12)) + "\n")
     cfg = small_config(tmp_path, modulation=modulation, corpus_path=str(corpus_path))
-    corpora, _ = harness._prepare_methods(cfg)
+    return harness._prepare_methods(cfg)[0]
+
+
+@pytest.mark.parametrize("modulation, bits_per_symbol", [("qpsk", 2), ("16qam", 4)])
+def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_symbol):
     modulate, demodulate = coding.MODULATIONS[modulation]
+    assert coding.BITS_PER_SYMBOL[modulation] == bits_per_symbol
     rng = np.random.default_rng(11)
     pads = set()
-    for corpus in corpora:
+    for corpus in short_sentence_corpora(tmp_path, modulation):
         row = corpus.symbols.values[0]
         equalized = row + 0.6 * (rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size))
         recovered, bers = harness._receive(corpus, equalized, demodulate)
+        assert recovered.size == corpus.sent.size == bits_per_symbol * row.size
         at = 0
-        for k, (start, stop) in enumerate(zip(corpus.bounds, corpus.bounds[1:])):
-            bits = corpus.bits[start:stop]
+        for k, (start, size) in enumerate(zip(corpus.starts, corpus.sizes)):
+            bits = corpus.sent[start : start + size]
             assert corpus.decode([bits]) == [corpus.sentences[k]]
             symbols, pad = modulate(bits)
+            # the row is each sentence's own symbols in turn, and the sent
+            # layout each sentence's bits, then its pad of zeros
+            assert start == bits_per_symbol * at
+            assert np.array_equal(row[at : at + symbols.size], symbols)
+            assert not corpus.sent[start + size : start + size + pad].any()
             own = demodulate(equalized[at : at + symbols.size], n_bits=bits.size)
             at += symbols.size
             pads.add(pad)
-            assert np.array_equal(recovered[start:stop], own)
+            assert np.array_equal(recovered[start : start + size], own)
             assert bers[k] == bit_error_rate(bits, own)
         assert at == row.size
         assert 0 < np.mean(bers) < 0.5
     assert pads - {0}  # some sentence's bit count is not a multiple of bits_per_symbol
     assert max(pads) < bits_per_symbol
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
+    # received rows of chosen bits, sent as the symbols that carry them: none
+    # wrong, all wrong, only pad bits wrong, one pad bit wrong, and random
+    # errors; each sentence's rate is bit_error_rate on its own bits
+    modulate, demodulate = coding.MODULATIONS[modulation]
+    rng = np.random.default_rng(17)
+    pads = set()
+    for corpus in short_sentence_corpora(tmp_path, modulation):
+        sent = corpus.sent
+        stops = corpus.starts + corpus.sizes
+        in_pad = np.ones(sent.size, dtype=bool)
+        for start, stop in zip(corpus.starts, stops):
+            in_pad[start:stop] = False
+        pads.update((np.append(corpus.starts[1:], sent.size) - stops).tolist())
+        one_pad_bit = np.zeros(sent.size, dtype=bool)
+        one_pad_bit[np.flatnonzero(in_pad)[-1:]] = True  # none if no sentence is padded
+        flips = {"none": np.zeros(sent.size, dtype=bool), "all": np.ones(sent.size, dtype=bool),
+                 "pads": in_pad, "one pad bit": one_pad_bit,
+                 "random": rng.random(sent.size) < 0.2}
+        for name, flip in flips.items():
+            received_bits = sent ^ flip
+            symbols, pad = modulate(received_bits)
+            assert pad == 0
+            recovered, bers = harness._receive(corpus, symbols, demodulate)
+            assert np.array_equal(recovered, received_bits)
+            expected = [bit_error_rate(sent[a:b], recovered[a:b])
+                        for a, b in zip(corpus.starts, stops)]
+            assert bers.tolist() == expected, name
+            if name in ("none", "pads", "one pad bit"):
+                assert not bers.any()
+            elif name == "all":
+                assert (bers == 1.0).all()
+    assert pads == set(range(coding.BITS_PER_SYMBOL[modulation]))
 
 
 def score_each_sentence(scene, g, corpus, modulation, rng, max_bleu, decode):
@@ -415,9 +462,8 @@ def score_each_sentence(scene, g, corpus, modulation, rng, max_bleu, decode):
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
     recovered, bers = harness._receive(corpus, equalized, coding.MODULATIONS[modulation][1])
     char_errs, bleus = [], []
-    bounds = corpus.bounds
-    for sentence, start, stop in zip(corpus.sentences, bounds, bounds[1:]):
-        decoded = decode(recovered[start:stop])
+    for sentence, start, size in zip(corpus.sentences, corpus.starts, corpus.sizes):
+        decoded = decode(recovered[start : start + size])
         char_errs.append(metrics.char_error_rate(sentence, decoded))
         bleus.append(metrics.bleu(metrics.tokenize(decoded), metrics.tokenize(sentence)))
     mean_bleu = float(np.mean(bleus))
@@ -467,7 +513,7 @@ def test_every_sentence_decodes_from_its_own_bits(tmp_path, sentences):
     corpora, _ = harness._prepare_methods(small_config(tmp_path, corpus_path=str(corpus_path)))
     code = coding.huffman_build(coding.huffman_frequencies(sentences))
     for corpus in corpora:
-        rows = [corpus.bits[a:b] for a, b in zip(corpus.bounds, corpus.bounds[1:])]
+        rows = [corpus.sent[a : a + n] for a, n in zip(corpus.starts, corpus.sizes)]
         assert corpus.decode(rows) == corpus.sentences
         if corpus.name == "huffman":
             assert corpus.sentences == sentences
@@ -503,6 +549,25 @@ def test_snr_nondecreasing_with_planted_oracle_direction(tmp_path):
         snrs.append(snr_linear(np.sum(oracle.reflection_coefficients() * c),
                                scene.budget))
     assert all(b >= a for a, b in zip(snrs, snrs[1:]))
+
+
+def test_sweep_snr_db_finite_when_the_gain_squared_underflows(tmp_path):
+    # 1000 m links at path-loss exponent 60 give |c| near 3e-179, so every
+    # point's |g|^2 underflows to 0 while g does not
+    cfg = small_config(tmp_path, tx=ArraySpec([-600.0, 800.0, 0.0], 4, 4),
+                       rx=ArraySpec([600.0, 800.0, 0.0]), ris=ArraySpec([0.0, 0.0, 0.0], 16, 16),
+                       path_loss_exponent=60.0, ratios=[0.25, 0.5, 0.75, 1.0])
+    scene = build_scene(cfg)
+    records = run_sweep(cfg, write_csv=False)
+    assert len(records) == 2 * len(cfg.ratios) * len(cfg.quantizations)
+    budget = scene.budget
+    for r in records:
+        _, applied, linear = configure_point(scene, r.ratio, r.bits)
+        g = applied.gain(scene.coefficients)
+        assert linear == 0.0 and abs(g) > 0.0
+        expected = 20 * math.log10(abs(g)) + 10 * math.log10(budget.p_tx / budget.noise_power)
+        assert math.isfinite(r.snr_db)
+        assert r.snr_db == pytest.approx(expected, rel=1e-12)
 
 
 def test_selection_order_continuous_then_quantize(tmp_path):

@@ -16,6 +16,7 @@ from rislink.link import (
     snr,
     steering_precoder,
     transmit,
+    transmit_with_rng,
 )
 from rislink.ris import RisConfiguration
 
@@ -147,6 +148,22 @@ def test_snr_noiseless_link():
     assert snr(np.complex128(0.0), budget) == (0.0, -np.inf)
 
 
+def test_snr_db_of_a_gain_whose_square_underflows():
+    # |g|^2 is 0 in float64 below about 1e-162, but g is not: the dB value
+    # comes from log10|g| and stays finite
+    budget = scalar_budget(p_tx=0.1, noise=1e-15)
+    for g in (1e-170, np.complex128(3e-200 - 4e-200j), 5e-324):
+        linear, db = snr(g, budget)
+        assert linear == 0.0 and abs(g) ** 2 == 0.0
+        assert db == pytest.approx(20 * math.log10(abs(g)) + 140.0, rel=1e-12)
+    # just above the underflow, the linear form gives the same dB
+    g = 1e-150
+    assert snr(g, budget)[1] == pytest.approx(20 * math.log10(g) + 140.0, rel=1e-12)
+    # noiseless, any nonzero gain is an infinite SNR; a zero gain stays -inf
+    assert snr(1e-170, scalar_budget(p_tx=0.1, noise=0.0)) == (np.inf, np.inf)
+    assert snr(0j, budget) == (0.0, -np.inf)
+
+
 def test_snr_invariant_under_global_weight_phase():
     h_ris_tx, h_rx_ris, budget, mask, _ = random_scene(3)
     from rislink.ris import conjugate_phases
@@ -177,6 +194,25 @@ def test_transmit_deterministic_per_seed():
     r3 = transmit(s, 0.7 - 0.2j, budget, seed=124)
     np.testing.assert_array_equal(r1.values, r2.values)
     assert not np.array_equal(r1.values, r3.values)
+
+
+@pytest.mark.parametrize("shape", [(1, 8609), (16, 256), (3, 1)])
+@pytest.mark.parametrize("noise", [0.0, 1e-15, 0.04])
+def test_transmit_draws_equal_two_call_oracle(shape, noise):
+    # the noise's real parts are drawn first and its imaginary parts second,
+    # from one generator, as two standard_normal calls draw them
+    budget = scalar_budget(p_tx=0.1, noise=noise)
+    g = 0.7 - 0.2j
+    for seed in (0, 11, 29, 123456789):
+        rng = np.random.default_rng(seed + 1)
+        s = SymbolMatrix(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        oracle_rng = np.random.default_rng(seed)
+        n1 = oracle_rng.standard_normal(shape)
+        n2 = oracle_rng.standard_normal(shape)
+        expected = g * np.sqrt(0.1) * s.values + np.sqrt(noise / 2.0) * (n1 + 1j * n2)
+        assert np.array_equal(transmit(s, g, budget, seed).values, expected)
+        got = transmit_with_rng(s, g, budget, np.random.default_rng(seed))
+        assert np.array_equal(got.values, expected)
 
 
 def test_transmit_noise_moments():

@@ -290,14 +290,17 @@ def test_bit_error_rate():
 
 
 def test_bit_error_rates_per_segment():
-    sent = np.array([0, 1, 1, 0, 1, 0, 0], dtype=np.uint8)
-    received = np.array([0, 0, 1, 0, 1, 1, 1], dtype=np.uint8)
-    bounds = [0, 4, 4, 6, 7]  # the second segment is empty, the last one bit long
-    rates = bit_error_rates(sent, received, bounds)
-    expected = [bit_error_rate(sent[a:b], received[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert rates.tolist() == expected == [0.25, 0.0, 0.5, 1.0]
+    sent = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
+    received = np.array([0, 0, 1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
+    # the second segment is empty, the fourth one bit long; bit 7 differs but
+    # lies in no segment, so it counts nowhere
+    starts, sizes = [0, 4, 4, 6, 8], [4, 0, 2, 1, 1]
+    rates = bit_error_rates(sent, received, starts, sizes)
+    expected = [bit_error_rate(sent[a : a + n], received[a : a + n])
+                for a, n in zip(starts, sizes)]
+    assert rates.tolist() == expected == [0.25, 0.0, 0.5, 1.0, 0.0]
     with pytest.raises(ValueError):
-        bit_error_rates(sent, received[:3], [0, 3])
+        bit_error_rates(sent, received[:3], [0], [3])
 
 
 def test_char_error_rate():
