@@ -312,7 +312,7 @@ class _Corpus:
 def _corpus(name, sentences, encoded, decode, modulation) -> _Corpus:
     sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
     pads = -sizes % coding.BITS_PER_SYMBOL[modulation]
-    starts = np.cumsum(sizes + pads) - (sizes + pads)
+    starts = np.cumsum(sizes + pads) - sizes - pads
     sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
                            for part in (bits, np.zeros(pad, dtype=np.uint8))])
     symbols, _ = coding.MODULATIONS[modulation][0](sent)
@@ -345,7 +345,8 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
         received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
         equalized = equalize(received, g, scene.budget.p_tx).values[0]
         rows.append(_receive(corpus, equalized, demodulate))
-    errored = [np.flatnonzero(bers) for _, bers in rows]
+    bers = np.array([row_bers for _, row_bers in rows])
+    errored = [np.flatnonzero(row_bers) for row_bers in bers]
     indices = np.concatenate(errored)
     char_errs = np.zeros((len(rows), len(corpus.sentences)))
     bleus = np.ones((len(rows), len(corpus.sentences)))
@@ -357,7 +358,6 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
         char_errs[row, indices] = corpus.edits.char_error_rates(indices, decoded)
         tokens = list(map(metrics.tokenize, decoded))
         bleus[row, indices] = corpus.references.scores(indices, tokens)
-    bers = np.array([row_bers for _, row_bers in rows])
     means = zip(*(a.mean(axis=1).tolist() for a in (bers, char_errs, bleus)))
     return [(ber, char_err, bleu, bleu / max_bleu) for ber, char_err, bleu in means]
 
