@@ -62,8 +62,8 @@ def cmd_snr(args) -> int:
     cfg = _load_config(args.config)
     scene = build_scene(cfg)
     bits = _parse_bits(args.bits)
-    idx, _, snr_lin = configure_point(scene, args.ratio, bits)
-    db = 10.0 * np.log10(snr_lin) if snr_lin > 0 else float("-inf")
+    idx, ris_cfg, _ = configure_point(scene, args.ratio, bits)
+    _, db = snr(ris_cfg.gain(scene.coefficients), scene.budget)
     print(f"ratio={args.ratio} bits={args.bits or 'none'} "
           f"codeword={idx} snr_db={db:.4f}")
     return 0

@@ -103,19 +103,25 @@ class HuffmanCode:
             count * len(self.table[sym]) for sym, count in self.frequencies.items()
         ) / total
 
+    @property
+    def symbols(self) -> tuple:
+        """The symbols in table order: the alphabet that decoded indices
+        index."""
+        return tuple(self.table)
+
     @cached_property
-    def _decoder(self) -> tuple:
-        """The code tree as an automaton that reads one bit per step:
-        (symbols, step). State s < len(symbols) means "symbol s was just
-        emitted" and steps as the root does; the root and the other inner
-        nodes follow; the last state is dead and absorbs every step. A
-        missing child (no codeword continues there) and the pad bit 2 lead
-        to the dead state. States are stored times 3, so the next state is
-        step[state + bit]. A codeword stops at a symbol already on its path,
-        and a symbol takes its slot whatever that held, so a lane emits at
-        the shortest matching codeword, as a greedy prefix match does,
-        whatever the table."""
-        symbols = list(self.table)
+    def _decoder(self) -> np.ndarray:
+        """The code tree as an automaton that reads one bit per step. State
+        s < len(symbols) means "symbol s was just emitted" and steps as the
+        root does; the root and the other inner nodes follow; the last state
+        is dead and absorbs every step. A missing child (no codeword
+        continues there) and the pad bit 2 lead to the dead state. States
+        are stored times 3, so the next state is step[state + bit], in the
+        smallest unsigned type that holds every index into step. A codeword
+        stops at a symbol already on its path, and a symbol takes its slot
+        whatever that held, so a lane emits at the shortest matching
+        codeword, as a greedy prefix match does, whatever the table."""
+        n_symbols = len(self.table)
         nodes = [[None, None]]  # inner nodes; a child is a node index or ~symbol
         for s, cw in enumerate(self.table.values()):
             node = 0
@@ -130,14 +136,14 @@ class HuffmanCode:
             else:
                 if cw:
                     nodes[node][cw[-1] == "1"] = ~s
-        root, dead = len(symbols), len(symbols) + len(nodes)
+        root, dead = n_symbols, n_symbols + len(nodes)
 
         def state(child):
             return dead if child is None else ~child if child < 0 else root + child
 
         rows = [[state(c) for c in node] + [dead] for node in nodes]
-        step = np.array(rows[:1] * len(symbols) + rows + [[dead] * 3], dtype=np.intp)
-        return symbols, (3 * step).ravel()
+        step = 3 * np.array(rows[:1] * n_symbols + rows + [[dead] * 3]).ravel()
+        return step.astype(np.min_scalar_type(step.size))
 
 
 def huffman_build(freqs: dict) -> HuffmanCode:
@@ -177,29 +183,45 @@ def huffman_encode(text: str, code: HuffmanCode) -> np.ndarray:
     return np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
 
 
-def huffman_decode_rows(rows, code: HuffmanCode) -> list:
-    """Greedy prefix decoding of many bit streams at once: one lane per
-    stream, all lanes stepped through the code automaton (see
-    HuffmanCode._decoder) one bit at a time. A corrupted stream may
-    desynchronize; trailing bits that end inside the tree are dropped, and
-    a lane whose pending bits start no codeword stops there."""
-    symbols, step = code._decoder
-    lengths = np.array([np.size(r) for r in rows], dtype=np.intp)
+def huffman_decode_indices(bits: np.ndarray, lengths, code: HuffmanCode):
+    """Greedy prefix decoding of many bit streams at once, given end to end
+    in `bits`, stream k of lengths[k] bits: one lane per stream, all lanes
+    stepped through the code automaton (see HuffmanCode._decoder) one bit at
+    a time. A corrupted stream may desynchronize; trailing bits that end
+    inside the tree are dropped, and a lane whose pending bits start no
+    codeword stops there. Returns the index in code.symbols of every
+    emitted symbol, stream after stream, in the smallest unsigned type that
+    holds them, and the number of symbols each stream emitted."""
+    step = code._decoder
+    n_symbols = len(code.table)
+    lengths = np.asarray(lengths, dtype=np.intp)
     width = int(lengths.max(initial=0))
-    lanes = np.full((len(rows), width), 2, dtype=np.intp)  # 2 pads a lane
-    if width:
-        lanes[np.arange(width) < lengths[:, None]] = np.concatenate(rows) != 0
-    states = np.empty((width, len(rows)), dtype=np.intp)
-    state = np.full(len(rows), 3 * len(symbols), dtype=np.intp)  # the root
-    for t, bits in enumerate(lanes.T):
-        state = np.take(step, state + bits, out=states[t])
-    emitted = states.T < 3 * len(symbols)  # lane-major, as the texts are cut
-    codes = (states.T[emitted] // 3).tolist()
-    text = "".join(map(symbols.__getitem__, codes))
+    lanes = np.full((lengths.size, width), 2, dtype=np.uint8)  # 2 pads a lane
+    lanes[np.arange(width) < lengths[:, None]] = np.asarray(bits) != 0
+    lanes = np.ascontiguousarray(lanes.T)  # lanes[t]: every lane's bit t
+    states = np.empty((width, lengths.size), dtype=step.dtype)
+    state = np.full(lengths.size, 3 * n_symbols, dtype=step.dtype)  # the root
+    index = np.empty_like(state)
+    for t in range(width):
+        np.add(state, lanes[t], out=index)
+        state = np.take(step, index, out=states[t], mode="clip")  # every index is in range
+    emitted = states.T < 3 * n_symbols  # lane-major, stream after stream
+    indices = states.T[emitted] // 3
+    return indices.astype(np.min_scalar_type(max(n_symbols - 1, 0))), emitted.sum(axis=1)
+
+
+def huffman_decode_rows(rows, code: HuffmanCode) -> list:
+    """huffman_decode_indices of a list of bit streams, as one text per
+    stream; a symbol may be any string."""
+    lengths = [np.size(r) for r in rows]
+    indices, counts = huffman_decode_indices(
+        np.concatenate(rows) if rows else np.zeros(0, dtype=np.uint8), lengths, code)
+    symbols = code.symbols
+    text = "".join(map(symbols.__getitem__, indices.tolist()))
     sizes = np.fromiter(map(len, symbols), dtype=np.intp, count=len(symbols))
-    ends = np.concatenate(([0], np.cumsum(sizes[codes])))
-    cuts = ends[np.concatenate(([0], np.cumsum(emitted.sum(axis=1))))]
-    return [text[a:b] for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+    ends = np.concatenate(([0], np.cumsum(sizes[indices])))
+    cuts = ends[np.concatenate(([0], np.cumsum(counts)))].tolist()
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def huffman_decode(bits: np.ndarray, code: HuffmanCode) -> str:
@@ -240,29 +262,29 @@ def sixbit_fold(text: str) -> str:
 
 def sixbit_encode(text: str) -> np.ndarray:
     """Six bits per character of sixbit_fold(text), most significant first."""
-    codes = np.array([_SIXBIT_INDEX[ch] for ch in sixbit_fold(text)], dtype=np.uint8)
-    shifts = np.arange(5, -1, -1)
-    return ((codes[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    return sixbit_encode_folded(sixbit_fold(text))
+
+
+def sixbit_encode_folded(folded: str) -> np.ndarray:
+    """sixbit_encode of a text sixbit_fold has already folded, which is not
+    folded again; a character outside the alphabet is a KeyError."""
+    codes = np.array([_SIXBIT_INDEX[ch] for ch in folded], dtype=np.uint8)
+    shifts = np.arange(5, -1, -1, dtype=np.uint8)
+    return ((codes[:, None] >> shifts) & 1).ravel()
+
+
+def sixbit_decode_indices(bits: np.ndarray) -> np.ndarray:
+    """The SIXBIT_ALPHABET index (uint8) of each whole 6-bit group; each
+    group decodes independently (bit errors stay local to one character),
+    and a trailing partial group is dropped."""
+    n = bits.size - bits.size % 6
+    groups = np.asarray(bits[:n], dtype=np.uint8).reshape(-1, 6)
+    return np.packbits(groups, axis=1)[:, 0] >> 2  # the 6 bits, then 2 zeros
 
 
 def sixbit_decode(bits: np.ndarray) -> str:
-    """Each 6-bit group decodes independently (bit errors stay local to one
-    character); a trailing partial group is dropped."""
-    n = bits.size - bits.size % 6
-    if n == 0:
-        return ""
-    groups = np.asarray(bits[:n], dtype=np.uint8).reshape(-1, 6)
-    codes = np.packbits(groups, axis=1)[:, 0] >> 2  # uint8: the 6 bits, then 2 zeros
-    return _SIXBIT_BYTES[codes].tobytes().decode("ascii")
-
-
-def sixbit_decode_rows(rows) -> list:
-    """sixbit_decode of each bit stream, from one sixbit_decode call on
-    their whole 6-bit groups, cut at the character bounds."""
-    groups = [np.size(r) // 6 for r in rows]
-    text = sixbit_decode(np.concatenate([r[: 6 * n] for r, n in zip(rows, groups)] or [[]]))
-    cuts = np.cumsum([0] + groups).tolist()
-    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    """The text of sixbit_decode_indices(bits)."""
+    return _SIXBIT_BYTES[sixbit_decode_indices(bits)].tobytes().decode("ascii")
 
 
 # --------------------------------------------------------------------------

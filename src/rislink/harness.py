@@ -294,31 +294,49 @@ class _Corpus:
     sentence's bits are padded with zero bits to whole symbols on their own;
     `sent` is the padded bits of every sentence in turn, which is the layout
     of the demodulated row: sentence k spans starts[k]:starts[k] + sizes[k]
-    there, and its pad follows. The sentences' BLEU references are
-    tokenized and counted once, in `references`, and their edit-distance
-    lanes built once, in `edits`."""
+    there, and its pad follows. The method decodes to indices into
+    `alphabet` (see decode). The sentences' BLEU references are tokenized
+    and counted once, in `references`, with `tokenizer` reading the same
+    tokens off symbol indices, and their edit-distance lanes built once, in
+    `edits`, with `columns` the peq column of each alphabet symbol."""
 
     name: str
     sentences: list
+    code: coding.HuffmanCode | None  # None: the fixed 6-bit code
+    alphabet: str
     references: metrics.BleuReferences
+    tokenizer: metrics.SymbolTokenizer
     edits: metrics.EditReferences
-    decode: object  # list of bit streams -> list of texts
+    columns: np.ndarray
     symbols: coding.SymbolMatrix
     sent: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
 
+    def decode(self, bits: np.ndarray, sizes: np.ndarray):
+        """The symbol indices of bit streams of sizes[k] bits given end to
+        end, stream after stream, and the number of symbols of each. Every
+        sixbit stream is whole 6-bit groups."""
+        if self.code is None:
+            return coding.sixbit_decode_indices(bits), sizes // 6
+        return coding.huffman_decode_indices(bits, sizes, self.code)
 
-def _corpus(name, sentences, encoded, decode, modulation) -> _Corpus:
+
+def _corpus(name, sentences, encoded, code, modulation) -> _Corpus:
     sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
     pads = -sizes % coding.BITS_PER_SYMBOL[modulation]
     starts = np.cumsum(sizes + pads) - sizes - pads
     sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
                            for part in (bits, np.zeros(pad, dtype=np.uint8))])
     symbols, _ = coding.MODULATIONS[modulation][0](sent)
+    # a Huffman code built from character counts has one character per symbol
+    alphabet = coding.SIXBIT_ALPHABET if code is None else "".join(code.symbols)
     references = metrics.BleuReferences.of(map(metrics.tokenize, sentences))
-    return _Corpus(name, sentences, references, metrics.EditReferences.of(sentences), decode,
-                   coding.SymbolMatrix(symbols.reshape(1, -1)), sent, starts, sizes)
+    edits = metrics.EditReferences.of(sentences)
+    return _Corpus(name, sentences, code, alphabet, references,
+                   metrics.SymbolTokenizer.of(alphabet, references.vocabulary), edits,
+                   edits.columns(alphabet), coding.SymbolMatrix(symbols.reshape(1, -1)),
+                   sent, starts, sizes)
 
 
 def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
@@ -336,9 +354,11 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     transmission, drawing from that row's rng, and demodulate it as one row.
     A sentence that arrived without a bit error decodes to itself (both
     codes round-trip every sentence), so it scores char_err 0 and BLEU 1
-    undecoded. The other sentences of every row are decoded in one call,
-    and their edit distances and BLEU scores computed in one call each.
-    Returns each row's corpus means (ber, char_err, bleu, rel_bleu)."""
+    undecoded. The bits of the other sentences of every row are gathered
+    end to end and decoded in one call to symbol indices, and their edit
+    distances and BLEU scores computed from those indices in one call each,
+    with no per-sentence or per-token string. Returns each row's corpus
+    means (ber, char_err, bleu, rel_bleu)."""
     demodulate = coding.MODULATIONS[modulation][1]
     rows = []
     for g, rng in zip(gains, rngs):
@@ -346,18 +366,21 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
         equalized = equalize(received, g, scene.budget.p_tx).values[0]
         rows.append(_receive(corpus, equalized, demodulate))
     bers = np.array([row_bers for _, row_bers in rows])
-    errored = [np.flatnonzero(row_bers) for row_bers in bers]
-    indices = np.concatenate(errored)
-    char_errs = np.zeros((len(rows), len(corpus.sentences)))
-    bleus = np.ones((len(rows), len(corpus.sentences)))
+    row, indices = np.nonzero(bers)  # row after row, each row's sentences in order
+    char_errs = np.zeros(bers.shape)
+    bleus = np.ones(bers.shape)
     if indices.size:
-        row = np.repeat(np.arange(len(rows)), [e.size for e in errored])
-        starts, stops = corpus.starts.tolist(), (corpus.starts + corpus.sizes).tolist()
-        decoded = corpus.decode([rows[j][0][starts[k] : stops[k]]
-                                 for j, k in zip(row.tolist(), indices.tolist())])
-        char_errs[row, indices] = corpus.edits.char_error_rates(indices, decoded)
-        tokens = list(map(metrics.tokenize, decoded))
-        bleus[row, indices] = corpus.references.scores(indices, tokens)
+        # the received row as runs: each sentence's bits, then its pad
+        pads = np.append(corpus.starts[1:], corpus.sent.size) - corpus.starts - corpus.sizes
+        runs = np.column_stack((corpus.sizes, pads)).ravel()
+        keep = np.zeros((len(rows), runs.size), dtype=bool)
+        keep[:, ::2] = bers != 0
+        bits = np.concatenate([received[np.repeat(k, runs)] for (received, _), k in zip(rows, keep)])
+        codes, counts = corpus.decode(bits, corpus.sizes[indices])
+        char_errs[row, indices] = corpus.edits.char_error_rates(indices, corpus.columns[codes],
+                                                                counts)
+        bleus[row, indices] = corpus.references.flat_scores(
+            indices, corpus.tokenizer.flatten(codes, counts))
     means = zip(*(a.mean(axis=1).tolist() for a in (bers, char_errs, bleus)))
     return [(ber, char_err, bleu, bleu / max_bleu) for ber, char_err, bleu in means]
 
@@ -381,15 +404,11 @@ def _prepare_methods(cfg: ExperimentConfig):
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
             encoded = [coding.huffman_encode(s, code) for s in sentences]
-            methods.append(_corpus(
-                "huffman", sentences, encoded,
-                lambda rows, c=code: coding.huffman_decode_rows(rows, c), cfg.modulation,
-            ))
+            methods.append(_corpus("huffman", sentences, encoded, code, cfg.modulation))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
-            encoded = [coding.sixbit_encode(s) for s in folded]
-            methods.append(_corpus("sixbit", folded, encoded, coding.sixbit_decode_rows,
-                                   cfg.modulation))
+            encoded = [coding.sixbit_encode_folded(s) for s in folded]
+            methods.append(_corpus("sixbit", folded, encoded, None, cfg.modulation))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)
@@ -401,22 +420,23 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               quantize_before_select: bool = False,
               write_csv: bool = True) -> list:
     """Full sweep over ratios x quantizations x methods. Every ratio's
-    codeword is selected first (see _configure_ratios); then the
-    transmission and scoring run one task per ratio, on `jobs` threads, and
-    each task scores all of its quantizations' rows of a corpus method in
-    one _corpus_pipeline call. The semantic matrix is transmitted only when
-    `received_matrix_dir` is set, since no record field reads it.
-    Records come in (ratio, quantization, method) order and are
-    deterministic for a given master seed regardless of `jobs`; the CSV is
-    written atomically."""
+    codeword is selected first (see _configure_ratios), before the inputs
+    are read and encoded, so that selection, the sweep's largest working
+    set, does not hold them. Then the transmission and scoring run one task
+    per ratio, on `jobs` threads, and each task scores all of its
+    quantizations' rows of a corpus method in one _corpus_pipeline call.
+    The semantic matrix is transmitted only when `received_matrix_dir` is
+    set, since no record field reads it. Records come in (ratio,
+    quantization, method) order and are deterministic for a given master
+    seed regardless of `jobs`; the CSV is written atomically."""
     _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
     scene = build_scene(cfg)
+    configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
+                                   quantize_before_select)
     methods, semantic = _prepare_methods(cfg)
     method_names = [c.name for c in methods] + (["semantic"] if semantic is not None else [])
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
-    configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
-                                   quantize_before_select)
 
     def run_ratio(i, ratio, points):
         gains = [g for _, _, g in points]

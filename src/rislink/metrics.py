@@ -65,6 +65,96 @@ def _flatten(sequences, vocabulary: dict):
     return ids, owner, lengths, room
 
 
+# how tokenize treats a character: the number of tokens it makes of the
+# character written twice
+_SPACE, _WORD, _OTHER = 0, 1, 2
+
+
+class SymbolTokenizer:
+    """tokenize, and _flatten's token ids under a vocabulary, for sentences
+    given as indices into an alphabet of single characters, with no string
+    built. kinds[a] is _SPACE, _WORD or _OTHER for alphabet[a], read off the
+    frozen regex itself, so a token is a maximal run of _WORD symbols or
+    one _OTHER symbol, and never spans two sentences. A token's id comes
+    from the vocabulary's prefixes, one character per step: the empty
+    prefix has id 0, every other prefix of a vocabulary token an id from 1
+    on, and the key of a prefix p extended by symbol a is p * (A + 1) + a,
+    A = len(alphabet). keys holds those keys, sorted; prefixes[i] is the id
+    of the prefix keyed keys[i], and prefixes[-1] a dead id that extends to
+    nothing; ids[p] is prefix p's vocabulary id, V = len(vocabulary) for a
+    prefix that is no token and for the dead id. depth is the length of the
+    longest prefix. (A plain class: a frozen dataclass costs about 1 ms of
+    import time.)"""
+
+    def __init__(self, kinds, keys, prefixes, ids, depth: int):
+        self.kinds, self.keys, self.prefixes, self.ids, self.depth = (
+            kinds, keys, prefixes, ids, depth)
+
+    @classmethod
+    def of(cls, alphabet, vocabulary: dict) -> "SymbolTokenizer":
+        if not all(len(symbol) == 1 for symbol in alphabet):
+            raise ValueError("a symbol tokenizer needs single-character symbols")
+        kinds = np.array([len(tokenize(2 * ch)) for ch in alphabet], dtype=np.uint8)
+        index = {ch: a for a, ch in enumerate(alphabet)}
+        stride = len(alphabet) + 1
+        children = {}  # key -> prefix id
+        ids = [len(vocabulary)]  # the empty prefix is no token
+        depth = 0
+        for token, i in vocabulary.items():
+            if not set(token) <= index.keys():
+                continue  # no sentence over the alphabet holds it
+            depth = max(depth, len(token))
+            prefix = 0
+            for ch in token:
+                key = prefix * stride + index[ch]
+                if key not in children:
+                    children[key] = len(ids)
+                    ids.append(len(vocabulary))
+                prefix = children[key]
+            ids[prefix] = i
+        keys = np.array(sorted(children), dtype=np.int64)
+        prefixes = np.array([children[k] for k in keys.tolist()] + [len(ids)], dtype=np.int64)
+        return cls(kinds, keys, prefixes, np.array(ids + [len(vocabulary)], dtype=np.int64),
+                   depth)
+
+    def flatten(self, codes, counts):
+        """_flatten(tokenize of each sentence, vocabulary): (ids, owner,
+        lengths, room), for sentences given end to end as symbol indices
+        `codes`, counts[k] of them for sentence k."""
+        codes = np.asarray(codes)
+        counts = np.asarray(counts, dtype=np.int64)
+        ends = np.cumsum(counts)
+        kinds = self.kinds[codes]
+        # a word symbol after a word symbol of its own sentence continues its token
+        joins = np.zeros(codes.size, dtype=bool)
+        joins[1:] = (kinds[1:] == _WORD) & (kinds[:-1] == _WORD)
+        joins[(ends - counts)[counts > 0]] = False
+        token = kinds != _SPACE
+        starts = np.flatnonzero(token & ~joins)
+        token[:-1] &= ~joins[1:]  # now only the last symbol of each token
+        sizes = np.flatnonzero(token) + 1 - starts
+        # each token's prefixes, one character per step: its first from the
+        # one-character prefixes, then the others of the tokens of two
+        # characters or more, all of them at every step (a token that has
+        # ended keeps its prefix). Arrays of one size at every step leave the
+        # heap as they found it; shrinking ones raised a sweep's peak RSS.
+        first = self.prefixes[_index_in(self.keys, np.arange(self.kinds.size))]
+        prefix = first[codes[starts]]
+        longer = np.flatnonzero(sizes > 1)
+        size, at, p = sizes[longer], starts[longer], prefix[longer]
+        stride = self.kinds.size + 1
+        for t in range(1, min(self.depth, int(sizes.max(initial=0)))):
+            symbol = codes[np.minimum(at + t, codes.size - 1)]
+            p = np.where(size > t, self.prefixes[_index_in(self.keys, p * stride + symbol)], p)
+        prefix[longer] = p
+        prefix[sizes > self.depth] = self.prefixes[-1]  # longer than every vocabulary token
+        ids = self.ids[prefix]
+        owner = np.searchsorted(ends, starts, side="right")
+        lengths = np.bincount(owner, minlength=counts.size)
+        room = np.cumsum(lengths)[owner] - np.arange(ids.size)
+        return ids, owner, lengths, room
+
+
 @dataclass(frozen=True)
 class BleuReferences:
     """BLEU reference sentences, tokenized and counted once, for scoring many
@@ -105,18 +195,27 @@ class BleuReferences:
         return cls(vocabulary, lengths, tuple(ngrams), tuple(keys), tuple(counts))
 
     def scores(self, indices, candidates) -> np.ndarray:
-        """bleu(candidates[i], the tokens of sentence indices[i]) for every i.
-        Per order, one search of ngrams[n - 1] gives the candidates' n-grams
-        their ids (none for an n-gram holding a token or a prefix that no
-        reference holds, which so matches nothing), one np.unique counts
-        them per candidate, and one bincount sums their counts, clipped by
-        the reference's, per candidate."""
+        """bleu(candidates[i], the tokens of sentence indices[i]) for every
+        i."""
+        return self.flat_scores(indices, _flatten(candidates, self.vocabulary))
+
+    def flat_scores(self, indices, flat) -> np.ndarray:
+        """scores of candidates given as (ids, owner, lengths, room), as
+        _flatten or SymbolTokenizer.flatten gives them. Per order, one
+        search of ngrams[n - 1] gives the candidates' n-grams their ids
+        (none for an n-gram holding a token or a prefix that no reference
+        holds, which so matches nothing), one np.unique counts them per
+        candidate, and one bincount sums their counts, clipped by the
+        reference's, per candidate. A candidate that is empty or has no
+        clipped match at some order up to its length scores 0 here; only the
+        others reach the scalar _bleu_from_matches."""
+        tokens, owner, lengths, room = flat
         indices = np.asarray(indices, dtype=np.intp)
-        if len(candidates) != indices.size:
-            raise ValueError(f"{indices.size} indices for {len(candidates)} candidates")
-        if np.any(self.lengths[indices] == 0):
+        if lengths.size != indices.size:
+            raise ValueError(f"{indices.size} indices for {lengths.size} candidates")
+        references = self.lengths[indices]
+        if np.any(references == 0):
             raise ValueError("reference must be non-empty")
-        tokens, owner, lengths, room = _flatten(candidates, self.vocabulary)
         matches = np.zeros((BLEU_ORDER, indices.size), dtype=np.int64)
         ids = np.zeros(tokens.size, dtype=np.int64)
         for n, (table, keys, counts) in enumerate(zip(self.ngrams, self.keys, self.counts), 1):
@@ -131,26 +230,30 @@ class BleuReferences:
             ref = _index_in(keys, indices[candidate] * table.size + gram)
             clipped = np.where(ref >= 0, np.minimum(held, counts[ref]), 0)
             matches[n - 1] = np.bincount(candidate, clipped, indices.size)
-        return np.array([_bleu_from_matches(c, r, matched) for c, r, matched in zip(
-            lengths.tolist(), self.lengths[indices].tolist(), matches.T.tolist())])
+        orders = np.arange(1, BLEU_ORDER + 1)[:, None]
+        live = np.flatnonzero((lengths > 0) & ~((matches == 0) & (orders <= lengths)).any(axis=0))
+        out = np.zeros(indices.size)
+        out[live] = [_bleu_from_matches(c, r, matched) for c, r, matched in zip(
+            lengths[live].tolist(), references[live].tolist(), matches[:, live].T.tolist())]
+        return out
 
 
 def _index_in(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Each key's index in the sorted array `table` (non-empty, unless `keys`
-    is empty too); -1 where absent."""
+    """Each key's index in the sorted array `table`; -1 where absent."""
+    if not table.size:
+        return np.full(np.shape(keys), -1, dtype=np.intp)
     at = np.minimum(np.searchsorted(table, keys), table.size - 1)
     return np.where(table[at] == keys, at, -1)
 
 
 def _bleu_from_matches(c: int, r: int, matched) -> float:
-    """BLEU of a candidate of c tokens against a reference of r, matched[n -
-    1] of its n-grams clipped-matching the reference's: uniform weights over
-    the modified precisions of orders 1..min(BLEU_ORDER, c) times the brevity
-    penalty; 0 for an empty candidate. It stays scalar: numpy's log and exp
-    may round differently from math's in the last place."""
+    """BLEU of a candidate of c >= 1 tokens against a reference of r,
+    matched[n - 1] > 0 of its n-grams clipped-matching the reference's for
+    every n up to min(BLEU_ORDER, c): uniform weights over the modified
+    precisions of those orders times the brevity penalty. It stays scalar:
+    numpy's log and exp may round differently from math's in the last
+    place."""
     n_max = min(BLEU_ORDER, c)
-    if n_max == 0 or 0 in matched[:n_max]:
-        return 0.0
     log_sum = 0.0
     for n in range(1, n_max + 1):
         log_sum += math.log(matched[n - 1] / (c - n + 1))
@@ -242,15 +345,16 @@ def _hyyro_step(eq, vp, vn):
     return (hn << 1) | ~(d0 | hp), hp & d0
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insertions, deletions and substitutions:
-    _hyyro_step on Python ints over the shorter string, the longer one the
-    pattern, which takes the fewest steps and keeps the unmasked bits (one
-    more per step at most) under twice its length. Equal strings return 0."""
+def levenshtein(a, b) -> int:
+    """Edit distance with unit insertions, deletions and substitutions, of
+    two strings or two sequences of any hashable symbols: _hyyro_step on
+    Python ints over the shorter one, the longer one the pattern, which
+    takes the fewest steps and keeps the unmasked bits (one more per step at
+    most) under twice its length. Equal sequences return 0."""
     if a == b:
         return 0
     a, b = sorted((a, b), key=len)
-    peq = {}  # character -> bit mask of its positions in b
+    peq = {}  # symbol -> bit mask of its positions in b
     for i, ch in enumerate(b):
         peq[ch] = peq.get(ch, 0) | 1 << i
     full = (1 << len(b)) - 1
@@ -274,52 +378,62 @@ class EditReferences:
     1 to 64 characters is a Myers/Hyyrö pattern in one np.uint64 lane, and
     all lanes step together, one text character per step (the multiple-
     pattern bit-parallelism of Hyyrö, Fredriksson & Navarro, ACM JEA 10,
-    2005). peq[k, a] has bit i set where character i of sentence k is the
-    character alphabet[a - 1]; column 0 stands for every character that no
-    lane sentence holds, and is 0. Other sentences (empty or longer than 64
-    characters) are scored by levenshtein."""
+    2005). A text comes as the peq column of each of its characters (see
+    columns): peq[k, a] has bit i set where character i of lane sentence k
+    is the character alphabet[a - 1], and column 0 stands for every
+    character that no sentence holds, and is 0. Other sentences (empty or
+    longer than 64 characters) are scored by levenshtein on columns, which
+    keeps the distance: their characters have distinct nonzero columns."""
 
     sentences: tuple
     lengths: np.ndarray  # characters per sentence
-    alphabet: np.ndarray  # sorted code points of the lane sentences' characters
+    alphabet: np.ndarray  # sorted code points of the sentences' characters
     peq: np.ndarray  # (len(sentences), len(alphabet) + 1) np.uint64
 
     @classmethod
     def of(cls, sentences) -> "EditReferences":
         sentences = tuple(sentences)
         lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-        lanes = [k for k, n in enumerate(lengths) if 0 < n <= _LANE_BITS]
-        alphabet = np.unique(_code_points("".join(sentences[k] for k in lanes)))
+        alphabet = np.unique(_code_points("".join(sentences)))
         peq = np.zeros((len(sentences), alphabet.size + 1), dtype=np.uint64)
-        for k in lanes:
-            columns = np.searchsorted(alphabet, _code_points(sentences[k])) + 1
-            bits = np.left_shift(np.uint64(1), np.arange(lengths[k], dtype=np.uint64))
-            np.bitwise_or.at(peq[k], columns, bits)
-        return cls(sentences, lengths, alphabet, peq)
+        refs = cls(sentences, lengths, alphabet, peq)
+        lanes = np.flatnonzero((lengths > 0) & (lengths <= _LANE_BITS))
+        n = lengths[lanes]
+        columns = refs.columns("".join(sentences[k] for k in lanes.tolist()))
+        position = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        bits = np.left_shift(np.uint64(1), position.astype(np.uint64))
+        np.bitwise_or.at(peq, (np.repeat(lanes, n), columns), bits)
+        return refs
 
-    def _columns(self, text: str) -> np.ndarray:
-        """peq column of each character of `text` (0 for one in no lane)."""
+    def columns(self, text: str) -> np.ndarray:
+        """peq column of each character of `text` (0 for one in no
+        sentence). A corpus maps its decoders' alphabet through this once,
+        and then each decoded symbol index through that table."""
         return _index_in(self.alphabet, _code_points(text)) + 1
 
-    def distances(self, indices, texts) -> np.ndarray:
-        """levenshtein(sentences[indices[i]], texts[i]) for every i."""
+    def distances(self, indices, columns, counts) -> np.ndarray:
+        """levenshtein(sentences[indices[i]], text i) for every i, the texts
+        given end to end as peq columns, text i of counts[i] characters."""
         indices = np.asarray(indices, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.int64)
+        firsts = np.cumsum(counts) - counts
         out = np.empty(indices.size, dtype=np.int64)
         m = self.lengths[indices]
         lane = (m > 0) & (m <= _LANE_BITS)
-        for i in np.flatnonzero(~lane):
-            out[i] = levenshtein(self.sentences[indices[i]], texts[i])
+        for i in np.flatnonzero(~lane).tolist():
+            text = columns[firsts[i] : firsts[i] + counts[i]].tolist()
+            out[i] = levenshtein(self.columns(self.sentences[indices[i]]).tolist(), text)
         # lanes sorted by text length, longest first, so that the lanes still
         # reading at step t are a prefix of them
         order = np.flatnonzero(lane)
-        n = np.array([len(texts[i]) for i in order], dtype=np.int64)
-        by_length = np.argsort(-n, kind="stable")
-        order, n = order[by_length], n[by_length]
-        m, ref = m[order], indices[order]
+        order = order[np.argsort(-counts[order], kind="stable")]
+        n, m, ref = counts[order], m[order], indices[order]
         width = int(n.max(initial=0))
         reading = np.arange(width) < n[:, None]
+        at = np.repeat(firsts[order] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         eq = np.zeros((order.size, width), dtype=np.uint64)
-        eq[reading] = self.peq[np.repeat(ref, n), self._columns("".join(texts[i] for i in order))]
+        eq[reading] = self.peq[np.repeat(ref, n), columns[at]]
         eq = np.ascontiguousarray(eq.T)  # eq[t]: the step-t masks of every lane
         vp = np.full(order.size, 2**64 - 1, dtype=np.uint64)
         vn = np.zeros(order.size, dtype=np.uint64)
@@ -330,11 +444,11 @@ class EditReferences:
         out[order] = n + np.bitwise_count(vp & full) - np.bitwise_count(vn & full).astype(np.int64)
         return out
 
-    def char_error_rates(self, indices, texts) -> np.ndarray:
-        """char_error_rate(sentences[indices[i]], texts[i]) for every i."""
-        longest = np.maximum(self.lengths[np.asarray(indices, dtype=np.intp)],
-                             np.array([len(t) for t in texts], dtype=np.int64))
-        return self.distances(indices, texts) / np.maximum(longest, 1)
+    def char_error_rates(self, indices, columns, counts) -> np.ndarray:
+        """char_error_rate(sentences[indices[i]], text i) for every i, the
+        texts given as to distances."""
+        longest = np.maximum(self.lengths[np.asarray(indices, dtype=np.intp)], counts)
+        return self.distances(indices, columns, counts) / np.maximum(longest, 1)
 
 
 def char_error_rate(sent: str, received: str) -> float:

@@ -14,6 +14,7 @@ from rislink.coding import (
     SymbolMatrix,
     huffman_build,
     huffman_decode,
+    huffman_decode_indices,
     huffman_decode_rows,
     huffman_encode,
     huffman_frequencies,
@@ -24,8 +25,9 @@ from rislink.coding import (
     qpsk_demodulate,
     qpsk_modulate,
     sixbit_decode,
-    sixbit_decode_rows,
+    sixbit_decode_indices,
     sixbit_encode,
+    sixbit_encode_folded,
     sixbit_fold,
     store_symbol_matrix,
 )
@@ -198,6 +200,21 @@ def test_huffman_decode_rows_decodes_each_lane(streams):
     assert decoded == [huffman_decode_reference(bits, code) for bits in rows]
 
 
+@given(st.lists(huffman_streams(), max_size=6))
+def test_huffman_decode_indices_index_the_symbols(streams):
+    # the indices, read through code.symbols, are each lane's text; they
+    # come in the smallest unsigned type, and lanes of 0 bits emit nothing
+    code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
+    rows = [np.zeros(0, dtype=np.uint8)] + [bits for _, bits in streams]
+    indices, counts = huffman_decode_indices(np.concatenate(rows), [r.size for r in rows], code)
+    assert indices.dtype == np.min_scalar_type(len(code.table) - 1)
+    assert counts.tolist()[0] == 0 and counts.sum() == indices.size
+    cuts = np.cumsum(counts).tolist()
+    texts = ["".join(code.symbols[i] for i in indices[b - n : b].tolist())
+             for b, n in zip(cuts, counts.tolist())]
+    assert texts == [huffman_decode_reference(bits, code) for bits in rows]
+
+
 def test_huffman_decode_rows_no_lanes_and_multicharacter_symbols():
     code = huffman_build({"a": 1, "b": 2})
     assert huffman_decode_rows([], code) == []
@@ -259,11 +276,23 @@ def test_sixbit_locality_k_flips():
         assert sum(a != b for a, b in zip(decoded, text)) <= k
 
 
-def test_sixbit_decode_rows_decodes_each_row():
+def test_sixbit_decode_indices_index_the_alphabet():
     rng = np.random.default_rng(5)
-    rows = [rng.integers(0, 2, n).astype(np.uint8) for n in (12, 0, 5, 6, 17, 48)]
-    assert sixbit_decode_rows(rows) == [sixbit_decode(bits) for bits in rows]
-    assert sixbit_decode_rows([]) == []
+    for n in (12, 0, 5, 6, 17, 48):
+        bits = rng.integers(0, 2, n).astype(np.uint8)
+        indices = sixbit_decode_indices(bits)
+        assert indices.dtype == np.uint8 and indices.size == n // 6
+        assert "".join(SIXBIT_ALPHABET[i] for i in indices) == sixbit_decode(bits)
+
+
+@given(st.text())
+def test_sixbit_encode_folded_equals_sixbit_encode(text):
+    folded = sixbit_fold(text)
+    assert np.array_equal(sixbit_encode_folded(folded), sixbit_encode(text))
+    assert sixbit_encode_folded(folded).dtype == sixbit_encode(text).dtype == np.uint8
+    if folded != text.lower():
+        with pytest.raises(KeyError):
+            sixbit_encode_folded(text.lower())
 
 
 def test_sixbit_codes_equal_weighted_sum():

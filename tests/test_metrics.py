@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rislink.coding import SIXBIT_ALPHABET
 from rislink.metrics import (
     BleuReferences,
     EditReferences,
     KnowledgeGraph,
+    SymbolTokenizer,
+    _flatten,
     bit_error_rate,
     bit_error_rates,
     bleu,
@@ -370,6 +373,12 @@ REFERENCE = st.text(alphabet="ab c.é漢", max_size=70)
 DECODED = st.text(alphabet="ab c.é漢xZ🙂", max_size=90)
 
 
+def as_columns(lanes, texts):
+    """The arguments EditReferences takes for `texts`: their characters' peq
+    columns, end to end, and each text's length."""
+    return lanes.columns("".join(texts)), [len(t) for t in texts]
+
+
 @st.composite
 def decoded_rows(draw):
     """Reference sentences, and texts to score against some of them: edits
@@ -397,8 +406,8 @@ def test_lane_edit_distance_matches_levenshtein(case):
     lanes = EditReferences.of(references)
     indices = [k for k, _ in rows]
     texts = [text for _, text in rows]
-    distances = lanes.distances(indices, texts)
-    rates = lanes.char_error_rates(indices, texts)
+    distances = lanes.distances(indices, *as_columns(lanes, texts))
+    rates = lanes.char_error_rates(indices, *as_columns(lanes, texts))
     expected = [levenshtein_dp(references[k], t) for k, t in rows]
     assert distances.tolist() == expected
     assert rates.tolist() == [d / max(len(references[k]), len(t), 1)
@@ -411,7 +420,75 @@ def test_lane_edit_distance_characters_in_no_reference():
     lanes = EditReferences.of(["abc", "abcd" * 16])
     assert lanes.alphabet.tolist() == [ord(ch) for ch in "abcd"]
     texts = ["xyz", "xyzw", "Z" * 70, "abcX" + "abcd" * 15]
-    assert lanes.distances([0, 0, 1, 1], texts).tolist() == [3, 4, 70, 1]
+    assert lanes.distances([0, 0, 1, 1], *as_columns(lanes, texts)).tolist() == [3, 4, 70, 1]
+
+
+# --- scoring from symbol indices --------------------------------------------
+
+# the sixbit alphabet plus a non-ASCII letter pair, a non-ASCII digit and a
+# tab, all of which tokenize treats as word or space characters
+SYMBOLS = "".join(dict.fromkeys(SIXBIT_ALPHABET + "éß_٣\t "))
+SYMBOL_TEXT = st.text(alphabet=SYMBOLS, max_size=30)
+
+
+@st.composite
+def symbol_rows(draw):
+    """Reference sentences, and texts over SYMBOLS to score against some of
+    them: empty ones, their reference, or independent texts, which often put
+    a word run at each end of a text."""
+    references = draw(st.lists(SYMBOL_TEXT, min_size=1, max_size=6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, len(references) - 1))
+        rows.append((k, draw(st.one_of(SYMBOL_TEXT, st.just(references[k]), st.just("")))))
+    return references, rows
+
+
+@given(symbol_rows())
+@example((["ab cd.", "cd"], [(0, "ab"), (1, ""), (0, "cd"), (1, "cd,ab"), (0, ""), (1, "ab")]))
+@example((["Zeta ab é٣ß_x", "\t"], [(0, "eta ab"), (0, "é٣ß_x\t"), (1, "\t\t"), (0, "ab")]))
+@example((["a" * 70], [(0, "a" * 69 + "b"), (0, "")]))
+@example((["abc ab"], [(0, "abcd"), (0, "abc"), (0, "ab")]))  # one past the longest token
+def test_symbol_scoring_equals_the_string_path(case):
+    # texts as SYMBOLS indices, end to end: the tokenizer's ids and owners
+    # are tokenize + vocabulary.get, and edit distances and BLEU scores from
+    # indices equal levenshtein and bleu on the strings
+    references, rows = case
+    table = BleuReferences.of(map(tokenize, references))
+    tokenizer = SymbolTokenizer.of(SYMBOLS, table.vocabulary)
+    texts = [text for _, text in rows]
+    tokens = [tokenize(t) for t in texts]
+    codes, counts = as_symbols(texts)
+    flat = tokenizer.flatten(codes, counts)
+    size = len(table.vocabulary)
+    assert flat[0].tolist() == [table.vocabulary.get(t, size) for ts in tokens for t in ts]
+    assert flat[1].tolist() == [k for k, ts in enumerate(tokens) for _ in ts]
+    for got, expected in zip(flat, _flatten(tokens, table.vocabulary)):
+        assert got.tolist() == expected.tolist()
+
+    indices = [k for k, _ in rows]
+    edits = EditReferences.of(references)
+    distances = edits.distances(indices, edits.columns(SYMBOLS)[codes], counts)
+    assert distances.tolist() == [levenshtein(references[k], t) for k, t in rows]
+    scored = [(k, t) for k, t in rows if table.lengths[k]]  # BLEU needs reference tokens
+    scores = table.flat_scores([k for k, _ in scored],
+                               tokenizer.flatten(*as_symbols([t for _, t in scored])))
+    assert scores.tolist() == [bleu(tokenize(t), tokenize(references[k])) for k, t in scored]
+
+
+def as_symbols(texts):
+    """Texts over SYMBOLS as their symbol indices, end to end, and each
+    text's length."""
+    codes = np.array([SYMBOLS.index(ch) for ch in "".join(texts)], dtype=np.uint8)
+    return codes, np.array([len(t) for t in texts], dtype=np.int64)
+
+
+def test_symbol_tokenizer_needs_single_characters():
+    with pytest.raises(ValueError, match="single-character"):
+        SymbolTokenizer.of(["a", "bc"], {"a": 0})
+    empty = SymbolTokenizer.of("ab", {})
+    assert empty.depth == 0 and empty.keys.size == 0
+    assert empty.flatten(np.array([0, 1, 0], dtype=np.uint8), [2, 1])[0].tolist() == [0, 0]
 
 
 # --- file ingestion -------------------------------------------------------------
