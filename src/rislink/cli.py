@@ -2,7 +2,6 @@
 
 Subcommands:
   sweep     run the full ratio x quantization sweep and write the CSV
-  codebook  dump the configured codebook as JSON
   snr       report the selected codeword and SNR for one (ratio, bits) point
   transmit  pass a symbol-matrix file through the configured channel
   metrics   score decoded text / graph / embedding files against references
@@ -23,11 +22,9 @@ from .harness import (
     build_scene,
     configure_point,
     derive_seed,
-    load_sentences,
     run_sweep,
 )
 from .link import snr, transmit
-from .ris import store_codebook
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -47,14 +44,6 @@ def cmd_sweep(args) -> int:
     records = run_sweep(cfg, jobs=args.jobs,
                         quantize_before_select=args.quantize_before_select)
     print(f"wrote {len(records)} records to {cfg.output_path}")
-    return 0
-
-
-def cmd_codebook(args) -> int:
-    cfg = _load_config(args.config)
-    scene = build_scene(cfg)
-    store_codebook(scene.codebook, args.out)
-    print(f"wrote {len(scene.codebook)} codewords to {args.out}")
     return 0
 
 
@@ -85,12 +74,26 @@ def cmd_transmit(args) -> int:
     return 0
 
 
+def _read_lines(path) -> list:
+    """The lines of a text file without their line ends; a line end at the
+    end of the file starts no further line."""
+    with open(path) as f:
+        return [line.rstrip("\n") for line in f]
+
+
 def cmd_metrics(args) -> int:
     if not (math.isfinite(args.max_bleu) and args.max_bleu > 0):
         raise ValueError(f"--max-bleu must be a positive finite number, got {args.max_bleu}")
     report = {}
     if args.ref and args.hyp:
-        refs, hyps = load_sentences(args.ref), load_sentences(args.hyp)
+        # line k of --hyp is scored against line k of --ref; a blank
+        # hypothesis is an empty candidate, a blank reference has no score
+        refs, hyps = _read_lines(args.ref), _read_lines(args.hyp)
+        if not refs:
+            raise ValueError(f"{args.ref}: file has no lines")
+        for n, ref in enumerate(refs, 1):
+            if not ref.strip():
+                raise ValueError(f"{args.ref}: line {n} is blank")
         if len(refs) != len(hyps):
             raise ValueError(f"reference has {len(refs)} lines, hypothesis {len(hyps)}")
         table = metrics_mod.BleuReferences.of(map(metrics_mod.tokenize, refs))
@@ -134,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantize-before-select", action="store_true",
                    help="re-rank codewords on quantized SNR (non-default scheme)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("codebook", help="dump the codebook as JSON")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_codebook)
 
     p = sub.add_parser("snr", help="selected codeword and SNR at one point")
     p.add_argument("--config")

@@ -210,24 +210,11 @@ def huffman_decode_indices(bits: np.ndarray, lengths, code: HuffmanCode):
     return indices.astype(np.min_scalar_type(max(n_symbols - 1, 0))), emitted.sum(axis=1)
 
 
-def huffman_decode_rows(rows, code: HuffmanCode) -> list:
-    """huffman_decode_indices of a list of bit streams, as one text per
-    stream; a symbol may be any string."""
-    lengths = [np.size(r) for r in rows]
-    indices, counts = huffman_decode_indices(
-        np.concatenate(rows) if rows else np.zeros(0, dtype=np.uint8), lengths, code)
-    symbols = code.symbols
-    text = "".join(map(symbols.__getitem__, indices.tolist()))
-    sizes = np.fromiter(map(len, symbols), dtype=np.intp, count=len(symbols))
-    ends = np.concatenate(([0], np.cumsum(sizes[indices])))
-    cuts = ends[np.concatenate(([0], np.cumsum(counts)))].tolist()
-    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def huffman_decode(bits: np.ndarray, code: HuffmanCode) -> str:
-    """Greedy prefix decoding of one bit stream (huffman_decode_rows with
-    one lane)."""
-    return huffman_decode_rows([bits], code)[0]
+    """Greedy prefix decoding of one bit stream (huffman_decode_indices with
+    one lane) to text; a symbol may be any string."""
+    indices, _ = huffman_decode_indices(bits, [np.size(bits)], code)
+    return "".join(map(code.symbols.__getitem__, indices.tolist()))
 
 
 def huffman_frequencies(corpus) -> Counter:

@@ -14,7 +14,6 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from typing import get_args
 
 import numpy as np
 
@@ -156,12 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**payload)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text + "\n")
-        return text
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)
@@ -241,17 +236,9 @@ class SweepRecord:
     seed: int
 
 
-def _column(f) -> tuple:
-    """(name, parser, text written for None) of one SweepRecord field. An
-    optional int (bits) writes None as "none", an optional float as an empty
-    cell; a required field has no None text."""
-    parse, *optional = get_args(f.type) or (f.type,)
-    none = ("none" if parse is int else "") if optional else None
-    return f.name, parse, none
-
-
-_COLUMNS = [_column(f) for f in fields(SweepRecord)]
-CSV_COLUMNS = [name for name, _, _ in _COLUMNS]
+# (name, text written for None) of each SweepRecord field: "none" for
+# continuous phases, an empty cell for a metric that does not apply
+_COLUMNS = [(f.name, "none" if f.name == "bits" else "") for f in fields(SweepRecord)]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -339,20 +326,13 @@ def _corpus(name, sentences, encoded, code, modulation) -> _Corpus:
                    sent, starts, sizes)
 
 
-def _receive(corpus: _Corpus, equalized: np.ndarray, demodulate):
-    """The corpus's padded bits demodulated from its equalized row in one
-    call, and each sentence's bit error rate from one comparison with the
-    sent row (see metrics.bit_error_rates), in which a pad bit never
-    counts."""
-    received = demodulate(equalized)
-    return received, metrics.bit_error_rates(corpus.sent, received, corpus.starts, corpus.sizes)
-
-
 def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     """Score one method's corpus at several gains: for each gain (a row),
     send the whole corpus through the scalar channel in a single
     transmission, drawing from that row's rng, and demodulate it as one row.
-    A sentence that arrived without a bit error decodes to itself (both
+    Each sentence's bit error rate comes from one comparison of that row
+    with the sent one (see metrics.bit_error_rates), in which a pad bit never
+    counts. A sentence that arrived without a bit error decodes to itself (both
     codes round-trip every sentence), so it scores char_err 0 and BLEU 1
     undecoded. The bits of the other sentences of every row are gathered
     end to end and decoded in one call to symbol indices, and their edit
@@ -362,9 +342,10 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     demodulate = coding.MODULATIONS[modulation][1]
     rows = []
     for g, rng in zip(gains, rngs):
-        received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
-        equalized = equalize(received, g, scene.budget.p_tx).values[0]
-        rows.append(_receive(corpus, equalized, demodulate))
+        noisy = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
+        received = demodulate(equalize(noisy, g, scene.budget.p_tx).values[0])
+        rows.append((received, metrics.bit_error_rates(corpus.sent, received,
+                                                       corpus.starts, corpus.sizes)))
     bers = np.array([row_bers for _, row_bers in rows])
     row, indices = np.nonzero(bers)  # row after row, each row's sentences in order
     char_errs = np.zeros(bers.shape)
@@ -417,8 +398,7 @@ def _prepare_methods(cfg: ExperimentConfig):
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
-              quantize_before_select: bool = False,
-              write_csv: bool = True) -> list:
+              quantize_before_select: bool = False) -> list:
     """Full sweep over ratios x quantizations x methods. Every ratio's
     codeword is selected first (see _configure_ratios), before the inputs
     are read and encoded, so that selection, the sweep's largest working
@@ -475,8 +455,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     else:
         nested = [run_ratio(i, *task) for i, task in enumerate(zip(cfg.ratios, configured))]
     records = [rec for group in nested for rec in group]
-    if write_csv:
-        write_records(records, cfg.output_path)
+    write_records(records, cfg.output_path)
     return records
 
 
@@ -495,31 +474,11 @@ def write_records(records, path) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow([name for name, _ in _COLUMNS])
             for r in records:
-                writer.writerow([_format_cell(getattr(r, name), none)
-                                 for name, _, none in _COLUMNS])
+                writer.writerow([_format_cell(getattr(r, name), none) for name, none in _COLUMNS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def read_records(path) -> list:
-    """Inverse of write_records; used for round-trip checks."""
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for row in reader:
-            if len(row) != len(_COLUMNS):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
-                                 f"expected {len(_COLUMNS)}")
-            records.append(SweepRecord(**{
-                name: None if cell == none else parse(cell)
-                for (name, parse, none), cell in zip(_COLUMNS, row)
-            }))
-    return records

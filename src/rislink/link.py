@@ -41,10 +41,16 @@ class LinkBudget:
 
 
 def dbm_to_watts(dbm: float) -> float:
+    """A power of `dbm` dBm in watts: -inf dBm is 0 W, the noiseless case,
+    and a finite value too large for a float or too small for a positive one
+    is a ValueError."""
     try:
-        return math.pow(10.0, (dbm - 30.0) / 10.0)
+        watts = math.pow(10.0, (dbm - 30.0) / 10.0)
     except OverflowError:
         raise ValueError(f"a power of {dbm!r} dBm is too large in watts") from None
+    if watts == 0.0 and dbm > -math.inf:
+        raise ValueError(f"noise_dbm = {dbm!r} underflows to 0 W; -Infinity is the noiseless case")
+    return watts
 
 
 def steering_precoder(tx: PlanarArray, target, wavelength: float) -> np.ndarray:
@@ -68,10 +74,10 @@ def end_to_end_channel(h_ris_tx: ChannelMatrix, cfg, h_rx_ris: ChannelMatrix) ->
     zero. The sweep computes the same scalar as RisConfiguration.gain; this
     full composition is the reference the tests compare it against."""
     n_r = h_ris_tx.shape[0]
-    if h_rx_ris.shape[1] != n_r or cfg.num_elements != n_r:
+    if h_rx_ris.shape[1] != n_r or cfg.phases.size != n_r:
         raise ValueError(
             f"dimension mismatch: H_ris,tx {h_ris_tx.shape}, "
-            f"H_rx,ris {h_rx_ris.shape}, {cfg.num_elements} RIS phases"
+            f"H_rx,ris {h_rx_ris.shape}, {cfg.phases.size} RIS phases"
         )
     theta = cfg.reflection_coefficients()
     entries = (h_rx_ris.entries * theta[None, :]) @ h_ris_tx.entries

@@ -11,7 +11,6 @@ Conventions, frozen for reproducibility:
     and the one that rounds highest wins.
 """
 
-import json
 import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -56,8 +55,10 @@ def _check_bits(bits, name: str, optional: bool = False) -> None:
 
 @dataclass(frozen=True)
 class RisConfiguration:
-    """Per-element phase shifts in [0, 2*pi), an active mask, and the
-    quantization precision applied (None = continuous)."""
+    """Per-element phase shifts in [0, 2*pi], an active mask, and the
+    quantization precision applied (None = continuous). The phases are
+    taken mod 2*pi, which gives exactly 2*pi for a phase in about
+    (-4.4e-16, 0)."""
 
     phases: np.ndarray
     active_mask: np.ndarray
@@ -73,10 +74,6 @@ class RisConfiguration:
         _check_bits(self.quantization_bits, "quantization_bits", optional=True)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "active_mask", mask)
-
-    @property
-    def num_elements(self) -> int:
-        return self.phases.size
 
     def reflection_coefficients(self) -> np.ndarray:
         """Diagonal of the reflection matrix; inactive elements absorb (0)."""
@@ -117,9 +114,9 @@ class Codebook:
         return element_positions(self.ris) - self.ris.center  # (N, 3)
 
     def phases(self, k: int) -> np.ndarray:
-        """Element phases of codeword k in [0, 2*pi): for element i at
-        offset p_i from the array center, theta_i = mod(-kappa * p_i .
-        (u_inc + u_k), 2*pi)."""
+        """Element phases of codeword k in [0, 2*pi] (2*pi as in
+        RisConfiguration): for element i at offset p_i from the array
+        center, theta_i = mod(-kappa * p_i . (u_inc + u_k), 2*pi)."""
         kappa = TWO_PI / self.wavelength
         steer = self.incident_direction + self.directions[k]
         return np.mod(-kappa * (self._offsets @ steer), TWO_PI)
@@ -310,46 +307,23 @@ def select_codeword(
     mask: np.ndarray,
     bits: int | None = None,
 ) -> tuple[int, RisConfiguration, float]:
-    """select_by_coefficients on the cascaded coefficients of the two
-    channel matrices under the budget's weights."""
+    """The codeword _select_rows picks under `mask` from the cascaded
+    coefficients of the two channel matrices under the budget's weights: its
+    index, applied configuration and linear SNR."""
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
-    return select_by_coefficients(cb, c, budget, mask, bits)
-
-
-def select_by_coefficients(
-    cb: Codebook,
-    c: np.ndarray,
-    budget,
-    mask: np.ndarray,
-    bits: int | None = None,
-) -> tuple[int, RisConfiguration, float]:
-    """select_by_coefficients_rows under one mask."""
-    return select_by_coefficients_rows(cb, c, budget, np.asarray(mask)[None], bits)[0]
-
-
-def select_by_coefficients_rows(
-    cb: Codebook,
-    c: np.ndarray,
-    budget,
-    masks: np.ndarray,
-    bits: int | None = None,
-) -> list:
-    """Under each mask of the stack `masks` (M, N), score every codeword by
-    its gain power |sum_active exp(1j*theta_i) * c_i|^2 for the per-element
-    cascaded coefficients c (phases quantized first when `bits` is given)
-    and pick the best one: the lowest index among bitwise-equal best powers,
-    and among powers equal only up to rounding, the one that rounds highest.
-    Returns one (index, applied configuration, linear SNR) per mask; see
-    _select_rows."""
-    return [(k, cfg, snr_linear(g, budget))
-            for [(k, cfg, g)] in _select_rows(cb, c, masks, bits, [bits])]
+    [[(k, cfg, g)]] = _select_rows(cb, c, np.asarray(mask)[None], bits, [bits])
+    return k, cfg, snr_linear(g, budget)
 
 
 def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) -> list:
-    """Per mask of `masks` (M, N), the codeword select_by_coefficients_rows
-    picks under `bits`, applied at each depth of `applied`: one (index,
-    configuration, gain) per entry, the winner's configuration quantized to
-    that many bits (None: continuous).
+    """Under each mask of `masks` (M, N), score every codeword by its gain
+    power |sum_active exp(1j*theta_i) * c_i|^2 for the per-element cascaded
+    coefficients c (phases quantized first when `bits` is given) and pick
+    the best one: the lowest index among bitwise-equal best powers, and
+    among powers equal only up to rounding, the one that rounds highest.
+    Returns, per mask, one (index, configuration, gain) per entry of
+    `applied`, the winner's configuration quantized to that many bits
+    (None: continuous).
 
     One separable filter pass (_filter_amplitudes) scores the whole codebook
     under every mask in single precision. The exact winner's filter
@@ -394,15 +368,3 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
             points.append((best, cfg, cfg.gain(c)))
         selected.append(points)
     return selected
-
-
-def store_codebook(cb: Codebook, path) -> None:
-    payload = {
-        "incident_direction": cb.incident_direction.tolist(),
-        "entries": [
-            {"direction": d.tolist(), "phases": cb.phases(k).tolist()}
-            for k, d in enumerate(cb.directions)
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)

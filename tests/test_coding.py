@@ -15,7 +15,6 @@ from rislink.coding import (
     huffman_build,
     huffman_decode,
     huffman_decode_indices,
-    huffman_decode_rows,
     huffman_encode,
     huffman_frequencies,
     load_symbol_matrix,
@@ -192,35 +191,30 @@ def test_huffman_decode_greedy_on_any_table():
 
 
 @given(st.lists(huffman_streams(), max_size=6))
-def test_huffman_decode_rows_decodes_each_lane(streams):
-    # one code for every lane; lanes of unequal lengths, empty ones included
-    code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
-    rows = [bits for _, bits in streams] + [np.zeros(0, dtype=np.uint8)]
-    decoded = huffman_decode_rows(rows, code)
-    assert decoded == [huffman_decode_reference(bits, code) for bits in rows]
-
-
-@given(st.lists(huffman_streams(), max_size=6))
 def test_huffman_decode_indices_index_the_symbols(streams):
     # the indices, read through code.symbols, are each lane's text; they
-    # come in the smallest unsigned type, and lanes of 0 bits emit nothing
+    # come in the smallest unsigned type, and lanes of 0 bits, first or
+    # last, emit nothing; one code for every lane, of unequal lengths
     code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
-    rows = [np.zeros(0, dtype=np.uint8)] + [bits for _, bits in streams]
+    empty = np.zeros(0, dtype=np.uint8)
+    rows = [empty] + [bits for _, bits in streams] + [empty]
     indices, counts = huffman_decode_indices(np.concatenate(rows), [r.size for r in rows], code)
     assert indices.dtype == np.min_scalar_type(len(code.table) - 1)
-    assert counts.tolist()[0] == 0 and counts.sum() == indices.size
+    assert counts.tolist()[0] == counts.tolist()[-1] == 0 and counts.sum() == indices.size
     cuts = np.cumsum(counts).tolist()
     texts = ["".join(code.symbols[i] for i in indices[b - n : b].tolist())
              for b, n in zip(cuts, counts.tolist())]
     assert texts == [huffman_decode_reference(bits, code) for bits in rows]
 
 
-def test_huffman_decode_rows_no_lanes_and_multicharacter_symbols():
+def test_huffman_decode_no_lanes_and_multicharacter_symbols():
     code = huffman_build({"a": 1, "b": 2})
-    assert huffman_decode_rows([], code) == []
+    indices, counts = huffman_decode_indices(np.zeros(0, dtype=np.uint8), [], code)
+    assert indices.size == counts.size == 0
     code = HuffmanCode({"ab": "0", "": "10", "cde": "11"})
-    rows = [np.array(r, dtype=np.uint8) for r in ([0, 1, 1, 0], [1, 0, 1], [1, 1, 0, 1])]
-    assert huffman_decode_rows(rows, code) == ["abcdeab", "", "cdeab"]
+    rows = ([0, 1, 1, 0], [1, 0, 1], [1, 1, 0, 1])
+    assert [huffman_decode(np.array(r, dtype=np.uint8), code) for r in rows] == [
+        "abcdeab", "", "cdeab"]
 
 
 def test_huffman_deterministic():

@@ -50,6 +50,11 @@ def test_budget_rejects_non_finite_powers(p_tx, noise):
 def test_noise_power_from_dbm():
     assert dbm_to_watts(-120.0) == pytest.approx(1e-15, rel=1e-12)
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
+    assert dbm_to_watts(-math.inf) == 0.0  # the noiseless case
+    assert dbm_to_watts(-3200.0) > 0.0  # subnormal, not 0
+    for dbm in (-3300.0, -1e300):  # finite, but 0 W as a float
+        with pytest.raises(ValueError, match="noise_dbm"):
+            dbm_to_watts(dbm)
 
 
 def test_steering_precoder_trivial_cases():

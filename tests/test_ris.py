@@ -17,11 +17,9 @@ from rislink.ris import (
     cascaded_coefficients,
     conjugate_phases,
     quantize_phases,
-    select_by_coefficients,
-    select_by_coefficients_rows,
     select_codeword,
 )
-from rislink.ris import _filter_amplitudes, _quantize
+from rislink.ris import _filter_amplitudes, _quantize, _select_rows
 
 LAM = wavelength(28e9)
 
@@ -348,16 +346,17 @@ def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
                          + [mask, rng.random(mask.size) < 0.5, np.ones(mask.size, dtype=bool),
                             np.zeros(mask.size, dtype=bool)])
         for bits in (None, 1, 2, 3):
-            rows = select_by_coefficients_rows(cb, c, budget, masks, bits)
+            rows = _select_rows(cb, c, masks, bits, [bits])
             assert len(rows) == len(masks)
-            for m, (idx, cfg, value) in zip(masks, rows):
+            for m, [(idx, cfg, g)] in zip(masks, rows):
+                [[(one_idx, one_cfg, one_g)]] = _select_rows(cb, c, m[None], bits, [bits])
                 for ref_idx, ref_cfg, ref_value in (
-                        select_by_coefficients(cb, c, budget, m, bits),
+                        (one_idx, one_cfg, snr_linear(one_g, budget)),
                         block_scan_select_by_coefficients(cb, c, budget, m, bits)):
                     assert idx == ref_idx
                     np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
                     np.testing.assert_array_equal(cfg.active_mask, ref_cfg.active_mask)
-                    assert value == ref_value
+                    assert snr_linear(g, budget) == ref_value
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (5, 5), (3, 7), (12, 10)])
@@ -388,9 +387,9 @@ def test_selection_rejects_misshapen_masks():
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
     for masks in (mask, mask[None, :-1], mask.reshape(1, 4, 4)):
         with pytest.raises(ValueError):
-            select_by_coefficients_rows(cb, c, budget, masks)
+            _select_rows(cb, c, masks, None, [None])
     with pytest.raises(ValueError):
-        select_by_coefficients(cb, c, budget, mask[:-1])
+        select_codeword(cb, h_ris_tx, h_rx_ris, budget, mask[:-1])
 
 
 def test_select_codeword_equals_selection_on_coefficients():
@@ -400,11 +399,11 @@ def test_select_codeword_equals_selection_on_coefficients():
         for m in (mask, np.ones(mask.size, dtype=bool)):
             for bits in (None, 1, 2):
                 idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, m, bits)
-                c_idx, c_cfg, c_value = select_by_coefficients(cb, c, budget, m, bits)
+                [[(c_idx, c_cfg, g)]] = _select_rows(cb, c, m[None], bits, [bits])
                 assert idx == c_idx
                 np.testing.assert_array_equal(cfg.phases, c_cfg.phases)
                 np.testing.assert_array_equal(cfg.active_mask, c_cfg.active_mask)
-                assert value == c_value
+                assert value == snr_linear(g, budget)
 
 
 @pytest.mark.parametrize("bits", [None, 1, 2, 3])
