@@ -191,16 +191,28 @@ def test_huffman_decode_greedy_on_any_table():
 
 
 @given(st.lists(huffman_streams(), max_size=6))
+def test_huffman_decode_rows_decodes_each_lane(streams):
+    # one code for every lane; lanes of unequal lengths, empty ones included:
+    # decoding them end to end gives, lane by lane, huffman_decode of each
+    code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
+    rows = [bits for _, bits in streams] + [np.zeros(0, dtype=np.uint8)]
+    indices, counts = huffman_decode_indices(np.concatenate(rows), [r.size for r in rows], code)
+    cuts = np.cumsum(counts).tolist()
+    decoded = ["".join(code.symbols[i] for i in indices[b - n : b].tolist())
+               for b, n in zip(cuts, counts.tolist())]
+    assert decoded == [huffman_decode(bits, code) for bits in rows]
+    assert decoded == [huffman_decode_reference(bits, code) for bits in rows]
+
+
+@given(st.lists(huffman_streams(), max_size=6))
 def test_huffman_decode_indices_index_the_symbols(streams):
     # the indices, read through code.symbols, are each lane's text; they
-    # come in the smallest unsigned type, and lanes of 0 bits, first or
-    # last, emit nothing; one code for every lane, of unequal lengths
+    # come in the smallest unsigned type, and lanes of 0 bits emit nothing
     code = streams[0][0] if streams else huffman_build({"a": 1, "b": 2})
-    empty = np.zeros(0, dtype=np.uint8)
-    rows = [empty] + [bits for _, bits in streams] + [empty]
+    rows = [np.zeros(0, dtype=np.uint8)] + [bits for _, bits in streams]
     indices, counts = huffman_decode_indices(np.concatenate(rows), [r.size for r in rows], code)
     assert indices.dtype == np.min_scalar_type(len(code.table) - 1)
-    assert counts.tolist()[0] == counts.tolist()[-1] == 0 and counts.sum() == indices.size
+    assert counts.tolist()[0] == 0 and counts.sum() == indices.size
     cuts = np.cumsum(counts).tolist()
     texts = ["".join(code.symbols[i] for i in indices[b - n : b].tolist())
              for b, n in zip(cuts, counts.tolist())]
