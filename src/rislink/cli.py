@@ -34,7 +34,10 @@ def _load_config(path) -> ExperimentConfig:
 def _parse_bits(text):
     if text in (None, "none"):
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--bits must be an integer >= 1 or 'none', got {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -77,15 +80,20 @@ def cmd_transmit(args) -> int:
 def _read_lines(path) -> list:
     """The lines of a text file without their line ends; a line end at the
     end of the file starts no further line."""
-    with open(path) as f:
-        return [line.rstrip("\n") for line in f]
+    text = coding.read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def cmd_metrics(args) -> int:
     if not (math.isfinite(args.max_bleu) and args.max_bleu > 0):
         raise ValueError(f"--max-bleu must be a positive finite number, got {args.max_bleu}")
+    for pair in (("ref", "hyp"), ("ref_graph", "hyp_graph"), ("ref_emb", "hyp_emb")):
+        ref, hyp = (bool(getattr(args, name)) for name in pair)
+        if ref != hyp:
+            given, missing = (f"--{name.replace('_', '-')}" for name in pair[::1 if ref else -1])
+            raise ValueError(f"{given} needs {missing}")
     report = {}
-    if args.ref and args.hyp:
+    if args.ref:
         # line k of --hyp is scored against line k of --ref; a blank
         # hypothesis is an empty candidate, a blank reference has no score
         refs, hyps = _read_lines(args.ref), _read_lines(args.hyp)
@@ -96,19 +104,19 @@ def cmd_metrics(args) -> int:
                 raise ValueError(f"{args.ref}: line {n} is blank")
         if len(refs) != len(hyps):
             raise ValueError(f"reference has {len(refs)} lines, hypothesis {len(hyps)}")
-        table = metrics_mod.BleuReferences.of(map(metrics_mod.tokenize, refs))
+        table = metrics_mod.BleuReferences(map(metrics_mod.tokenize, refs))
         scores = table.scores(range(len(refs)), list(map(metrics_mod.tokenize, hyps)))
         report["bleu"] = float(np.mean(scores))
         report["rel_bleu"] = report["bleu"] / args.max_bleu
         report["char_err"] = float(
             np.mean([metrics_mod.char_error_rate(r, h) for r, h in zip(refs, hyps)])
         )
-    if args.ref_graph and args.hyp_graph:
+    if args.ref_graph:
         src = metrics_mod.load_graph(args.ref_graph)
         dec = metrics_mod.load_graph(args.hyp_graph)
         precision, recall, f1 = metrics_mod.triplet_f1(src, dec)
         report.update(precision=precision, recall=recall, f1=f1)
-    if args.ref_emb and args.hyp_emb:
+    if args.ref_emb:
         a = metrics_mod.load_embeddings(args.ref_emb)
         b = metrics_mod.load_embeddings(args.hyp_emb)
         if a.shape != b.shape:

@@ -66,12 +66,27 @@ def store_symbol_matrix(m: SymbolMatrix, path) -> None:
         json.dump(payload, f)
 
 
-def load_symbol_matrix(path) -> SymbolMatrix:
-    with open(path) as f:
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is a ValueError
+    naming it."""
+    with open(path, encoding="utf-8") as f:
         try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed symbol-matrix file: {exc}") from exc
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON value of a UTF-8 file (see read_text); malformed JSON is a
+    ValueError naming the file and `what` it should hold."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed {what}: {exc}") from exc
+
+
+def load_symbol_matrix(path) -> SymbolMatrix:
+    payload = read_json(path, "symbol-matrix file")
     try:
         n_rows, n_cols = payload["n_rows"], payload["n_cols"]
         raw = np.asarray(payload["data"], dtype=float)

@@ -21,11 +21,12 @@ def _as_vec3(v) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
-    """Normalize v to unit length; raises on the zero vector."""
+    """Normalize v to unit length; raises when its norm is 0 or overflows."""
     a = _as_vec3(v)
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(a)
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n}")
     return a / n
 
 

@@ -43,6 +43,10 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and x == x
 
 
+def _is_finite(x) -> bool:
+    return _is_real(x) and abs(x) < math.inf
+
+
 def _is_count(x, least: int = 1) -> bool:
     return isinstance(x, int) and _is_real(x) and x >= least
 
@@ -66,13 +70,18 @@ class ArraySpec:
     normal: list | None = None  # None -> default orientation rule
 
     def __post_init__(self):
-        _require(_is_list(self.center, _is_real, 3), "center", "3 numbers", self.center)
+        _require(_is_list(self.center, _is_finite, 3), "center", "3 finite numbers", self.center)
         _require(_is_count(self.rows) and _is_count(self.cols),
                  "rows and cols", "positive integers", (self.rows, self.cols))
-        _require(self.spacing is None or _is_real(self.spacing) and self.spacing > 0,
-                 "spacing", "a positive number", self.spacing)
-        _require(self.normal is None or _is_list(self.normal, _is_real, 3),
-                 "normal", "3 numbers", self.normal)
+        _require(self.spacing is None or _is_finite(self.spacing) and self.spacing > 0,
+                 "spacing", "a positive finite number", self.spacing)
+        _require(self.normal is None or _is_list(self.normal, _is_finite, 3),
+                 "normal", "3 finite numbers", self.normal)
+        if self.normal is not None:
+            try:
+                unit(self.normal)
+            except ValueError as exc:
+                raise ValueError(f"normal: {exc}") from None
 
 
 @dataclass
@@ -143,11 +152,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            try:
-                payload = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed config: {exc}") from exc
+        payload = coding.read_json(path, "config")
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         unknown = set(payload) - {f.name for f in fields(cls)}
@@ -159,20 +164,16 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2)
 
 
-@dataclass(frozen=True)
 class Scene:
     """A config's arrays, link budget, codebook and per-element cascaded
     coefficients c_i under the budget's weights, which are all a sweep
     reads. The two channel matrices are built from the arrays on first
     access."""
 
-    tx: PlanarArray
-    rx: PlanarArray
-    ris: PlanarArray
-    budget: LinkBudget
-    path_loss: PathLossModel
-    codebook: Codebook
-    coefficients: np.ndarray
+    def __init__(self, tx: PlanarArray, rx: PlanarArray, ris: PlanarArray, budget: LinkBudget,
+                 path_loss: PathLossModel, codebook: Codebook, coefficients: np.ndarray):
+        self.tx, self.rx, self.ris, self.budget = tx, rx, ris, budget
+        self.path_loss, self.codebook, self.coefficients = path_loss, codebook, coefficients
 
     @cached_property
     def h_ris_tx(self) -> ChannelMatrix:
@@ -204,6 +205,11 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     rx_center = np.asarray(cfg.rx.center, float)
     ris_center = np.asarray(cfg.ris.center, float)
     midpoint = (tx_center + rx_center) / 2.0
+    for name, center in (("tx", tx_center), ("rx", rx_center)):
+        _require((center != ris_center).any(), f"{name}.center", "apart from ris.center",
+                 getattr(cfg, name).center)
+    _require(cfg.ris.normal is not None or (midpoint != ris_center).any(), "ris.center",
+             "apart from the midpoint of tx and rx when ris.normal is null", cfg.ris.center)
 
     tx = _build_array(cfg.tx, spacing, ris_center)
     rx = _build_array(cfg.rx, spacing, ris_center)
@@ -275,30 +281,36 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     return idx, cfg, snr_linear(g, scene.budget)
 
 
-@dataclass(frozen=True)
 class _Corpus:
     """One method's corpus, modulated once into a single symbol row. Each
     sentence's bits are padded with zero bits to whole symbols on their own;
     `sent` is the padded bits of every sentence in turn, which is the layout
     of the demodulated row: sentence k spans starts[k]:starts[k] + sizes[k]
-    there, and its pad follows. The method decodes to indices into
-    `alphabet` (see decode). The sentences' BLEU references are tokenized
-    and counted once, in `references`, with `tokenizer` reading the same
-    tokens off symbol indices, and their edit-distance lanes built once, in
-    `edits`, with `columns` the peq column of each alphabet symbol."""
+    there, and its pad follows; `runs` holds each sentence's size and then
+    its pad's, in turn. The method decodes to indices into `alphabet` (see
+    decode); `code` is None for the fixed 6-bit code. The sentences' BLEU
+    references are tokenized and counted once, in `references`, with
+    `tokenizer` reading the same tokens off symbol indices, and their
+    edit-distance lanes built once, in `edits`, with `columns` the peq
+    column of each alphabet symbol."""
 
-    name: str
-    sentences: list
-    code: coding.HuffmanCode | None  # None: the fixed 6-bit code
-    alphabet: str
-    references: metrics.BleuReferences
-    tokenizer: metrics.SymbolTokenizer
-    edits: metrics.EditReferences
-    columns: np.ndarray
-    symbols: coding.SymbolMatrix
-    sent: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
+    def __init__(self, name: str, sentences: list, encoded, code: coding.HuffmanCode | None,
+                 modulation: str):
+        self.name, self.sentences, self.code = name, sentences, code
+        self.sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
+        pads = -self.sizes % coding.BITS_PER_SYMBOL[modulation]
+        self.starts = np.cumsum(self.sizes + pads) - self.sizes - pads
+        self.runs = np.column_stack((self.sizes, pads)).ravel()
+        self.sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
+                                    for part in (bits, np.zeros(pad, dtype=np.uint8))])
+        symbols, _ = coding.MODULATIONS[modulation][0](self.sent)
+        self.symbols = coding.SymbolMatrix(symbols.reshape(1, -1))
+        # a Huffman code built from character counts has one character per symbol
+        self.alphabet = coding.SIXBIT_ALPHABET if code is None else "".join(code.symbols)
+        self.references = metrics.BleuReferences(map(metrics.tokenize, sentences))
+        self.tokenizer = metrics.SymbolTokenizer(self.alphabet, self.references.vocabulary)
+        self.edits = metrics.EditReferences(sentences)
+        self.columns = self.edits.columns(self.alphabet)
 
     def decode(self, bits: np.ndarray, sizes: np.ndarray):
         """The symbol indices of bit streams of sizes[k] bits given end to
@@ -307,23 +319,6 @@ class _Corpus:
         if self.code is None:
             return coding.sixbit_decode_indices(bits), sizes // 6
         return coding.huffman_decode_indices(bits, sizes, self.code)
-
-
-def _corpus(name, sentences, encoded, code, modulation) -> _Corpus:
-    sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
-    pads = -sizes % coding.BITS_PER_SYMBOL[modulation]
-    starts = np.cumsum(sizes + pads) - sizes - pads
-    sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
-                           for part in (bits, np.zeros(pad, dtype=np.uint8))])
-    symbols, _ = coding.MODULATIONS[modulation][0](sent)
-    # a Huffman code built from character counts has one character per symbol
-    alphabet = coding.SIXBIT_ALPHABET if code is None else "".join(code.symbols)
-    references = metrics.BleuReferences.of(map(metrics.tokenize, sentences))
-    edits = metrics.EditReferences.of(sentences)
-    return _Corpus(name, sentences, code, alphabet, references,
-                   metrics.SymbolTokenizer.of(alphabet, references.vocabulary), edits,
-                   edits.columns(alphabet), coding.SymbolMatrix(symbols.reshape(1, -1)),
-                   sent, starts, sizes)
 
 
 def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
@@ -352,11 +347,10 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     bleus = np.ones(bers.shape)
     if indices.size:
         # the received row as runs: each sentence's bits, then its pad
-        pads = np.append(corpus.starts[1:], corpus.sent.size) - corpus.starts - corpus.sizes
-        runs = np.column_stack((corpus.sizes, pads)).ravel()
-        keep = np.zeros((len(rows), runs.size), dtype=bool)
+        keep = np.zeros((len(rows), corpus.runs.size), dtype=bool)
         keep[:, ::2] = bers != 0
-        bits = np.concatenate([received[np.repeat(k, runs)] for (received, _), k in zip(rows, keep)])
+        bits = np.concatenate([received[np.repeat(k, corpus.runs)]
+                               for (received, _), k in zip(rows, keep)])
         codes, counts = corpus.decode(bits, corpus.sizes[indices])
         char_errs[row, indices] = corpus.edits.char_error_rates(indices, corpus.columns[codes],
                                                                 counts)
@@ -368,8 +362,7 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
 
 def load_sentences(path) -> list:
     """The non-blank lines of a text file, one sentence each."""
-    with open(path) as f:
-        sentences = [line.rstrip("\n") for line in f if line.strip()]
+    sentences = [line for line in coding.read_text(path).split("\n") if line.strip()]
     if not sentences:
         raise ValueError(f"{path}: file has no sentences")
     return sentences
@@ -385,11 +378,11 @@ def _prepare_methods(cfg: ExperimentConfig):
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
             encoded = [coding.huffman_encode(s, code) for s in sentences]
-            methods.append(_corpus("huffman", sentences, encoded, code, cfg.modulation))
+            methods.append(_Corpus("huffman", sentences, encoded, code, cfg.modulation))
         if "sixbit" in cfg.baselines:
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode_folded(s) for s in folded]
-            methods.append(_corpus("sixbit", folded, encoded, None, cfg.modulation))
+            methods.append(_Corpus("sixbit", folded, encoded, None, cfg.modulation))
     semantic = None
     if cfg.symbol_matrix_path is not None:
         m = coding.load_symbol_matrix(cfg.symbol_matrix_path)

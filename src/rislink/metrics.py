@@ -7,7 +7,6 @@ the text is whitespace-split. Triplet matching normalizes text by trim +
 case-fold only (exact correspondence otherwise).
 """
 
-import json
 import math
 import re
 from collections import Counter
@@ -15,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
+
+from .coding import read_json
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 BLEU_ORDER = 4
@@ -83,27 +84,21 @@ class SymbolTokenizer:
     of the prefix keyed keys[i], and prefixes[-1] a dead id that extends to
     nothing; ids[p] is prefix p's vocabulary id, V = len(vocabulary) for a
     prefix that is no token and for the dead id. depth is the length of the
-    longest prefix. (A plain class: a frozen dataclass costs about 1 ms of
-    import time.)"""
+    longest prefix."""
 
-    def __init__(self, kinds, keys, prefixes, ids, depth: int):
-        self.kinds, self.keys, self.prefixes, self.ids, self.depth = (
-            kinds, keys, prefixes, ids, depth)
-
-    @classmethod
-    def of(cls, alphabet, vocabulary: dict) -> "SymbolTokenizer":
+    def __init__(self, alphabet, vocabulary: dict):
         if not all(len(symbol) == 1 for symbol in alphabet):
             raise ValueError("a symbol tokenizer needs single-character symbols")
-        kinds = np.array([len(tokenize(2 * ch)) for ch in alphabet], dtype=np.uint8)
+        self.kinds = np.array([len(tokenize(2 * ch)) for ch in alphabet], dtype=np.uint8)
         index = {ch: a for a, ch in enumerate(alphabet)}
         stride = len(alphabet) + 1
         children = {}  # key -> prefix id
         ids = [len(vocabulary)]  # the empty prefix is no token
-        depth = 0
+        self.depth = 0
         for token, i in vocabulary.items():
             if not set(token) <= index.keys():
                 continue  # no sentence over the alphabet holds it
-            depth = max(depth, len(token))
+            self.depth = max(self.depth, len(token))
             prefix = 0
             for ch in token:
                 key = prefix * stride + index[ch]
@@ -112,10 +107,10 @@ class SymbolTokenizer:
                     ids.append(len(vocabulary))
                 prefix = children[key]
             ids[prefix] = i
-        keys = np.array(sorted(children), dtype=np.int64)
-        prefixes = np.array([children[k] for k in keys.tolist()] + [len(ids)], dtype=np.int64)
-        return cls(kinds, keys, prefixes, np.array(ids + [len(vocabulary)], dtype=np.int64),
-                   depth)
+        self.keys = np.array(sorted(children), dtype=np.int64)
+        self.prefixes = np.array([children[k] for k in self.keys.tolist()] + [len(ids)],
+                                 dtype=np.int64)
+        self.ids = np.array(ids + [len(vocabulary)], dtype=np.int64)
 
     def flatten(self, codes, counts):
         """_flatten(tokenize of each sentence, vocabulary): (ids, owner,
@@ -155,7 +150,6 @@ class SymbolTokenizer:
         return ids, owner, lengths, room
 
 
-@dataclass(frozen=True)
 class BleuReferences:
     """BLEU reference sentences, tokenized and counted once, for scoring many
     candidates at once. Tokens have ids 0..V-1, V = len(vocabulary). So do
@@ -165,20 +159,14 @@ class BleuReferences:
     the n-grams the references hold; for T reference tokens, keys stay below
     (T + 1)^2, far inside int64. keys[n - 1] holds sentence *
     len(ngrams[n - 1]) + id, sorted, for each n-gram a sentence holds, and
-    counts[n - 1] how often it holds it."""
+    counts[n - 1] how often it holds it. lengths[k] is the number of tokens
+    of sentence k."""
 
-    vocabulary: dict  # token -> id
-    lengths: np.ndarray  # tokens per sentence
-    ngrams: tuple
-    keys: tuple
-    counts: tuple
-
-    @classmethod
-    def of(cls, references) -> "BleuReferences":
+    def __init__(self, references):
         references = [tuple(r) for r in references]
         vocabulary = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(references)))}
-        tokens, owner, lengths, room = _flatten(references, vocabulary)
-        ngrams, keys, counts = [], [], []
+        tokens, owner, self.lengths, room = _flatten(references, vocabulary)
+        self.vocabulary, self.ngrams, self.keys, self.counts = vocabulary, [], [], []
         ids = np.zeros(tokens.size, dtype=np.int64)
         for n in range(1, BLEU_ORDER + 1):
             inside = np.flatnonzero(room >= n)  # where an n-gram starts
@@ -189,10 +177,9 @@ class BleuReferences:
             ids = np.full(tokens.size, -1, dtype=np.int64)
             ids[inside] = gram
             held, count = np.unique(owner[inside] * table.size + gram, return_counts=True)
-            ngrams.append(table)
-            keys.append(held)
-            counts.append(count)
-        return cls(vocabulary, lengths, tuple(ngrams), tuple(keys), tuple(counts))
+            self.ngrams.append(table)
+            self.keys.append(held)
+            self.counts.append(count)
 
     def scores(self, indices, candidates) -> np.ndarray:
         """bleu(candidates[i], the tokens of sentence indices[i]) for every
@@ -266,7 +253,7 @@ def bleu(candidate, reference) -> float:
     scored as a one-candidate BleuReferences.scores call. An empty candidate
     scores 0, one equal to its reference exactly 1 (every precision 1, the
     penalty exp(0)), and an empty reference is a ValueError."""
-    return float(BleuReferences.of([reference]).scores([0], [tuple(candidate)])[0])
+    return float(BleuReferences([reference]).scores([0], [tuple(candidate)])[0])
 
 
 def relative_bleu(candidate, reference, max_bleu: float) -> float:
@@ -372,38 +359,31 @@ def _code_points(text: str) -> np.ndarray:
 _LANE_BITS = 64
 
 
-@dataclass(frozen=True)
 class EditReferences:
     """Reference sentences for many edit distances at once: each sentence of
     1 to 64 characters is a Myers/Hyyrö pattern in one np.uint64 lane, and
     all lanes step together, one text character per step (the multiple-
     pattern bit-parallelism of Hyyrö, Fredriksson & Navarro, ACM JEA 10,
-    2005). A text comes as the peq column of each of its characters (see
-    columns): peq[k, a] has bit i set where character i of lane sentence k
-    is the character alphabet[a - 1], and column 0 stands for every
-    character that no sentence holds, and is 0. Other sentences (empty or
-    longer than 64 characters) are scored by levenshtein on columns, which
-    keeps the distance: their characters have distinct nonzero columns."""
+    2005). alphabet holds the sorted code points of the sentences'
+    characters, and lengths[k] the length of sentence k. A text comes as the
+    peq column of each of its characters (see columns): peq[k, a] has bit i
+    set where character i of lane sentence k is the character
+    alphabet[a - 1], and column 0 stands for every character that no
+    sentence holds, and is 0. Other sentences (empty or longer than 64
+    characters) are scored by levenshtein on columns, which keeps the
+    distance: their characters have distinct nonzero columns."""
 
-    sentences: tuple
-    lengths: np.ndarray  # characters per sentence
-    alphabet: np.ndarray  # sorted code points of the sentences' characters
-    peq: np.ndarray  # (len(sentences), len(alphabet) + 1) np.uint64
-
-    @classmethod
-    def of(cls, sentences) -> "EditReferences":
-        sentences = tuple(sentences)
-        lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-        alphabet = np.unique(_code_points("".join(sentences)))
-        peq = np.zeros((len(sentences), alphabet.size + 1), dtype=np.uint64)
-        refs = cls(sentences, lengths, alphabet, peq)
-        lanes = np.flatnonzero((lengths > 0) & (lengths <= _LANE_BITS))
-        n = lengths[lanes]
-        columns = refs.columns("".join(sentences[k] for k in lanes.tolist()))
+    def __init__(self, sentences):
+        self.sentences = tuple(sentences)
+        self.lengths = np.array([len(s) for s in self.sentences], dtype=np.int64)
+        self.alphabet = np.unique(_code_points("".join(self.sentences)))
+        self.peq = np.zeros((len(self.sentences), self.alphabet.size + 1), dtype=np.uint64)
+        lanes = np.flatnonzero((self.lengths > 0) & (self.lengths <= _LANE_BITS))
+        n = self.lengths[lanes]
+        columns = self.columns("".join(self.sentences[k] for k in lanes.tolist()))
         position = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         bits = np.left_shift(np.uint64(1), position.astype(np.uint64))
-        np.bitwise_or.at(peq, (np.repeat(lanes, n), columns), bits)
-        return refs
+        np.bitwise_or.at(self.peq, (np.repeat(lanes, n), columns), bits)
 
     def columns(self, text: str) -> np.ndarray:
         """peq column of each character of `text` (0 for one in no
@@ -465,11 +445,7 @@ def load_graph(path) -> KnowledgeGraph:
     list of [source, relation, target] textual triplets is also accepted and
     converted (nodes deduplicated in first-appearance order). JSON of any
     other shape is a ValueError."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed graph file: {exc}") from exc
+    payload = read_json(path, "graph file")
     if isinstance(payload, list):
         nodes: list = []
         index: dict = {}
@@ -501,11 +477,7 @@ def load_graph(path) -> KnowledgeGraph:
 def load_embeddings(path) -> np.ndarray:
     """Embedding JSON: {"dim": int, "vectors": [[real]]}; all vectors must
     share the declared dimension. JSON of any other shape is a ValueError."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed embedding file: {exc}") from exc
+    payload = read_json(path, "embedding file")
     if not isinstance(payload, dict) or not {"dim", "vectors"} <= payload.keys():
         raise ValueError(f"{path}: embeddings must be an object with dim and vectors")
     vectors = payload["vectors"]

@@ -130,6 +130,14 @@ def test_invalid_arrays_rejected():
         unit([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("v", [[1e308, 1e308, 0.0], [0.0, -1e200, 1e200], [1e-320, 0.0, 0.0]])
+def test_unit_rejects_a_norm_that_overflows_or_underflows(v):
+    # np.linalg.norm gives inf (with a RuntimeWarning) or 0 for these, and
+    # unit returned the zero vector for an infinite norm
+    with pytest.raises(ValueError, match="cannot normalize a vector of norm "):
+        unit(v)
+
+
 def test_facing_array_normal_points_at_target():
     a = facing_array([0.0, 10.0, 0.0], 10, 10, 0.005, [10.0, 0.0, 0.0])
     expected = unit(np.array([10.0, -10.0, 0.0]))

@@ -1,14 +1,17 @@
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -937,6 +940,22 @@ def test_readme_cli_block_parses():
     assert named - {None} == set(subparsers.choices)
 
 
+def test_readme_modules_table_names_resolve():
+    # every backticked name in a row of the README's Modules table (up to a
+    # call's parenthesis) is an attribute of that row's module, so a name
+    # that is renamed or deleted cannot linger in the docs
+    table = README.read_text().split("## Modules\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `rislink.")]
+    assert len(rows) == 7
+    missing = []
+    for module, contents in rows:
+        module = importlib.import_module(module.strip().strip("`"))
+        for name in re.findall(r"`([A-Za-z_][\w.]*)", contents):
+            if reduce(lambda obj, part: getattr(obj, part, None), name.split("."), module) is None:
+                missing.append(f"{module.__name__}: {name}")
+    assert missing == []
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["sweep", "--config", str(missing)]) == 1
@@ -1096,3 +1115,105 @@ def test_cli_metrics_misshapen_files_exit_1(tmp_path, capsys, kind, payload):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lone, missing", [
+    ("--ref", "--hyp"), ("--hyp", "--ref"), ("--ref-graph", "--hyp-graph"),
+    ("--hyp-graph", "--ref-graph"), ("--ref-emb", "--hyp-emb"), ("--hyp-emb", "--ref-emb"),
+])
+def test_cli_metrics_lone_option_exits_1(tmp_path, capsys, lone, missing):
+    # a lone option beside a whole pair was ignored: the pair's scores were
+    # printed and the exit code was 0. The lone option's file is never read.
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the node reports a value.\n")
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps([["a", "r", "b"]]))
+    whole = (["--ref", str(ref), "--hyp", str(ref)] if "graph" in lone
+             else ["--ref-graph", str(graph), "--hyp-graph", str(graph)])
+    assert cli_main(["metrics", lone, str(tmp_path / "absent"), *whole]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lone} needs {missing}\n"
+
+
+@pytest.mark.parametrize("bits", ["1.5", "true", ""])
+@pytest.mark.parametrize("command", ["snr", "transmit"])
+def test_cli_malformed_bits_names_the_option(tmp_path, capsys, command, bits):
+    # the message was int()'s, "invalid literal for int() with base 10"
+    infile = tmp_path / "in.json"
+    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), infile)
+    extra = ["--in", str(infile), "--out", str(tmp_path / "out.json")]
+    argv = [command, "--ratio", "0.5", "--bits", bits, *(extra if command == "transmit" else [])]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --bits must be an integer >= 1 or 'none', got {bits!r}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+NON_UTF8 = "caf\xe9 au lait\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("kind", ["corpus", "config", "ref", "hyp", "symbols", "graph", "emb"])
+def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
+    # the message was the codec's, "'utf-8' codec can't decode byte 0xe9",
+    # with no file named
+    bad = tmp_path / "bad"
+    bad.write_bytes(NON_UTF8)
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the node reports a value.\n")
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps([["a", "r", "b"]]))
+    emb = tmp_path / "emb.json"
+    emb.write_text(json.dumps({"dim": 2, "vectors": [[1.0, 2.0]]}))
+    symbols = tmp_path / "symbols.json"
+    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), symbols)
+    argv = {
+        "corpus": ["sweep", "--config", str(cli_config(tmp_path))],
+        "config": ["snr", "--config", str(bad), "--ratio", "1.0"],
+        "ref": ["metrics", "--ref", str(bad), "--hyp", str(ref)],
+        "hyp": ["metrics", "--ref", str(ref), "--hyp", str(bad)],
+        "symbols": ["transmit", "--in", str(bad), "--out", str(tmp_path / "out.json"),
+                    "--ratio", "1.0"],
+        "graph": ["metrics", "--ref-graph", str(graph), "--hyp-graph", str(bad)],
+        "emb": ["metrics", "--ref-emb", str(bad), "--hyp-emb", str(emb)],
+    }[kind]
+    if kind == "corpus":
+        (tmp_path / "corpus.txt").write_bytes(NON_UTF8)
+        bad = tmp_path / "corpus.txt"
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"tx": {"center": [10.0, 0.0, 0.0], "rows": 2, "cols": 2}},
+     "tx.center must be apart from ris.center, got [10.0, 0.0, 0.0]"),
+    ({"rx": {"center": [10, 0, 0]}}, "rx.center must be apart from ris.center, got [10, 0, 0]"),
+    ({"tx": {"center": [10, 20, 0]}, "rx": {"center": [10, -20, 0]}},
+     "ris.center must be apart from the midpoint of tx and rx when ris.normal is null, "
+     "got [10.0, 0.0, 0.0]"),
+    ({"tx": {"center": [math.inf, 0, 0]}}, "tx: center must be 3 finite numbers, got [inf, 0, 0]"),
+    ({"ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "spacing": math.inf}},
+     "ris: spacing must be a positive finite number, got inf"),
+    ({"ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "normal": [1e308, 1e308, 0]}},
+     "ris: normal: cannot normalize a vector of norm inf"),
+    ({"ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "normal": [0, 0, 0]}},
+     "ris: normal: cannot normalize a vector of norm 0.0"),
+], ids=["tx-at-ris", "rx-at-ris", "ris-at-midpoint", "infinite-center", "infinite-spacing",
+        "overflowing-normal", "zero-normal"])
+def test_cli_malformed_array_spec_exits_1(tmp_path, capsys, config, message):
+    # these ended in "cannot normalize the zero vector", "vector components
+    # must be finite", or two RuntimeWarnings and "cascaded coefficients must
+    # be finite", none of which named the array
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "output_path": str(tmp_path / "sweep.csv")}))
+    for command in (["snr", "--ratio", "1.0"], ["sweep"]):
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()

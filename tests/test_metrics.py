@@ -85,7 +85,7 @@ def bleu_counted_by_slices(candidate, reference):
 def test_bleu_equals_slice_counting(candidate, reference):
     expected = bleu_counted_by_slices(candidate, reference)
     assert bleu(candidate, reference) == expected
-    assert BleuReferences.of([reference]).scores([0], [candidate]).tolist() == [expected]
+    assert BleuReferences([reference]).scores([0], [candidate]).tolist() == [expected]
 
 
 # references repeat tokens from a small alphabet; candidates also draw "x"
@@ -129,7 +129,7 @@ def bleu_batches(draw):
 @example(([list("abcd"), list("a")], [(1, list("abcd")), (0, list("xbcd")), (1, list("a"))]))
 def test_bleu_table_equals_slice_counting(case):
     references, rows = case
-    table = BleuReferences.of(references)
+    table = BleuReferences(references)
     scores = table.scores([k for k, _ in rows], [candidate for _, candidate in rows])
     assert scores.tolist() == [bleu_counted_by_slices(candidate, references[k])
                                for k, candidate in rows]
@@ -138,7 +138,7 @@ def test_bleu_table_equals_slice_counting(case):
 def test_bleu_table_ids():
     # tokens get ids in order of first appearance; an n-gram's key is its
     # prefix's id times V + 1 plus its last token's id, its id the key's rank
-    table = BleuReferences.of([list("abab"), list("ba")])
+    table = BleuReferences([list("abab"), list("ba")])
     assert table.vocabulary == {"a": 0, "b": 1}
     assert table.lengths.tolist() == [4, 2]
     assert [g.tolist() for g in table.ngrams] == [[0, 1], [1, 3], [0, 4], [1]]
@@ -150,14 +150,14 @@ def test_bleu_table_ids():
 def test_bleu_table_without_long_references():
     # no reference holds a trigram, so a candidate of 3 or more tokens has
     # none to match and scores 0, and a shorter one is scored on its orders
-    table = BleuReferences.of([list("ab"), list("b")])
+    table = BleuReferences([list("ab"), list("b")])
     assert len(table.ngrams) == 2
     candidates = [list("ab"), list("abab"), list("b"), list("ba")]
     assert table.scores([0, 0, 1, 0], candidates).tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_bleu_table_rejects_bad_batches():
-    table = BleuReferences.of([list("ab"), []])
+    table = BleuReferences([list("ab"), []])
     with pytest.raises(ValueError, match="non-empty"):
         table.scores([0, 1], [list("ab"), list("ab")])
     with pytest.raises(ValueError, match="candidates"):
@@ -403,7 +403,7 @@ def decoded_rows(draw):
 def test_lane_edit_distance_matches_levenshtein(case):
     # the DP is the oracle: levenshtein steps the same recurrence as the lanes
     references, rows = case
-    lanes = EditReferences.of(references)
+    lanes = EditReferences(references)
     indices = [k for k, _ in rows]
     texts = [text for _, text in rows]
     distances = lanes.distances(indices, *as_columns(lanes, texts))
@@ -417,7 +417,7 @@ def test_lane_edit_distance_matches_levenshtein(case):
 def test_lane_edit_distance_characters_in_no_reference():
     # characters outside every reference match nothing; they are neither
     # dropped nor merged, so an all-foreign text costs max(m, n)
-    lanes = EditReferences.of(["abc", "abcd" * 16])
+    lanes = EditReferences(["abc", "abcd" * 16])
     assert lanes.alphabet.tolist() == [ord(ch) for ch in "abcd"]
     texts = ["xyz", "xyzw", "Z" * 70, "abcX" + "abcd" * 15]
     assert lanes.distances([0, 0, 1, 1], *as_columns(lanes, texts)).tolist() == [3, 4, 70, 1]
@@ -454,8 +454,8 @@ def test_symbol_scoring_equals_the_string_path(case):
     # are tokenize + vocabulary.get, and edit distances and BLEU scores from
     # indices equal levenshtein and bleu on the strings
     references, rows = case
-    table = BleuReferences.of(map(tokenize, references))
-    tokenizer = SymbolTokenizer.of(SYMBOLS, table.vocabulary)
+    table = BleuReferences(map(tokenize, references))
+    tokenizer = SymbolTokenizer(SYMBOLS, table.vocabulary)
     texts = [text for _, text in rows]
     tokens = [tokenize(t) for t in texts]
     codes, counts = as_symbols(texts)
@@ -467,7 +467,7 @@ def test_symbol_scoring_equals_the_string_path(case):
         assert got.tolist() == expected.tolist()
 
     indices = [k for k, _ in rows]
-    edits = EditReferences.of(references)
+    edits = EditReferences(references)
     distances = edits.distances(indices, edits.columns(SYMBOLS)[codes], counts)
     assert distances.tolist() == [levenshtein(references[k], t) for k, t in rows]
     scored = [(k, t) for k, t in rows if table.lengths[k]]  # BLEU needs reference tokens
@@ -485,8 +485,8 @@ def as_symbols(texts):
 
 def test_symbol_tokenizer_needs_single_characters():
     with pytest.raises(ValueError, match="single-character"):
-        SymbolTokenizer.of(["a", "bc"], {"a": 0})
-    empty = SymbolTokenizer.of("ab", {})
+        SymbolTokenizer(["a", "bc"], {"a": 0})
+    empty = SymbolTokenizer("ab", {})
     assert empty.depth == 0 and empty.keys.size == 0
     assert empty.flatten(np.array([0, 1, 0], dtype=np.uint8), [2, 1])[0].tolist() == [0, 0]
 
