@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -39,8 +40,9 @@ from .ris import Codebook, _select_rows, active_mask, build_codebook
 
 
 def _is_real(x) -> bool:
-    """A number that is neither a bool nor NaN."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x == x
+    """A number that is neither a bool, NaN nor an int beyond the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool) and x == x
+            and (isinstance(x, float) or abs(x) <= sys.float_info.max))
 
 
 def _is_finite(x) -> bool:
@@ -184,6 +186,12 @@ class Scene:
         return los_channel(self.ris, self.rx, self.codebook.wavelength, self.path_loss)
 
 
+# The largest |coordinate|, in m, of any array element: two points within it
+# differ by at most 2L per axis, so every squared distance the scene takes,
+# at most 3 * (2L)^2, is a finite float.
+_MAX_COORDINATE = math.sqrt(sys.float_info.max / 12.0)
+
+
 def _build_array(spec: ArraySpec, default_spacing: float, default_toward) -> PlanarArray:
     spacing = spec.spacing if spec.spacing is not None else default_spacing
     if spec.normal is not None:
@@ -201,6 +209,16 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
     """
     lam = wavelength(cfg.frequency_hz)
     spacing = lam / 2.0
+    for name in ("tx", "rx", "ris"):
+        spec = getattr(cfg, name)
+        pitch = spec.spacing if spec.spacing is not None else spacing
+        # an element lies at most pitch * ((rows - 1) + (cols - 1)) / 2 from
+        # the center on each axis, since the array's axes are unit vectors
+        reach = max(map(abs, spec.center)) + pitch * (spec.rows + spec.cols - 2) / 2.0
+        if not reach <= _MAX_COORDINATE:
+            raise ValueError(f"{name}: every element must lie within {_MAX_COORDINATE:.3g} m "
+                             f"of the origin on each axis, got center {spec.center!r} "
+                             f"with spacing {pitch!r}")
     tx_center = np.asarray(cfg.tx.center, float)
     rx_center = np.asarray(cfg.rx.center, float)
     ris_center = np.asarray(cfg.ris.center, float)
@@ -321,36 +339,60 @@ class _Corpus:
         return coding.huffman_decode_indices(bits, sizes, self.code)
 
 
+# The linear SNR (60 dB) at and above which a corpus row arrives without a
+# bit error for any draw, so it is not drawn. Equalized, a symbol errs by
+# n/(g*sqrt(p_tx)), of size at most Z/sqrt(SNR) when Z bounds |z| over the
+# standard normal draws z that make up n. The smallest decision margin of
+# the unit-energy constellations is 1/sqrt(10) (16-QAM; QPSK has 1/sqrt(2)),
+# so no bit flips while Z < sqrt(SNR/10), about 316 here. numpy's
+# Generator.standard_normal is a ziggurat sampler (Marsaglia & Tsang, J.
+# Stat. Softw. 2000), `random_standard_normal` in
+# https://github.com/numpy/numpy/blob/maintenance/2.4.x/numpy/random/src/distributions/distributions.c
+# (numpy 2.4.x). It returns a draw below r ~ 3.654 or a tail draw
+# r - log1p(-U)/r, with U a 53-bit double in [0, 1). So Z < r + 53*ln(2)/r
+# ~ 13.7, and even a uniform at the smallest subnormal would give
+# Z <= r + 744.4/r ~ 207.4: both are below 316.
+ERROR_FREE_SNR = 1e6
+
+
 def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     """Score one method's corpus at several gains: for each gain (a row),
     send the whole corpus through the scalar channel in a single
     transmission, drawing from that row's rng, and demodulate it as one row.
-    Each sentence's bit error rate comes from one comparison of that row
-    with the sent one (see metrics.bit_error_rates), in which a pad bit never
-    counts. A sentence that arrived without a bit error decodes to itself (both
-    codes round-trip every sentence), so it scores char_err 0 and BLEU 1
-    undecoded. The bits of the other sentences of every row are gathered
-    end to end and decoded in one call to symbol indices, and their edit
-    distances and BLEU scores computed from those indices in one call each,
-    with no per-sentence or per-token string. Returns each row's corpus
-    means (ber, char_err, bleu, rel_bleu)."""
+    A row whose SNR reaches ERROR_FREE_SNR (a nonzero gain on a noiseless
+    link included) arrives as sent by the bound given there, so it is
+    neither drawn, equalized nor demodulated, and leaves its rng unused; a
+    zero gain, whose SNR is 0, still reaches equalize's "link outage" error.
+    Each sentence's bit error rate comes from one comparison of the received
+    row with the sent one (see metrics.bit_error_rates), in which a pad bit
+    never counts. A sentence that arrived without a bit error decodes to
+    itself (both codes round-trip every sentence), so it scores char_err 0
+    and BLEU 1 undecoded. The bits of the other sentences of every row are
+    gathered end to end and decoded in one call to symbol indices, and their
+    edit distances and BLEU scores computed from those indices in one call
+    each, with no per-sentence or per-token string. Returns each row's
+    corpus means (ber, char_err, bleu, rel_bleu)."""
     demodulate = coding.MODULATIONS[modulation][1]
-    rows = []
-    for g, rng in zip(gains, rngs):
+    received_rows = []
+    bers = np.zeros((len(gains), corpus.sizes.size))
+    for received_bers, g, rng in zip(bers, gains, rngs):
+        if snr_linear(g, scene.budget) >= ERROR_FREE_SNR:  # 0 for a zero gain
+            received_rows.append(corpus.sent)
+            continue
         noisy = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
         received = demodulate(equalize(noisy, g, scene.budget.p_tx).values[0])
-        rows.append((received, metrics.bit_error_rates(corpus.sent, received,
-                                                       corpus.starts, corpus.sizes)))
-    bers = np.array([row_bers for _, row_bers in rows])
+        received_rows.append(received)
+        received_bers[:] = metrics.bit_error_rates(corpus.sent, received,
+                                                   corpus.starts, corpus.sizes)
     row, indices = np.nonzero(bers)  # row after row, each row's sentences in order
     char_errs = np.zeros(bers.shape)
     bleus = np.ones(bers.shape)
     if indices.size:
         # the received row as runs: each sentence's bits, then its pad
-        keep = np.zeros((len(rows), corpus.runs.size), dtype=bool)
+        keep = np.zeros((len(gains), corpus.runs.size), dtype=bool)
         keep[:, ::2] = bers != 0
         bits = np.concatenate([received[np.repeat(k, corpus.runs)]
-                               for (received, _), k in zip(rows, keep)])
+                               for received, k in zip(received_rows, keep)])
         codes, counts = corpus.decode(bits, corpus.sizes[indices])
         char_errs[row, indices] = corpus.edits.char_error_rates(indices, corpus.columns[codes],
                                                                 counts)

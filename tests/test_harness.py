@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -214,16 +214,24 @@ def count_calls(monkeypatch, name):
 def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections):
     # every ratio is selected in one pass over the codebook per depth: the
     # default order scores it once on continuous phases and quantizes each
-    # ratio's winner per bits; quantize-before-select re-ranks once per bits
-    cfg = small_config(tmp_path, quantizations=[1, 2, None])
+    # ratio's winner per bits; quantize-before-select re-ranks once per bits.
+    # At -60 dBm every point is below 60 dB, so every row is drawn
+    cfg = small_config(tmp_path, quantizations=[1, 2, None], noise_dbm=-60.0)
     selected = count_calls(monkeypatch, "_select_rows")
     sent = count_calls(monkeypatch, "transmit_with_rng")
     records = run_sweep(cfg, quantize_before_select=before)
     assert len(selected) == selections
     assert all(len(args[2]) == len(cfg.ratios) for args in selected)
+    assert all(r.snr_db < 60.0 for r in records)
     # one channel pass per (point, corpus method), carrying the whole corpus
     assert len(sent) == len(records) == 3 * 3 * 2
     assert all(args[0].shape[0] == 1 for args in sent)
+    # at the default -120 dBm floor every point is above 60 dB: no row is drawn
+    sent.clear()
+    records = run_sweep(small_config(tmp_path, quantizations=[1, 2, None]),
+                        quantize_before_select=before)
+    assert len(records) == 3 * 3 * 2 and all(r.snr_db >= 60.0 for r in records)
+    assert len(sent) == 0
 
 
 def traced_build_scene(cfg):
@@ -502,10 +510,15 @@ def score_each_sentence(scene, g, corpus, modulation, rng, max_bleu, decode):
     return scores, bers
 
 
-def check_row_scorer(corpus_path, noise_dbm, modulation) -> list:
+def ratio_gain(scene, ratio):
+    return configure_point(scene, ratio, None)[1].gain(scene.coefficients)
+
+
+def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     """Assert that _corpus_pipeline scores every row of each corpus method
-    as score_each_sentence does, on the default scene at five ratios, and
-    return the share of each row's sentences that arrived with bit errors."""
+    as score_each_sentence does, on the default scene at the gains
+    gains_of(scene) (by default those of five ratios), and return the share
+    of each row's sentences that arrived with bit errors."""
     cfg = ExperimentConfig(noise_dbm=noise_dbm, modulation=modulation,
                            corpus_path=str(corpus_path), quantizations=[None])
     scene = build_scene(cfg)
@@ -513,8 +526,8 @@ def check_row_scorer(corpus_path, noise_dbm, modulation) -> list:
     code = coding.huffman_build(coding.huffman_frequencies(corpora[0].sentences))
     decoders = {"huffman": lambda bits: coding.huffman_decode(bits, code),
                 "sixbit": coding.sixbit_decode}
-    gains = [configure_point(scene, ratio, None)[1].gain(scene.coefficients)
-             for ratio in [0.05, 0.15, 0.3, 0.6, 1.0]]
+    gains = (gains_of(scene) if gains_of is not None
+             else [ratio_gain(scene, ratio) for ratio in [0.05, 0.15, 0.3, 0.6, 1.0]])
     errored = []
     for k, corpus in enumerate(corpora):
         # every row of a corpus is scored in one call, each from its own rng
@@ -542,6 +555,86 @@ def test_row_scorer_equals_per_sentence_scorer(noise_dbm, modulation):
         assert min(errored) == 1.0
     else:
         assert sum(0 < share < 1 for share in errored) >= 2
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_row_scorer_skips_error_free_rows_beside_errored_ones(monkeypatch, modulation):
+    # one call scores a row above the error-free threshold, which is not
+    # drawn, beside two rows whose errored sentences are gathered and
+    # decoded; the skipped row scores as drawing it would
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+
+    def gains_of(scene):
+        g = ratio_gain(scene, 1.0)  # scaled to twice the threshold's SNR
+        above = g * math.sqrt(2 * harness.ERROR_FREE_SNR / snr_linear(g, scene.budget))
+        return [above, ratio_gain(scene, 0.05), ratio_gain(scene, 0.15)]
+
+    errored = check_row_scorer(SAMPLE_CORPUS, 16.0, modulation, gains_of)
+    assert errored[0] == errored[3] == 0.0  # the skipped row of each corpus
+    assert min(errored[1:3] + errored[4:]) > 0
+    assert len(sent) == 2 * 2
+
+
+def threshold_scene(tmp_path, **overrides):
+    """The small scene's corpora, scene and the gain of its full-ratio point."""
+    cfg = small_config(tmp_path, **overrides)
+    scene = build_scene(cfg)
+    return harness._prepare_methods(cfg)[0], scene, ratio_gain(scene, 1.0)
+
+
+def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypatch):
+    # the budget's noise power is scaled so that the row's SNR is
+    # ERROR_FREE_SNR * (1 -+ 1e-9): the row below is drawn, the one above not
+    corpora, scene, g = threshold_scene(tmp_path, modulation="16qam")
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+    scores = []
+    for scale in (1 - 1e-9, 1 + 1e-9):
+        gamma = harness.ERROR_FREE_SNR * scale
+        scene.budget = replace(scene.budget, noise_power=abs(g) ** 2 * scene.budget.p_tx / gamma)
+        assert (snr_linear(g, scene.budget) >= harness.ERROR_FREE_SNR) == (scale > 1)
+        drawn = len(sent)
+        scores.append([harness._corpus_pipeline(scene, [g], corpus, "16qam",
+                                                 [np.random.default_rng(3)], 0.6)
+                       for corpus in corpora])
+        assert len(sent) - drawn == (len(corpora) if scale < 1 else 0)
+    assert scores[0] == scores[1] == [[(0.0, 0.0, 1.0, 1.0 / 0.6)]] * len(corpora)
+
+
+@pytest.mark.parametrize("noise_dbm", [-120.0, -math.inf])
+def test_zero_gain_row_is_a_link_outage(tmp_path, noise_dbm):
+    corpora, scene, g = threshold_scene(tmp_path, noise_dbm=noise_dbm)
+    for corpus in corpora:
+        with pytest.raises(ValueError, match="link outage"):
+            harness._corpus_pipeline(scene, [g, 0j], corpus, "qpsk",
+                                     [np.random.default_rng(k) for k in range(2)], 0.6)
+
+
+def test_noiseless_row_is_not_drawn(tmp_path, monkeypatch):
+    corpora, scene, g = threshold_scene(tmp_path, noise_dbm=-math.inf)
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for corpus in corpora:
+        assert harness._corpus_pipeline(scene, [g], corpus, "qpsk", [rng], 0.6) == [
+            (0.0, 0.0, 1.0, 1.0 / 0.6)]
+    assert len(sent) == 0 and rng.bit_generator.state == state
+
+
+def test_sweep_straddling_the_threshold_is_deterministic_across_parallelism(tmp_path,
+                                                                             monkeypatch):
+    # at -80 dBm the small scene's points span 51 to 63 dB: the rows above
+    # 60 dB are not drawn, the rest are, and jobs does not change a byte
+    sent = count_calls(monkeypatch, "transmit_with_rng")
+    blobs = []
+    for jobs in (1, 4):
+        cfg = small_config(tmp_path, noise_dbm=-80.0, quantizations=[1, 2, None],
+                           output_path=str(tmp_path / f"jobs{jobs}.csv"))
+        sent.clear()
+        records = run_sweep(cfg, jobs=jobs)
+        blobs.append(Path(cfg.output_path).read_bytes())
+        below = sum(r.snr_db < 60.0 for r in records)
+        assert 0 < below < len(records) and len(sent) == below
+    assert blobs[0] == blobs[1]
 
 
 # characters that tokenize, the edit-distance lanes and sixbit folding each
@@ -940,6 +1033,16 @@ def test_readme_cli_block_parses():
     assert named - {None} == set(subparsers.choices)
 
 
+def test_readme_error_free_threshold_is_the_code_constant():
+    # the README's statement of the threshold above which a corpus row is
+    # not drawn names the constant, its value and its dB
+    [(name, value, db)] = re.findall(r"`harness\.(\w+)` =\s+([\d.e+]+)\s+\((\d+) dB\)",
+                                     README.read_text())
+    assert name == "ERROR_FREE_SNR"
+    assert float(value) == harness.ERROR_FREE_SNR
+    assert float(db) == 10.0 * math.log10(harness.ERROR_FREE_SNR)
+
+
 def test_readme_modules_table_names_resolve():
     # every backticked name in a row of the README's Modules table (up to a
     # call's parenthesis) is an attribute of that row's module, so a name
@@ -1203,16 +1306,28 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
      "ris: normal: cannot normalize a vector of norm inf"),
     ({"ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "normal": [0, 0, 0]}},
      "ris: normal: cannot normalize a vector of norm 0.0"),
+    ({"tx": {"center": [1e308, 0, 0], "rows": 2, "cols": 2},
+      "ris": {"center": [-1e308, 0, 0], "rows": 4, "cols": 4}},
+     "tx: every element must lie within 3.87e+153 m of the origin on each axis, "
+     f"got center [1e+308, 0, 0] with spacing {wavelength(28e9) / 2!r}"),
+    ({"ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "spacing": 1e300}},
+     "ris: every element must lie within 3.87e+153 m of the origin on each axis, "
+     "got center [10, 0, 0] with spacing 1e+300"),
+    ({"rx": {"center": [10**400, 0, 0]}},
+     f"rx: center must be 3 finite numbers, got {[10**400, 0, 0]!r}"),
 ], ids=["tx-at-ris", "rx-at-ris", "ris-at-midpoint", "infinite-center", "infinite-spacing",
-        "overflowing-normal", "zero-normal"])
+        "overflowing-normal", "zero-normal", "huge-centers", "huge-spacing", "int-center"])
 def test_cli_malformed_array_spec_exits_1(tmp_path, capsys, config, message):
     # these ended in "cannot normalize the zero vector", "vector components
-    # must be finite", or two RuntimeWarnings and "cascaded coefficients must
-    # be finite", none of which named the array
+    # must be finite", or RuntimeWarnings and "cascaded coefficients must be
+    # finite", none of which named the array; an int center beyond the
+    # float range ended in an OverflowError traceback
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "output_path": str(tmp_path / "sweep.csv")}))
     for command in (["snr", "--ratio", "1.0"], ["sweep"]):
-        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
