@@ -126,16 +126,16 @@ class HuffmanCode:
 
     @cached_property
     def _decoder(self) -> np.ndarray:
-        """The code tree as an automaton that reads one bit per step. State
-        s < len(symbols) means "symbol s was just emitted" and steps as the
-        root does; the root and the other inner nodes follow; the last state
-        is dead and absorbs every step. A missing child (no codeword
-        continues there) and the pad bit 2 lead to the dead state. States
-        are stored times 3, so the next state is step[state + bit], in the
-        smallest unsigned type that holds every index into step. A codeword
-        stops at a symbol already on its path, and a symbol takes its slot
-        whatever that held, so a lane emits at the shortest matching
-        codeword, as a greedy prefix match does, whatever the table."""
+        """The code tree as an automaton that reads one bit per step: the
+        state after bit b from state s is _decoder[s, b]. State s <
+        len(symbols) means "symbol s was just emitted" and steps as the root
+        does; the root and the other inner nodes follow; the last state is
+        dead and absorbs every step. A missing child (no codeword continues
+        there) leads to the dead state. States are stored in the smallest
+        unsigned type that holds them. A codeword stops at a symbol already
+        on its path, and a symbol takes its slot whatever that held, so a
+        lane emits at the shortest matching codeword, as a greedy prefix
+        match does, whatever the table."""
         n_symbols = len(self.table)
         nodes = [[None, None]]  # inner nodes; a child is a node index or ~symbol
         for s, cw in enumerate(self.table.values()):
@@ -156,9 +156,24 @@ class HuffmanCode:
         def state(child):
             return dead if child is None else ~child if child < 0 else root + child
 
-        rows = [[state(c) for c in node] + [dead] for node in nodes]
-        step = 3 * np.array(rows[:1] * n_symbols + rows + [[dead] * 3]).ravel()
-        return step.astype(np.min_scalar_type(step.size))
+        rows = [[state(c) for c in node] for node in nodes]
+        return np.array(rows[:1] * n_symbols + rows + [[dead] * 2],
+                        dtype=np.min_scalar_type(dead))
+
+    @cached_property
+    def _byte_decoder(self) -> np.ndarray:
+        """The automaton of _decoder read one byte per step: row s * 256 + c
+        holds the state after each bit of byte c, most significant bit
+        first, read from state s (Moffat & Turpin's table-driven decoding of
+        minimum-redundancy codes, IEEE Trans. Commun. 1997). For n states it
+        holds n * 256 * 8 states, in _decoder's type."""
+        step = self._decoder
+        state = np.repeat(np.arange(len(step), dtype=step.dtype), 256)
+        byte = np.tile(np.arange(256, dtype=np.uint8), len(step))
+        trace = np.empty((state.size, 8), dtype=step.dtype)
+        for j in range(8):
+            state = trace[:, j] = step[state, (byte >> (7 - j)) & 1]
+        return trace
 
 
 def huffman_build(freqs: dict) -> HuffmanCode:
@@ -198,31 +213,42 @@ def huffman_encode(text: str, code: HuffmanCode) -> np.ndarray:
     return np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
 
 
+# the rows of HuffmanCode._byte_decoder per state, as an intp so that a
+# state in a small unsigned type times it does not overflow
+_BYTE_ROWS = np.intp(256)
+
+
 def huffman_decode_indices(bits: np.ndarray, lengths, code: HuffmanCode):
     """Greedy prefix decoding of many bit streams at once, given end to end
-    in `bits`, stream k of lengths[k] bits: one lane per stream, all lanes
-    stepped through the code automaton (see HuffmanCode._decoder) one bit at
-    a time. A corrupted stream may desynchronize; trailing bits that end
-    inside the tree are dropped, and a lane whose pending bits start no
+    in `bits`, stream k of lengths[k] bits: one lane per stream, each padded
+    with zero bits to whole bytes, all lanes stepped through the code
+    automaton one byte at a time (see HuffmanCode._byte_decoder). A symbol
+    emitted at or past the end of its lane is dropped: it read pad bits,
+    and an emission depends only on the bits before it, so the pad changes
+    no earlier one. A corrupted stream may desynchronize; trailing bits that
+    end inside the tree are dropped, and a lane whose pending bits start no
     codeword stops there. Returns the index in code.symbols of every
     emitted symbol, stream after stream, in the smallest unsigned type that
     holds them, and the number of symbols each stream emitted."""
-    step = code._decoder
+    trace = code._byte_decoder
     n_symbols = len(code.table)
     lengths = np.asarray(lengths, dtype=np.intp)
-    width = int(lengths.max(initial=0))
-    lanes = np.full((lengths.size, width), 2, dtype=np.uint8)  # 2 pads a lane
-    lanes[np.arange(width) < lengths[:, None]] = np.asarray(bits) != 0
-    lanes = np.ascontiguousarray(lanes.T)  # lanes[t]: every lane's bit t
-    states = np.empty((width, lengths.size), dtype=step.dtype)
-    state = np.full(lengths.size, 3 * n_symbols, dtype=step.dtype)  # the root
-    index = np.empty_like(state)
-    for t in range(width):
-        np.add(state, lanes[t], out=index)
-        state = np.take(step, index, out=states[t], mode="clip")  # every index is in range
-    emitted = states.T < 3 * n_symbols  # lane-major, stream after stream
-    indices = states.T[emitted] // 3
-    return indices.astype(np.min_scalar_type(max(n_symbols - 1, 0))), emitted.sum(axis=1)
+    n_bytes = -(-int(lengths.max(initial=0)) // 8)
+    reading = np.arange(8 * n_bytes) < lengths[:, None]
+    lanes = np.zeros(reading.shape, dtype=np.uint8)
+    lanes[reading] = np.asarray(bits) != 0
+    packed = np.packbits(lanes, axis=1).T.astype(np.intp)  # packed[t]: every lane's byte t
+    states = np.empty((n_bytes, lengths.size, 8), dtype=trace.dtype)
+    row = np.full(lengths.size, n_symbols * 256, dtype=np.intp)  # the root's rows
+    for t in range(n_bytes):
+        np.add(row, packed[t], out=row)
+        np.take(trace, row, axis=0, out=states[t], mode="clip")  # every row is in range
+        np.multiply(states[t, :, 7], _BYTE_ROWS, out=row)
+    states = states.transpose(1, 0, 2).reshape(reading.shape)  # lane-major, stream after stream
+    emitted = (states < n_symbols) & reading
+    indices = states.ravel()[np.flatnonzero(emitted)]  # faster than a boolean index
+    return (indices.astype(np.min_scalar_type(max(n_symbols - 1, 0))),
+            np.count_nonzero(emitted, axis=1))
 
 
 def huffman_decode(bits: np.ndarray, code: HuffmanCode) -> str:
@@ -251,6 +277,7 @@ SIXBIT_ALPHABET = (
 assert len(SIXBIT_ALPHABET) == 64 and len(set(SIXBIT_ALPHABET)) == 64
 
 _SIXBIT_INDEX = {ch: i for i, ch in enumerate(SIXBIT_ALPHABET)}
+_SIXBIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 _SIXBIT_BYTES = np.frombuffer(SIXBIT_ALPHABET.encode("ascii"), dtype=np.uint8)
 SIXBIT_REPLACEMENT = "?"
 
@@ -281,7 +308,7 @@ def sixbit_decode_indices(bits: np.ndarray) -> np.ndarray:
     and a trailing partial group is dropped."""
     n = bits.size - bits.size % 6
     groups = np.asarray(bits[:n], dtype=np.uint8).reshape(-1, 6)
-    return np.packbits(groups, axis=1)[:, 0] >> 2  # the 6 bits, then 2 zeros
+    return groups @ _SIXBIT_WEIGHTS  # exact: at most 63
 
 
 def sixbit_decode(bits: np.ndarray) -> str:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import coding, metrics
 from .channel import (
+    SPEED_OF_LIGHT,
     ChannelMatrix,
     PathLossModel,
     cascaded_los_coefficients,
@@ -127,6 +128,8 @@ class ExperimentConfig:
         for name in ("frequency_hz", "p_tx_w"):
             _require(0 < getattr(self, name) < math.inf,
                      name, "a positive finite number", getattr(self, name))
+        _require(SPEED_OF_LIGHT / self.frequency_hz < math.inf, "frequency_hz",
+                 "large enough that the wavelength c/f is finite", self.frequency_hz)
         _require(self.noise_dbm < math.inf,  # -inf is the noiseless override
                  "noise_dbm", "finite or -Infinity", self.noise_dbm)
         _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf,
@@ -310,7 +313,11 @@ class _Corpus:
     references are tokenized and counted once, in `references`, with
     `tokenizer` reading the same tokens off symbol indices, and their
     edit-distance lanes built once, in `edits`, with `columns` the peq
-    column of each alphabet symbol."""
+    column of each alphabet symbol. These four are built on first use, so
+    a sweep in which no row has a bit error never builds them. Nothing
+    locks them: on Python 3.12 and later, where cached_property takes no
+    lock, two threads of a sweep with jobs > 1 may each build one, with
+    equal contents, and one of the two is kept."""
 
     def __init__(self, name: str, sentences: list, encoded, code: coding.HuffmanCode | None,
                  modulation: str):
@@ -325,10 +332,22 @@ class _Corpus:
         self.symbols = coding.SymbolMatrix(symbols.reshape(1, -1))
         # a Huffman code built from character counts has one character per symbol
         self.alphabet = coding.SIXBIT_ALPHABET if code is None else "".join(code.symbols)
-        self.references = metrics.BleuReferences(map(metrics.tokenize, sentences))
-        self.tokenizer = metrics.SymbolTokenizer(self.alphabet, self.references.vocabulary)
-        self.edits = metrics.EditReferences(sentences)
-        self.columns = self.edits.columns(self.alphabet)
+
+    @cached_property
+    def references(self) -> metrics.BleuReferences:
+        return metrics.BleuReferences(map(metrics.tokenize, self.sentences))
+
+    @cached_property
+    def tokenizer(self) -> metrics.SymbolTokenizer:
+        return metrics.SymbolTokenizer(self.alphabet, self.references.vocabulary)
+
+    @cached_property
+    def edits(self) -> metrics.EditReferences:
+        return metrics.EditReferences(self.sentences)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return self.edits.columns(self.alphabet)
 
     def decode(self, bits: np.ndarray, sizes: np.ndarray):
         """The symbol indices of bit streams of sizes[k] bits given end to

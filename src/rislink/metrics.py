@@ -79,11 +79,11 @@ class SymbolTokenizer:
     one _OTHER symbol, and never spans two sentences. A token's id comes
     from the vocabulary's prefixes, one character per step: the empty
     prefix has id 0, every other prefix of a vocabulary token an id from 1
-    on, and the key of a prefix p extended by symbol a is p * (A + 1) + a,
-    A = len(alphabet). keys holds those keys, sorted; prefixes[i] is the id
-    of the prefix keyed keys[i], and prefixes[-1] a dead id that extends to
-    nothing; ids[p] is prefix p's vocabulary id, V = len(vocabulary) for a
-    prefix that is no token and for the dead id. depth is the length of the
+    on, and the last id is dead. step[p, a] is the id of prefix p extended
+    by symbol alphabet[a], the dead id where no vocabulary token starts so
+    and from the dead id, in the smallest unsigned type that holds the ids;
+    ids[p] is prefix p's vocabulary id, V = len(vocabulary) for a prefix
+    that is no token and for the dead id. depth is the length of the
     longest prefix."""
 
     def __init__(self, alphabet, vocabulary: dict):
@@ -91,8 +91,7 @@ class SymbolTokenizer:
             raise ValueError("a symbol tokenizer needs single-character symbols")
         self.kinds = np.array([len(tokenize(2 * ch)) for ch in alphabet], dtype=np.uint8)
         index = {ch: a for a, ch in enumerate(alphabet)}
-        stride = len(alphabet) + 1
-        children = {}  # key -> prefix id
+        children = {}  # (prefix id, symbol index) -> prefix id
         ids = [len(vocabulary)]  # the empty prefix is no token
         self.depth = 0
         for token, i in vocabulary.items():
@@ -101,15 +100,16 @@ class SymbolTokenizer:
             self.depth = max(self.depth, len(token))
             prefix = 0
             for ch in token:
-                key = prefix * stride + index[ch]
+                key = prefix, index[ch]
                 if key not in children:
                     children[key] = len(ids)
                     ids.append(len(vocabulary))
                 prefix = children[key]
             ids[prefix] = i
-        self.keys = np.array(sorted(children), dtype=np.int64)
-        self.prefixes = np.array([children[k] for k in self.keys.tolist()] + [len(ids)],
-                                 dtype=np.int64)
+        dead = len(ids)
+        self.step = np.full((dead + 1, len(alphabet)), dead, dtype=np.min_scalar_type(dead))
+        for (prefix, a), child in children.items():
+            self.step[prefix, a] = child
         self.ids = np.array(ids + [len(vocabulary)], dtype=np.int64)
 
     def flatten(self, codes, counts):
@@ -119,7 +119,7 @@ class SymbolTokenizer:
         codes = np.asarray(codes)
         counts = np.asarray(counts, dtype=np.int64)
         ends = np.cumsum(counts)
-        kinds = self.kinds[codes]
+        kinds = np.take(self.kinds, codes)
         # a word symbol after a word symbol of its own sentence continues its token
         joins = np.zeros(codes.size, dtype=bool)
         joins[1:] = (kinds[1:] == _WORD) & (kinds[:-1] == _WORD)
@@ -129,20 +129,20 @@ class SymbolTokenizer:
         token[:-1] &= ~joins[1:]  # now only the last symbol of each token
         sizes = np.flatnonzero(token) + 1 - starts
         # each token's prefixes, one character per step: its first from the
-        # one-character prefixes, then the others of the tokens of two
-        # characters or more, all of them at every step (a token that has
-        # ended keeps its prefix). Arrays of one size at every step leave the
-        # heap as they found it; shrinking ones raised a sweep's peak RSS.
-        first = self.prefixes[_index_in(self.keys, np.arange(self.kinds.size))]
-        prefix = first[codes[starts]]
+        # empty prefix, then the others of the tokens of two characters or
+        # more, all of them at every step (a token that has ended keeps its
+        # prefix), as step[p, symbol] read off the flat table. Arrays of one
+        # size at every step leave the heap as they found it; shrinking ones
+        # raised a sweep's peak RSS.
+        prefix = np.take(self.step[0], np.take(codes, starts))
         longer = np.flatnonzero(sizes > 1)
-        size, at, p = sizes[longer], starts[longer], prefix[longer]
-        stride = self.kinds.size + 1
+        size, at, p = sizes[longer], starts[longer], prefix[longer].astype(np.intp)
+        step, stride = self.step.ravel(), self.kinds.size
         for t in range(1, min(self.depth, int(sizes.max(initial=0)))):
-            symbol = codes[np.minimum(at + t, codes.size - 1)]
-            p = np.where(size > t, self.prefixes[_index_in(self.keys, p * stride + symbol)], p)
+            symbol = np.take(codes, np.minimum(at + t, codes.size - 1))
+            p = np.where(size > t, np.take(step, p * stride + symbol), p)
         prefix[longer] = p
-        prefix[sizes > self.depth] = self.prefixes[-1]  # longer than every vocabulary token
+        prefix[sizes > self.depth] = len(self.step) - 1  # longer than every vocabulary token
         ids = self.ids[prefix]
         owner = np.searchsorted(ends, starts, side="right")
         lengths = np.bincount(owner, minlength=counts.size)

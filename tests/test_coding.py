@@ -190,6 +190,34 @@ def test_huffman_decode_greedy_on_any_table():
             assert huffman_decode(bits, code) == huffman_decode_reference(bits, code)
 
 
+# the tables of test_huffman_decode_greedy_on_any_table, and a two-symbol
+# code of 1-bit codewords, which emits a symbol at every bit: eight from one
+# byte, and one from each pad bit past a lane's end
+BYTE_DECODER_TABLES = [{"a": "0", "b": "01"}, {"b": "01", "a": "0"},
+                       {"a": "0", "b": "0", "c": "1"}, {"a": "", "b": "1", "c": "01"},
+                       {"a": "00", "b": "01"}, {"a": "0", "b": "1"}]
+
+
+@given(st.sampled_from(BYTE_DECODER_TABLES),
+       st.lists(st.lists(st.integers(0, 1), max_size=17), max_size=6))
+@example({"a": "0", "b": "1"}, [[0, 1, 1, 0, 1, 0, 0, 1], [1, 0, 1], []])
+@example({"a": "00", "b": "01"}, [[0, 1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0, 0]])
+@example({"a": "0", "b": "01"}, [[1, 0], [0] * 17, [0, 1] * 8])
+def test_huffman_byte_decoder_equals_the_reference_lane_by_lane(table, lanes):
+    # lanes of 0 to 17 bits, most not whole bytes: a symbol emitted on a
+    # lane's last bit is kept, and one the zero pad would complete after it
+    # (the lane of 7 bits under {"a": "00"}, whose last bit is a pending 0)
+    # is not
+    code = HuffmanCode(table)
+    rows = [np.array(lane, dtype=np.uint8) for lane in lanes]
+    bits = np.concatenate(rows) if rows else np.zeros(0, dtype=np.uint8)
+    indices, counts = huffman_decode_indices(bits, [r.size for r in rows], code)
+    cuts = np.cumsum(counts).tolist()
+    decoded = ["".join(code.symbols[i] for i in indices[b - n : b].tolist())
+               for b, n in zip(cuts, counts.tolist())]
+    assert decoded == [huffman_decode_reference(r, code) for r in rows]
+
+
 @given(st.lists(huffman_streams(), max_size=6))
 def test_huffman_decode_rows_decodes_each_lane(streams):
     # one code for every lane; lanes of unequal lengths, empty ones included:

@@ -198,15 +198,15 @@ def test_csv_round_trip(tmp_path):
             assert float(row[name]) == getattr(r, name)
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, module=harness):
     calls = []
-    original = getattr(harness, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -343,6 +343,39 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
     run_sweep(cfg2, jobs=4)
     blob2 = (tmp_path / "b.csv").read_bytes()
     assert blob1 == blob2
+
+
+def test_scoring_tables_are_built_only_when_a_row_errs(tmp_path, monkeypatch):
+    # at -120 dBm every row of the small scene is at or above 60 dB, so no
+    # sentence is decoded and no corpus builds its BLEU, edit-distance or
+    # tokenizer tables; at a noisy floor each corpus builds each once, and
+    # jobs does not change a byte
+    expected = run_sweep(small_config(tmp_path, output_path=str(tmp_path / "a.csv")))
+    assert min(r.snr_db for r in expected) >= 60.0
+    built = {name: count_calls(monkeypatch, name, metrics)
+             for name in ("BleuReferences", "EditReferences", "SymbolTokenizer")}
+
+    def refuse(*args):
+        raise AssertionError("a scoring table was built")
+
+    with monkeypatch.context() as patch:
+        for name in built:
+            patch.setattr(metrics, name, refuse)
+        assert run_sweep(small_config(tmp_path, output_path=str(tmp_path / "b.csv"))) == expected
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    blobs = []
+    interval = sys.getswitchinterval()
+    for jobs in (1, 4):
+        cfg = small_config(tmp_path, noise_dbm=16.0, output_path=str(tmp_path / f"{jobs}.csv"))
+        sys.setswitchinterval(1e-6)  # threads that race to build a table switch often
+        try:
+            records = run_sweep(cfg, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        blobs.append(Path(cfg.output_path).read_bytes())
+        if jobs == 1:
+            assert all(len(calls) == 2 for calls in built.values())  # huffman, sixbit
+    assert all(r.ber > 0 for r in records) and blobs[0] == blobs[1]
 
 
 def test_sweep_deterministic_across_parallelism_with_errors(tmp_path):
@@ -1315,13 +1348,17 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
      "got center [10, 0, 0] with spacing 1e+300"),
     ({"rx": {"center": [10**400, 0, 0]}},
      f"rx: center must be 3 finite numbers, got {[10**400, 0, 0]!r}"),
+    ({"frequency_hz": 1e-300},
+     "frequency_hz must be large enough that the wavelength c/f is finite, got 1e-300"),
 ], ids=["tx-at-ris", "rx-at-ris", "ris-at-midpoint", "infinite-center", "infinite-spacing",
-        "overflowing-normal", "zero-normal", "huge-centers", "huge-spacing", "int-center"])
+        "overflowing-normal", "zero-normal", "huge-centers", "huge-spacing", "int-center",
+        "tiny-frequency"])
 def test_cli_malformed_array_spec_exits_1(tmp_path, capsys, config, message):
     # these ended in "cannot normalize the zero vector", "vector components
     # must be finite", or RuntimeWarnings and "cascaded coefficients must be
     # finite", none of which named the array; an int center beyond the
-    # float range ended in an OverflowError traceback
+    # float range ended in an OverflowError traceback, and a frequency whose
+    # wavelength overflows in a message that named an array, not it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "output_path": str(tmp_path / "sweep.csv")}))
     for command in (["snr", "--ratio", "1.0"], ["sweep"]):

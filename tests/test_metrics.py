@@ -449,10 +449,15 @@ def symbol_rows(draw):
 @example((["Zeta ab é٣ß_x", "\t"], [(0, "eta ab"), (0, "é٣ß_x\t"), (1, "\t\t"), (0, "ab")]))
 @example((["a" * 70], [(0, "a" * 69 + "b"), (0, "")]))
 @example((["abc ab"], [(0, "abcd"), (0, "abc"), (0, "ab")]))  # one past the longest token
+@example((["abc ab"], [(0, "abd"), (0, "abdc ab")]))  # leaves the vocabulary after "ab"
+@example((["ab a"], [(0, "ababab"), (0, "abab.")]))  # longer than the longest token
+@example((["ab"], [(0, "dab"), (0, "d ab d.")]))  # "d" starts no vocabulary token
+@example(([""], [(0, "ab"), (0, ""), (0, "a b.")]))  # an empty vocabulary
 def test_symbol_scoring_equals_the_string_path(case):
     # texts as SYMBOLS indices, end to end: the tokenizer's ids and owners
-    # are tokenize + vocabulary.get, and edit distances and BLEU scores from
-    # indices equal levenshtein and bleu on the strings
+    # are tokenize + vocabulary.get (id V for every token the vocabulary does
+    # not hold, however far its prefixes run inside it), and edit distances
+    # and BLEU scores from indices equal levenshtein and bleu on the strings
     references, rows = case
     table = BleuReferences(map(tokenize, references))
     tokenizer = SymbolTokenizer(SYMBOLS, table.vocabulary)
@@ -487,7 +492,7 @@ def test_symbol_tokenizer_needs_single_characters():
     with pytest.raises(ValueError, match="single-character"):
         SymbolTokenizer(["a", "bc"], {"a": 0})
     empty = SymbolTokenizer("ab", {})
-    assert empty.depth == 0 and empty.keys.size == 0
+    assert empty.depth == 0 and empty.step.tolist() == [[1, 1], [1, 1]]
     assert empty.flatten(np.array([0, 1, 0], dtype=np.uint8), [2, 1])[0].tolist() == [0, 0]
 
 
