@@ -16,7 +16,6 @@ building the entries of both links a block of RIS elements at a time.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +29,11 @@ REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
 _BLOCK_ELEMENTS = 64
 
 
-@dataclass(frozen=True)
 class PathLossModel:
-    exponent: float = 4.0
-
-    def __post_init__(self):
-        if self.exponent < 2.0:
+    def __init__(self, exponent: float = 4.0):
+        if exponent < 2.0:
             raise ValueError("path loss exponent must be >= 2")
+        self.exponent = exponent
 
     def beta(self, distance: float) -> float:
         try:
@@ -49,23 +46,19 @@ class PathLossModel:
         return beta
 
 
-@dataclass(frozen=True)
 class ChannelMatrix:
     """Complex per-element channel coefficients, n_rx_elements x
     n_tx_elements, together with the carrier wavelength used to build it."""
 
-    entries: np.ndarray
-    wavelength: float
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+    def __init__(self, entries, wavelength: float):
+        e = np.asarray(entries, dtype=complex)
         if e.ndim != 2:
             raise ValueError("channel entries must be a 2D matrix")
         if not np.all(np.isfinite(e)):
             raise ValueError("channel entries must be finite")
-        if not self.wavelength > 0:
+        if not wavelength > 0:
             raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "entries", e)
+        self.entries, self.wavelength = e, wavelength
 
     @property
     def shape(self) -> tuple[int, int]:

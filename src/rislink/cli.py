@@ -25,6 +25,7 @@ from .harness import (
     run_sweep,
 )
 from .link import snr, transmit
+from .ris import MAX_BITS
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -35,9 +36,13 @@ def _parse_bits(text):
     if text in (None, "none"):
         return None
     try:
-        return int(text)
+        bits = int(text)
     except ValueError:
-        raise ValueError(f"--bits must be an integer >= 1 or 'none', got {text!r}") from None
+        bits = None
+    if bits is None or not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"--bits must be an integer from 1 to {MAX_BITS} or 'none', "
+                         f"got {text!r}")
+    return bits
 
 
 def cmd_sweep(args) -> int:
@@ -62,6 +67,8 @@ def cmd_snr(args) -> int:
 
 
 def cmd_transmit(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     cfg = _load_config(args.config)
     scene = build_scene(cfg)
     bits = _parse_bits(args.bits)

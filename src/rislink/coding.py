@@ -13,7 +13,6 @@ import heapq
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,25 +20,21 @@ import numpy as np
 _ROW_POWER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class SymbolMatrix:
     """N_e x n complex symbols; `normalized` records that every row has
     mean |s|^2 equal to 1."""
 
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.atleast_2d(np.asarray(self.values, dtype=complex)))
+    def __init__(self, values, normalized: bool = False):
+        v = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=complex)))
         if v.ndim != 2:
             raise ValueError("symbol matrix must be 2D")
         if not np.isfinite(v.view(np.float64)).all():  # each real and imaginary part
             raise ValueError("symbols must be finite")
-        if self.normalized:
+        if normalized:
             power = np.mean(np.abs(v) ** 2, axis=1)
             if np.any(np.abs(power - 1.0) > _ROW_POWER_TOL):
                 raise ValueError("row power differs from 1 beyond tolerance")
-        object.__setattr__(self, "values", v)
+        self.values, self.normalized = v, normalized
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -107,10 +102,10 @@ def load_symbol_matrix(path) -> SymbolMatrix:
 # Huffman coding
 
 
-@dataclass(frozen=True)
 class HuffmanCode:
-    table: dict  # symbol -> codeword string of '0'/'1'
-    frequencies: dict = field(default_factory=dict)
+    def __init__(self, table: dict, frequencies: dict | None = None):
+        self.table = table  # symbol -> codeword string of '0'/'1'
+        self.frequencies = {} if frequencies is None else frequencies
 
     def expected_length(self) -> float:
         total = sum(self.frequencies.values())

@@ -4,8 +4,6 @@ Element indexing is row-major (element k = r * cols + c) and frozen so that
 codebooks and active-element masks are reproducible across runs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _ORTHO_TOL = 1e-9
@@ -30,29 +28,21 @@ def unit(v) -> np.ndarray:
     return a / n
 
 
-@dataclass(frozen=True)
 class PlanarArray:
     """Uniform planar array: a rows x cols grid of elements centered on
     `center`, spanned by the orthonormal in-plane axes `axis_row` and
     `axis_col`, radiating into the half-space of `normal`.
     """
 
-    center: np.ndarray
-    rows: int
-    cols: int
-    spacing: float
-    axis_row: np.ndarray
-    axis_col: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_vec3(self.center))
-        for name in ("axis_row", "axis_col", "normal"):
-            object.__setattr__(self, name, _as_vec3(getattr(self, name)))
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, center, rows: int, cols: int, spacing: float, axis_row, axis_col,
+                 normal):
+        self.center = _as_vec3(center)
+        self.axis_row, self.axis_col, self.normal = map(_as_vec3, (axis_row, axis_col, normal))
+        if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        if not self.spacing > 0:
+        if not spacing > 0:
             raise ValueError("spacing must be positive")
+        self.rows, self.cols, self.spacing = rows, cols, spacing
         axes = (self.axis_row, self.axis_col, self.normal)
         for a in axes:
             if abs(np.linalg.norm(a) - 1.0) > _ORTHO_TOL:

@@ -37,7 +37,7 @@ from .link import (
     steering_precoder,
     transmit_with_rng,
 )
-from .ris import Codebook, _select_rows, active_mask, build_codebook
+from .ris import MAX_BITS, Codebook, _select_rows, active_mask, build_codebook
 
 
 def _is_real(x) -> bool:
@@ -144,8 +144,9 @@ class ExperimentConfig:
         if any(a >= b for a, b in zip(self.ratios, self.ratios[1:])):
             raise ValueError("ratios must be strictly ascending")
         q = self.quantizations
-        _require(q and _is_list(q, lambda b: b is None or _is_count(b)) and len(set(q)) == len(q),
-                 "quantizations", "a non-empty list of distinct bit counts or null", q)
+        _require(q and _is_list(q, lambda b: b is None or _is_count(b) and b <= MAX_BITS)
+                 and len(set(q)) == len(q), "quantizations",
+                 f"a non-empty list of distinct bit counts from 1 to {MAX_BITS} or null", q)
         _require(isinstance(self.modulation, str) and self.modulation in coding.MODULATIONS,
                  "modulation", f"one of {sorted(coding.MODULATIONS)}", self.modulation)
         _require(_is_list(self.baselines, lambda b: b in ("huffman", "sixbit")),
@@ -217,8 +218,13 @@ def build_scene(cfg: ExperimentConfig) -> Scene:
         pitch = spec.spacing if spec.spacing is not None else spacing
         # an element lies at most pitch * ((rows - 1) + (cols - 1)) / 2 from
         # the center on each axis, since the array's axes are unit vectors
-        reach = max(map(abs, spec.center)) + pitch * (spec.rows + spec.cols - 2) / 2.0
+        offset = max(map(abs, spec.center))
+        reach = offset + pitch * (spec.rows + spec.cols - 2) / 2.0
         if not reach <= _MAX_COORDINATE:
+            # a center in range at the default spacing: the wavelength is too long
+            _require(spec.spacing is not None or offset > _MAX_COORDINATE, "frequency_hz",
+                     f"large enough that {name}'s elements lie within {_MAX_COORDINATE:.3g} m "
+                     "of the origin at half-wavelength spacing", cfg.frequency_hz)
             raise ValueError(f"{name}: every element must lie within {_MAX_COORDINATE:.3g} m "
                              f"of the origin on each axis, got center {spec.center!r} "
                              f"with spacing {pitch!r}")

@@ -6,7 +6,6 @@ g = w_rx^H H_e2e w_tx and SNR = |g|^2 * P_tx / sigma^2.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,29 +14,24 @@ from .coding import SymbolMatrix
 from .geometry import PlanarArray, element_positions
 
 
-@dataclass(frozen=True)
 class LinkBudget:
     """Transmit power, total complex noise power, and unit-norm
     precoding/combining weights. noise_power = 0 is allowed as a noiseless
     override for round-trip checks."""
 
-    p_tx: float
-    noise_power: float
-    w_tx: np.ndarray
-    w_rx: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.p_tx < math.inf:
+    def __init__(self, p_tx: float, noise_power: float, w_tx, w_rx):
+        if not 0 < p_tx < math.inf:
             raise ValueError("transmit power must be positive and finite")
-        if not 0 <= self.noise_power < math.inf:
+        if not 0 <= noise_power < math.inf:
             raise ValueError("noise power must be non-negative and finite")
-        for name in ("w_tx", "w_rx"):
-            w = np.asarray(getattr(self, name), dtype=complex)
+        self.p_tx, self.noise_power = p_tx, noise_power
+        for name, w in (("w_tx", w_tx), ("w_rx", w_rx)):
+            w = np.asarray(w, dtype=complex)
             if w.ndim != 1:
                 raise ValueError(f"{name} must be a vector")
             if abs(np.linalg.norm(w) - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be unit-norm")
-            object.__setattr__(self, name, w)
+            setattr(self, name, w)
 
 
 def dbm_to_watts(dbm: float) -> float:

@@ -12,7 +12,6 @@ Conventions, frozen for reproducibility:
 """
 
 import numbers
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -42,38 +41,36 @@ _BLOCK_ROWS = 32
 # a largest modulus in [1/2, 1): a term that still underflows adds at most
 # 2^-149 absolutely, far below a margin of at least 2 (n + 3) u.
 _MARGIN_PER_TERM = 4.0 * 2.0**-24
+# The finest phase-shift precision, in bits. Quantize-before-select scores
+# against a table of the 2^B level phasors: 65,536 of them, 512 KiB, at 16.
+MAX_BITS = 16
 
 
 def _check_bits(bits, name: str, optional: bool = False) -> None:
-    """A bit count is an integer >= 1 and not a bool; None (continuous
-    phases) where `optional`."""
+    """A bit count is an integer from 1 to MAX_BITS and not a bool; None
+    (continuous phases) where `optional`."""
     if bits is None and optional:
         return
-    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) or bits < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {bits!r}")
+    if (isinstance(bits, bool) or not isinstance(bits, numbers.Integral)
+            or not 1 <= bits <= MAX_BITS):
+        raise ValueError(f"{name} must be an integer from 1 to {MAX_BITS}, got {bits!r}")
 
 
-@dataclass(frozen=True)
 class RisConfiguration:
     """Per-element phase shifts in [0, 2*pi], an active mask, and the
     quantization precision applied (None = continuous). The phases are
     taken mod 2*pi, which gives exactly 2*pi for a phase in about
     (-4.4e-16, 0)."""
 
-    phases: np.ndarray
-    active_mask: np.ndarray
-    quantization_bits: int | None = None
-
-    def __post_init__(self):
-        phases = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
-        mask = np.asarray(self.active_mask, dtype=bool)
+    def __init__(self, phases, active_mask, quantization_bits: int | None = None):
+        phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+        mask = np.asarray(active_mask, dtype=bool)
         if phases.ndim != 1 or mask.shape != phases.shape:
             raise ValueError("phases and active_mask must be 1D with equal length")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        _check_bits(self.quantization_bits, "quantization_bits", optional=True)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "active_mask", mask)
+        _check_bits(quantization_bits, "quantization_bits", optional=True)
+        self.phases, self.active_mask, self.quantization_bits = phases, mask, quantization_bits
 
     def reflection_coefficients(self) -> np.ndarray:
         """Diagonal of the reflection matrix; inactive elements absorb (0)."""
@@ -85,26 +82,20 @@ class RisConfiguration:
         return np.sum(self.reflection_coefficients() * c)
 
 
-@dataclass(frozen=True)
 class Codebook:
     """Phase-gradient codebook on the planar array `ris`: codeword k steers
     a plane wave arriving from `incident_direction` toward `directions[k]`
     with every element active. Only the directions are stored; `phases(k)`
     computes a codeword's element phases when asked."""
 
-    ris: PlanarArray
-    wavelength: float
-    directions: np.ndarray
-    incident_direction: np.ndarray
-
-    def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=float)
+    def __init__(self, ris: PlanarArray, wavelength: float, directions, incident_direction):
+        directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != 3:
             raise ValueError("codebook needs one 3D direction per codeword")
         if not len(directions):
             raise ValueError("codebook must be non-empty")
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "incident_direction", unit(self.incident_direction))
+        self.ris, self.wavelength, self.directions = ris, wavelength, directions
+        self.incident_direction = unit(incident_direction)
 
     def __len__(self) -> int:
         return len(self.directions)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from rislink.harness import (
     write_records,
 )
 from rislink.link import (
+    LinkBudget,
     effective_gain,
     end_to_end_channel,
     equalize,
@@ -42,7 +43,13 @@ from rislink.link import (
     transmit_with_rng,
 )
 from rislink.metrics import bit_error_rate
-from rislink.ris import RisConfiguration, active_mask, cascaded_coefficients, quantize_phases
+from rislink.ris import (
+    MAX_BITS,
+    RisConfiguration,
+    active_mask,
+    cascaded_coefficients,
+    quantize_phases,
+)
 
 
 SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
@@ -277,6 +284,24 @@ def test_scene_channels_are_los_channels():
     budget = scene.budget
     assert np.array_equal(scene.coefficients, cascaded_coefficients(
         scene.h_ris_tx, scene.h_rx_ris, budget.w_tx, budget.w_rx))
+
+
+def test_scene_objects_hash_and_compare_by_identity(tmp_path):
+    # as frozen dataclasses, the ones that hold arrays raised ValueError on
+    # == between two instances and TypeError on hash(), and so did
+    # HuffmanCode's hash(): none could be a set member or compared
+    def parts(scene):
+        _, ris_cfg, _ = configure_point(scene, 1.0, 1)
+        return [scene.tx, scene.rx, scene.ris, scene.budget, scene.path_loss, scene.codebook,
+                scene.h_ris_tx, scene.h_rx_ris, ris_cfg]
+
+    cfg = small_config(tmp_path)
+    first, second = parts(build_scene(cfg)), parts(build_scene(cfg))
+    others = [SymbolMatrix(np.ones((2, 3))), coding.huffman_build({"a": 3, "b": 1})]
+    members = set(first + second + others)
+    assert len(members) == len(first + second + others)
+    assert all(x in members for x in first + second + others)
+    assert all(x == x and x != y for x, y in zip(first, second))
 
 
 BLAS_THREADS_CHILD = """\
@@ -623,7 +648,8 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
     scores = []
     for scale in (1 - 1e-9, 1 + 1e-9):
         gamma = harness.ERROR_FREE_SNR * scale
-        scene.budget = replace(scene.budget, noise_power=abs(g) ** 2 * scene.budget.p_tx / gamma)
+        b = scene.budget
+        scene.budget = LinkBudget(b.p_tx, abs(g) ** 2 * b.p_tx / gamma, b.w_tx, b.w_rx)
         assert (snr_linear(g, scene.budget) >= harness.ERROR_FREE_SNR) == (scale > 1)
         drawn = len(sent)
         scores.append([harness._corpus_pipeline(scene, [g], corpus, "16qam",
@@ -1076,6 +1102,14 @@ def test_readme_error_free_threshold_is_the_code_constant():
     assert float(db) == 10.0 * math.log10(harness.ERROR_FREE_SNR)
 
 
+def test_readme_bit_bound_is_the_code_constant():
+    # the Physical model, CLI and Configuration sections each state the
+    # range of a bit count through the constant and its value
+    bounds = re.findall(r"from 1 to\s+`ris\.MAX_BITS`\s+=\s+(\d+)", README.read_text())
+    assert len(bounds) == 3
+    assert all(int(bound) == MAX_BITS for bound in bounds)
+
+
 def test_readme_modules_table_names_resolve():
     # every backticked name in a row of the README's Modules table (up to a
     # call's parenthesis) is an attribute of that row's module, so a name
@@ -1272,10 +1306,11 @@ def test_cli_metrics_lone_option_exits_1(tmp_path, capsys, lone, missing):
     assert captured.err == f"error: {lone} needs {missing}\n"
 
 
-@pytest.mark.parametrize("bits", ["1.5", "true", ""])
+@pytest.mark.parametrize("bits", ["1.5", "true", "", str(MAX_BITS + 1)])
 @pytest.mark.parametrize("command", ["snr", "transmit"])
 def test_cli_malformed_bits_names_the_option(tmp_path, capsys, command, bits):
-    # the message was int()'s, "invalid literal for int() with base 10"
+    # the message was int()'s, "invalid literal for int() with base 10", and
+    # a count above MAX_BITS ran
     infile = tmp_path / "in.json"
     store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), infile)
     extra = ["--in", str(infile), "--out", str(tmp_path / "out.json")]
@@ -1283,7 +1318,36 @@ def test_cli_malformed_bits_names_the_option(tmp_path, capsys, command, bits):
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --bits must be an integer >= 1 or 'none', got {bits!r}\n"
+    assert captured.err == (f"error: --bits must be an integer from 1 to {MAX_BITS} or 'none', "
+                            f"got {bits!r}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--quantize-before-select"]])
+def test_cli_sweep_bits_beyond_max_bits_exits_1(tmp_path, capsys, flags):
+    # with --quantize-before-select, 40 bits asked numpy for an 8 TiB table
+    # and 64 ended in a numpy message naming no field
+    payload = json.loads(cli_config(tmp_path).read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**payload, "quantizations": [1, MAX_BITS + 1]}))
+    assert cli_main(["sweep", "--config", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: quantizations must be a non-empty list of distinct bit "
+                            f"counts from 1 to {MAX_BITS} or null, got [1, {MAX_BITS + 1}]\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_negative_seed_names_the_option(tmp_path, capsys):
+    # the message was numpy's, "expected non-negative integer"
+    infile = tmp_path / "in.json"
+    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), infile)
+    argv = ["transmit", "--in", str(infile), "--out", str(tmp_path / "out.json"),
+            "--ratio", "1.0", "--seed", "-1"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -1350,15 +1414,23 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
      f"rx: center must be 3 finite numbers, got {[10**400, 0, 0]!r}"),
     ({"frequency_hz": 1e-300},
      "frequency_hz must be large enough that the wavelength c/f is finite, got 1e-300"),
+    ({"frequency_hz": 1e-290},
+     "frequency_hz must be large enough that tx's elements lie within 3.87e+153 m of the "
+     "origin at half-wavelength spacing, got 1e-290"),
+    ({"frequency_hz": 1e-290, "tx": {"center": [0, 10, 0]},
+      "ris": {"center": [10, 0, 0], "rows": 4, "cols": 4, "spacing": 1e300}},
+     "ris: every element must lie within 3.87e+153 m of the origin on each axis, "
+     "got center [10, 0, 0] with spacing 1e+300"),
 ], ids=["tx-at-ris", "rx-at-ris", "ris-at-midpoint", "infinite-center", "infinite-spacing",
         "overflowing-normal", "zero-normal", "huge-centers", "huge-spacing", "int-center",
-        "tiny-frequency"])
+        "tiny-frequency", "long-wavelength", "long-wavelength-explicit-spacing"])
 def test_cli_malformed_array_spec_exits_1(tmp_path, capsys, config, message):
     # these ended in "cannot normalize the zero vector", "vector components
     # must be finite", or RuntimeWarnings and "cascaded coefficients must be
     # finite", none of which named the array; an int center beyond the
     # float range ended in an OverflowError traceback, and a frequency whose
-    # wavelength overflows in a message that named an array, not it
+    # wavelength overflows, or puts default-spaced elements out of range, in
+    # a message that named an array, not it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "output_path": str(tmp_path / "sweep.csv")}))
     for command in (["snr", "--ratio", "1.0"], ["sweep"]):
