@@ -61,7 +61,7 @@ def cmd_snr(args) -> int:
     bits = _parse_bits(args.bits)
     idx, ris_cfg, _ = configure_point(scene, args.ratio, bits)
     _, db = snr(ris_cfg.gain(scene.coefficients), scene.budget)
-    print(f"ratio={args.ratio} bits={args.bits or 'none'} "
+    print(f"ratio={args.ratio} bits={'none' if bits is None else bits} "
           f"codeword={idx} snr_db={db:.4f}")
     return 0
 

@@ -37,7 +37,7 @@ from .link import (
     steering_precoder,
     transmit_with_rng,
 )
-from .ris import MAX_BITS, Codebook, _select_rows, active_mask, build_codebook
+from .ris import MAX_BITS, Codebook, _configuration, _select_rows, active_mask, build_codebook
 
 
 def _is_real(x) -> bool:
@@ -281,13 +281,14 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 def _configure_ratios(scene: Scene, ratios, quantizations,
                       quantize_before_select: bool) -> list:
-    """For each ratio, the (codeword index, applied configuration, gain) of
-    each entry of `quantizations`. The default order follows the evaluated
-    protocol: one selection on continuous phases, whose winner each entry
-    then quantizes. The quantize-before-select alternative re-ranks the
-    codebook on quantized gains for every entry (a stronger, non-default
-    scheme). Each selection scores the codebook under every ratio's mask in
-    one pass, so the codebook is scored once per selection depth."""
+    """For each ratio, the (codeword index, gain) of each entry of
+    `quantizations`. The default order follows the evaluated protocol: one
+    selection on continuous phases, whose winner each entry then quantizes.
+    The quantize-before-select alternative re-ranks the codebook on
+    quantized gains for every entry (a stronger, non-default scheme). Each
+    selection scores the codebook under every ratio's mask in one pass, so
+    the codebook is scored once per selection depth. No configuration is
+    built: configure_point builds its one from the index."""
     masks = [active_mask(scene.ris, ratio) for ratio in ratios]
 
     def select(bits, applied):
@@ -304,7 +305,8 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     """(codeword index, applied configuration, linear SNR) at one sweep
     point, as a sweep selects it (see _configure_ratios); scores the codebook
     once."""
-    idx, cfg, g = _configure_ratios(scene, [ratio], [bits], quantize_before_select)[0][0]
+    [[(idx, g)]] = _configure_ratios(scene, [ratio], [bits], quantize_before_select)
+    cfg = _configuration(scene.codebook, idx, active_mask(scene.ris, ratio), bits)
     return idx, cfg, snr_linear(g, scene.budget)
 
 
@@ -479,7 +481,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
         raise ValueError("config provides no input source: nothing to sweep")
 
     def run_ratio(i, ratio, points):
-        gains = [g for _, _, g in points]
+        gains = [g for _, g in points]
         snrs_db = [snr(g, scene.budget)[1] for g in gains]  # raises on overflow, before any draw
         seeds = [[derive_seed(cfg.master_seed, i, j, k) for k in range(len(method_names))]
                  for j in range(len(points))]
@@ -502,7 +504,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                 by_method.append(_corpus_pipeline(scene, gains, methods[k], cfg.modulation,
                                                   rngs, cfg.max_bleu))
         return [SweepRecord(ratio, bits, idx, snr_db, name, *by_method[k][j], seeds[j][k])
-                for j, (bits, (idx, _, _), snr_db) in enumerate(
+                for j, (bits, (idx, _), snr_db) in enumerate(
                     zip(cfg.quantizations, points, snrs_db))
                 for k, name in enumerate(method_names)]
 

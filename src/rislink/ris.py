@@ -21,25 +21,30 @@ from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords per block in _filter_amplitudes and in _select_rows' re-score. On
-# the default scene (20 masks, one BLAS thread) a filter pass took 9-20 ms at
-# 16 to 64 codewords per block, within timing noise of each other, and 32 ms
-# at 2 bits with 128.
+# Codewords per block in the quantized _filter_amplitudes and in _select_rows'
+# re-score. On the default scene (20 masks, one BLAS thread, a loaded host) a
+# 1- or 2-bit filter pass took 18-19 ms at 32 codewords per block, 21-24 ms
+# at 8 and 16, 20-28 ms at 64 and 26-28 ms at 128.
 _BLOCK_ROWS = 32
 # A codeword's filter amplitude under a mask lies within
 # _MARGIN_PER_TERM * (n + 3) * sum_{e in mask} |c_e| of its exact amplitude,
-# n being the number of terms of the filter's product (the box size). With
-# u = 2^-24 and every |phasor| = 1, per term: the phasor is rounded to single
-# precision (u) and, on continuous phases, made as a single-precision complex
-# product of two rounded ramps (2u + sqrt(2) * gamma_2), and c_e is rounded
-# (u); the complex inner product of n terms then errs by at most
+# n being the size of the masks' union bounding box. With u = 2^-24 and every
+# |phasor| = 1: on quantized phases, each term's phasor is rounded to single
+# precision in the level table (u) and c_e is rounded (u); the box product's
+# complex inner product of n terms then errs by at most
 # sqrt(2) * gamma_2n * sum |x_e| |y_e| in any summation order (Higham,
 # Accuracy and Stability of Numerical Algorithms, section 3.1), and |.| adds
-# 2u. That is below (2.9 n + 8) u, hence the factor kappa = 4; the double
-# precision ramps and exact scores add less than 1e-5 u per term. The bound
-# holds without underflow, so the filter scales each mask's coefficients to
-# a largest modulus in [1/2, 1): a term that still underflows adds at most
-# 2^-149 absolutely, far below a margin of at least 2 (n + 3) u.
+# 2u: below (2.9 n + 5) u. On continuous phases, a mask whose own bounding
+# box has s_r rows and s_c columns is scored as sum_r row_r * (sum_c c_rc *
+# col_c). Each term has three rounded inputs (3u) and two rounded complex
+# products (sqrt(2) * gamma_2 each, Higham lemma 3.5), and passes through at
+# most s_r + s_c - 2 complex additions (u each), and |.| adds 2u: below
+# (s_r + s_c + 9) u, where s_r + s_c <= n + 1 on any box. Both bounds are
+# below 4 (n + 3) u, hence the factor kappa = 4; the double precision ramps
+# and exact scores add less than 1e-5 u per term. The bounds hold without
+# underflow, so the filter scales each mask's coefficients to a largest
+# modulus in [1/2, 1): a term that still underflows adds at most 2^-149
+# absolutely, far below a margin of at least 2 (n + 3) u.
 _MARGIN_PER_TERM = 4.0 * 2.0**-24
 # The finest phase-shift precision, in bits. Quantize-before-select scores
 # against a table of the 2^B level phasors: 65,536 of them, 512 KiB, at 16.
@@ -164,14 +169,8 @@ def quantize_phases(cfg: RisConfiguration, bits: int) -> RisConfiguration:
     under circular distance; ties go to the lower level. Inactive phases are
     left untouched."""
     _check_bits(bits, "bits")
-    quantized = _quantize(cfg.phases, bits)
-    return _quantized_configuration(cfg.phases, cfg.active_mask, quantized, bits)
-
-
-def _quantized_configuration(phases, mask, quantized, bits) -> RisConfiguration:
-    """The configuration of `phases` under `mask` with every active phase
-    replaced by its `quantized` one (_quantize(phases, bits))."""
-    return RisConfiguration(np.where(mask, quantized, phases), mask, bits)
+    quantized = np.where(cfg.active_mask, _quantize(cfg.phases, bits), cfg.phases)
+    return RisConfiguration(quantized, cfg.active_mask, bits)
 
 
 def active_mask(ris: PlanarArray, ratio: float) -> np.ndarray:
@@ -221,27 +220,29 @@ def conjugate_phases(
 
 
 def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
-    """exp(1j * slope[k] * (first + i)) for i < count, shape (K, count), by a
+    """exp(1j * slope[k] * (first + i)) for i < count, shape (count, K), by a
     running product: one complex exp per codeword instead of per entry."""
-    z = np.empty((slope.size, count), dtype=complex)
-    z[:, 0] = np.exp(1j * slope * first)
-    z[:, 1:] = np.exp(1j * slope)[:, None]
-    return np.cumprod(z, axis=1)
+    z = np.empty((count, slope.size), dtype=complex)
+    z[0] = np.exp(1j * slope * first)
+    z[1:] = np.exp(1j * slope)
+    return np.cumprod(z, axis=0, out=z)
 
 
 def _filter_amplitudes(
     cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every codeword's gain amplitude under each of the masks (M, N), shape
-    (M, K), from its separable phases (see Codebook.slopes), over the union
-    bounding box of the masks, and each mask's margin (M,): a codeword's
-    filter amplitude lies within its mask's margin of the amplitude of its
-    exact phases (see _MARGIN_PER_TERM). Each block of codewords builds its
-    phasors over the box once and scores them under every mask in one
-    single-precision product. The phase ramps and the quantization levels
-    are computed in double precision, so a quantized phase lands on the
-    level its exact phase takes unless it lies on a level boundary up to
-    rounding."""
+    (M, K), from its separable phases (see Codebook.slopes), and each mask's
+    margin (M,): a codeword's filter amplitude lies within its mask's margin
+    of the amplitude of its exact phases (see _MARGIN_PER_TERM). The sums run
+    in single precision. On continuous phases, each mask is scored over its
+    own bounding box as the bilinear form row_z^T C col_z of the codewords'
+    row and column phasors and the mask's coefficient grid C. On quantized
+    phases, each block of codewords builds its phasors over the union
+    bounding box of the masks once and scores them under every mask in one
+    product. The phase ramps and the quantization levels are computed in
+    double precision, so a quantized phase lands on the level its exact
+    phase takes unless it lies on a level boundary up to rounding."""
     ris = cb.ris
     grids = masks.reshape(-1, ris.rows, ris.cols)
     union = grids.any(axis=0)
@@ -257,36 +258,43 @@ def _filter_amplitudes(
     modulus = np.abs(c)
     e = np.frexp(np.where(masks, modulus, 0.0).max(axis=1))[1]
     scale = np.ldexp(1.0, -np.maximum(e, -1022))[:, None]  # (M, 1)
-    # (box, M): one column per mask, its scaled coefficient grid over the box
+    # (M, box rows, box columns): each mask's scaled coefficient grid over the box
     box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
-    box = (box.reshape(len(masks), -1) * scale).T.astype(np.complex64)
-    margin = _MARGIN_PER_TERM * (len(box) + 3) * (masks @ modulus)
+    box = (box * scale[:, :, None]).astype(np.complex64)
+    margin = _MARGIN_PER_TERM * ((r1 - r0) * (c1 - c0) + 3) * (masks @ modulus)
     row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
     col_first = c0 - (ris.cols - 1) / 2.0
     row_slope, col_slope = cb.slopes()
     if bits is None:
         row_z = _ramp_phasors(row_slope, row_first, r1 - r0).astype(np.complex64)
         col_z = _ramp_phasors(col_slope, col_first, c1 - c0).astype(np.complex64)
-
-        def phasors(k0, k1):
-            return row_z[k0:k1, :, None] * col_z[k0:k1, None, :]
-    else:
-        levels = 1 << bits
-        step = TWO_PI / levels
-        table = np.exp(1j * np.arange(levels) * step).astype(np.complex64)  # level phasors
-        a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
-        b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
-
-        def phasors(k0, k1):
-            # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
-            level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
-            level &= levels - 1
-            return table[level]
-
+        # (box rows, K), one buffer for every mask: a new product per mask, its
+        # size growing with the mask, raised the peak RSS of a default-scene
+        # selection by 0.6 MB
+        inner = np.empty_like(row_z)
+        amplitude = np.zeros((len(masks), len(cb)))
+        for m, grid in enumerate(grids[:, r0:r1, c0:c1]):
+            mr = np.flatnonzero(grid.any(axis=1))
+            mc = np.flatnonzero(grid.any(axis=0))
+            if mr.size:
+                r, s = slice(mr[0], mr[-1] + 1), slice(mc[0], mc[-1] + 1)
+                t = np.matmul(box[m, r, s], col_z[s], out=inner[: r.stop - r.start])
+                t *= row_z[r]
+                amplitude[m] = np.abs(t.sum(axis=0))
+        return amplitude / scale, margin
+    levels = 1 << bits
+    step = TWO_PI / levels
+    table = np.exp(1j * np.arange(levels) * step).astype(np.complex64)  # level phasors
+    a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
+    b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
+    box = box.reshape(len(masks), -1).T  # (box, M): one column per mask
     amplitude = np.empty((len(cb), len(masks)))
     for k0 in range(0, len(cb), _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, len(cb))
-        amplitude[k0:k1] = np.abs(phasors(k0, k1).reshape(k1 - k0, -1) @ box)
+        # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
+        level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
+        level &= levels - 1
+        amplitude[k0:k1] = np.abs(table[level].reshape(k1 - k0, -1) @ box)
     return amplitude.T / scale, margin
 
 
@@ -302,8 +310,18 @@ def select_codeword(
     coefficients of the two channel matrices under the budget's weights: its
     index, applied configuration and linear SNR."""
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
-    [[(k, cfg, g)]] = _select_rows(cb, c, np.asarray(mask)[None], bits, [bits])
-    return k, cfg, snr_linear(g, budget)
+    mask = np.asarray(mask)
+    [[(k, g)]] = _select_rows(cb, c, mask[None], bits, [bits])
+    return k, _configuration(cb, k, mask, bits), snr_linear(g, budget)
+
+
+def _configuration(cb: Codebook, k: int, mask, bits: int | None) -> RisConfiguration:
+    """Codeword k applied under `mask`, its active phases quantized to
+    `bits` (None: continuous); its gain is the one _select_rows gives."""
+    phases = cb.phases(k)
+    if bits is not None:
+        phases = np.where(mask, _quantize(phases, bits), phases)
+    return RisConfiguration(phases, mask, bits)
 
 
 def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) -> list:
@@ -312,9 +330,9 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     coefficients c (phases quantized first when `bits` is given) and pick
     the best one: the lowest index among bitwise-equal best powers, and
     among powers equal only up to rounding, the one that rounds highest.
-    Returns, per mask, one (index, configuration, gain) per entry of
-    `applied`, the winner's configuration quantized to that many bits
-    (None: continuous).
+    Returns, per mask, one (index, gain) per entry of `applied`: the gain of
+    the winner quantized to that many bits (None: continuous), bitwise
+    _configuration(cb, index, mask, bits).gain(c).
 
     One separable filter pass (_filter_amplitudes) scores the whole codebook
     under every mask in single precision. The exact winner's filter
@@ -329,8 +347,14 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     # Masks share winners and near-best codewords: on the default scene this
     # cache took a select-quantized sweep from 0.062 to 0.057 s
     @cache
-    def phases(k, b=None):
-        return cb.phases(k) if b is None else _quantize(phases(k), b)
+    def phases(k, b):
+        return cb.phases(k) if b is None else _quantize(phases(k, None), b)
+
+    @cache
+    def phasor(k, b):
+        # RisConfiguration's reflection coefficients before the mask: its
+        # constructor's np.mod maps a phase of exactly 2*pi to 0
+        return np.exp(1j * np.mod(phases(k, b), TWO_PI))
 
     selected = []
     for mask, amplitude, margin in zip(masks, *_filter_amplitudes(cb, c, masks, bits)):
@@ -352,10 +376,6 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
                 theta = np.array([phases(k, bits)[active] for k in block])
                 exact.append(np.abs(np.exp(1j * theta) @ c_active) ** 2)
             best = int(near[np.argmax(np.concatenate(exact))])
-        points = []
-        for b in applied:
-            cfg = (RisConfiguration(phases(best), mask) if b is None else
-                   _quantized_configuration(phases(best), mask, phases(best, b), b))
-            points.append((best, cfg, cfg.gain(c)))
-        selected.append(points)
+        selected.append([(best, np.sum(np.where(mask, phasor(best, b), 0.0) * c))
+                         for b in applied])
     return selected

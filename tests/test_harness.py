@@ -844,6 +844,30 @@ def test_configure_point_gain_matches_composed_channel():
                 assert idx == scans[scan_bits]
 
 
+@pytest.mark.parametrize("before", [False, True])
+def test_sweep_gains_equal_the_configurations_gains(before):
+    # the gain a sweep reads at each point is, bitwise, the gain of the
+    # configuration configure_point builds there
+    cfg = ExperimentConfig()
+    scene = build_scene(cfg)
+    configured = harness._configure_ratios(scene, cfg.ratios, cfg.quantizations, before)
+    for ratio, points in zip(cfg.ratios, configured):
+        for bits, (idx, g) in zip(cfg.quantizations, points):
+            k, ris_cfg, _ = configure_point(scene, ratio, bits, before)
+            assert k == idx
+            assert ris_cfg.gain(scene.coefficients) == g
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_sweep_builds_no_configuration(tmp_path, monkeypatch, before):
+    built = count_calls(monkeypatch, "__init__", RisConfiguration)
+    records = run_sweep(small_config(tmp_path, quantizations=[1, 2, None]),
+                        quantize_before_select=before)
+    assert records and not built
+    configure_point(build_scene(small_config(tmp_path)), 1.0, 1, before)
+    assert len(built) == 1
+
+
 def test_semantic_matrix_route(tmp_path):
     rng = np.random.default_rng(0)
     matrix = SymbolMatrix(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
@@ -975,6 +999,15 @@ def test_cli_sweep_and_snr(tmp_path, capsys):
                      "--bits", "1"]) == 0
     text = capsys.readouterr().out
     assert "snr_db=" in text
+
+
+@pytest.mark.parametrize("text, shown", [(" 02", "2"), ("2", "2"), ("none", "none"),
+                                         (None, "none")])
+def test_cli_snr_prints_the_parsed_bit_count(tmp_path, capsys, text, shown):
+    # the raw text was echoed: `--bits " 02"` printed "bits= 02"
+    argv = ["snr", "--config", str(cli_config(tmp_path)), "--ratio", "0.5"]
+    assert cli_main(argv + ([] if text is None else ["--bits", text])) == 0
+    assert f" bits={shown} codeword=" in capsys.readouterr().out
 
 
 def test_cli_snr_equals_the_sweep_when_the_gain_squared_underflows(tmp_path, capsys):

@@ -351,30 +351,52 @@ def test_selection_under_a_mask_stack_equals_one_mask_selections(shape):
         for bits in (None, 1, 2, 3):
             rows = _select_rows(cb, c, masks, bits, [bits])
             assert len(rows) == len(masks)
-            for m, [(idx, cfg, g)] in zip(masks, rows):
-                [[(one_idx, one_cfg, one_g)]] = _select_rows(cb, c, m[None], bits, [bits])
-                for ref_idx, ref_cfg, ref_value in (
-                        (one_idx, one_cfg, snr_linear(one_g, budget)),
-                        block_scan_select_by_coefficients(cb, c, budget, m, bits)):
-                    assert idx == ref_idx
-                    np.testing.assert_array_equal(cfg.phases, ref_cfg.phases)
-                    np.testing.assert_array_equal(cfg.active_mask, ref_cfg.active_mask)
-                    assert snr_linear(g, budget) == ref_value
+            for m, [(idx, g)] in zip(masks, rows):
+                [[(one_idx, one_g)]] = _select_rows(cb, c, m[None], bits, [bits])
+                assert (idx, g) == (one_idx, one_g)
+                ref_idx, ref_cfg, ref_value = block_scan_select_by_coefficients(
+                    cb, c, budget, m, bits)
+                assert idx == ref_idx
+                assert g == ref_cfg.gain(c)
+                assert snr_linear(g, budget) == ref_value
+
+
+def off_box_masks(rows, cols):
+    """Masks whose bounding boxes differ from each other and from the union
+    box: each corner element alone, an off-center rectangle, an L shape and
+    two disjoint blocks."""
+    masks = []
+    for r, c in ((0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)):
+        grid = np.zeros((rows, cols), dtype=bool)
+        grid[r, c] = True
+        masks.append(grid)
+    grid = np.zeros((rows, cols), dtype=bool)
+    grid[rows // 3 :, : max(1, cols // 2)] = True  # off-center rectangle
+    masks.append(grid)
+    grid = np.zeros((rows, cols), dtype=bool)
+    grid[:, 0] = grid[-1, :] = True  # L shape
+    masks.append(grid)
+    grid = np.zeros((rows, cols), dtype=bool)
+    grid[: (rows + 1) // 3, : (cols + 1) // 3] = True  # two disjoint blocks
+    grid[rows - rows // 3 :, cols - cols // 3 :] = True
+    masks.append(grid)
+    return [grid.ravel() for grid in masks]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (5, 5), (3, 7), (12, 10)])
 def test_filter_amplitudes_lie_within_their_margins(shape):
     # the single-precision filter's amplitude of every codeword under every
     # mask is within that mask's margin of the amplitude of the codeword's
-    # exact (quantized) phases, on centered, random, full and empty masks,
-    # also with coefficients that would underflow or overflow single
-    # precision
+    # exact (quantized) phases, on centered, random, full and empty masks and
+    # on masks whose bounding boxes are not the union box (corners, an
+    # off-center rectangle, an L shape, two disjoint blocks), also with
+    # coefficients that would underflow or overflow single precision
     for seed, scale in itertools.product(range(4), (1.0, 2.0**-140, 2.0**140)):
         h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(seed, shape, (12, 6))
         c = scale * cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
         rng = np.random.default_rng(300 + seed)
         masks = np.array([mask, rng.random(c.size) < 0.5, np.ones(c.size, dtype=bool),
-                          np.zeros(c.size, dtype=bool)])
+                          np.zeros(c.size, dtype=bool), *off_box_masks(*shape)])
         theta = np.array([cb.phases(k) for k in range(len(cb))])
         for bits in (None, 1, 2, 3):
             phasors = np.exp(1j * (theta if bits is None else _quantize(theta, bits)))
@@ -402,10 +424,9 @@ def test_select_codeword_equals_selection_on_coefficients():
         for m in (mask, np.ones(mask.size, dtype=bool)):
             for bits in (None, 1, 2):
                 idx, cfg, value = select_codeword(cb, h_ris_tx, h_rx_ris, budget, m, bits)
-                [[(c_idx, c_cfg, g)]] = _select_rows(cb, c, m[None], bits, [bits])
+                [[(c_idx, g)]] = _select_rows(cb, c, m[None], bits, [bits])
                 assert idx == c_idx
-                np.testing.assert_array_equal(cfg.phases, c_cfg.phases)
-                np.testing.assert_array_equal(cfg.active_mask, c_cfg.active_mask)
+                assert cfg.gain(c) == g
                 assert value == snr_linear(g, budget)
 
 
