@@ -3,8 +3,10 @@
 Subcommands:
   sweep     run the full ratio x quantization sweep and write the CSV
   snr       report the selected codeword and SNR for one (ratio, bits) point
-  transmit  pass a symbol-matrix file through the configured channel
   metrics   score decoded text / graph / embedding files against references
+
+A sweep sends a symbol-matrix file through the configured channel at every
+point when its config sets `symbol_matrix_path` and `received_matrix_dir`.
 
 `rislink --print-default-config` emits the default scene as editable JSON.
 """
@@ -17,14 +19,8 @@ import sys
 import numpy as np
 
 from . import coding, metrics as metrics_mod
-from .harness import (
-    ExperimentConfig,
-    build_scene,
-    configure_point,
-    derive_seed,
-    run_sweep,
-)
-from .link import snr, transmit
+from .harness import ExperimentConfig, build_scene, configure_point, run_sweep
+from .link import snr
 from .ris import MAX_BITS
 
 
@@ -63,24 +59,6 @@ def cmd_snr(args) -> int:
     _, db = snr(ris_cfg.gain(scene.coefficients), scene.budget)
     print(f"ratio={args.ratio} bits={'none' if bits is None else bits} "
           f"codeword={idx} snr_db={db:.4f}")
-    return 0
-
-
-def cmd_transmit(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    cfg = _load_config(args.config)
-    scene = build_scene(cfg)
-    bits = _parse_bits(args.bits)
-    _, ris_cfg, _ = configure_point(scene, args.ratio, bits)
-    g = ris_cfg.gain(scene.coefficients)
-    m = coding.normalize_rows(coding.load_symbol_matrix(args.infile))
-    seed = args.seed if args.seed is not None else derive_seed(cfg.master_seed, 0)
-    received = transmit(m, g, scene.budget, seed)
-    coding.store_symbol_matrix(received, args.outfile)
-    _, db = snr(g, scene.budget)
-    print(f"transmitted {m.shape[0]}x{m.shape[1]} matrix at snr_db={db:.4f} "
-          f"seed={seed} -> {args.outfile}")
     return 0
 
 
@@ -158,15 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--bits", default="none", help="1, 2, ... or 'none'")
     p.set_defaults(func=cmd_snr)
-
-    p = sub.add_parser("transmit", help="send a symbol-matrix file through the channel")
-    p.add_argument("--config")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--bits", default="none")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_transmit)
 
     p = sub.add_parser("metrics", help="score decoded outputs against references")
     p.add_argument("--ref", help="reference text, one sentence per line")

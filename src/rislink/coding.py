@@ -41,12 +41,25 @@ class SymbolMatrix:
         return self.values.shape
 
 
+def scale_to_unit(x: np.ndarray) -> np.ndarray:
+    """x times, along its last axis, the power of two that brings the
+    largest real or imaginary part into [1/2, 1) (or up by at most 2^1022),
+    so that squaring neither overflows nor underflows to 0. The scaling is
+    exact: its ratios of sums of squares are x's wherever x's neither
+    overflow nor underflow."""
+    parts = np.abs(x.view(np.float64) if x.dtype.kind == "c" else x)
+    e = np.frexp(parts.max(axis=-1, initial=0.0))[1]
+    return x * np.ldexp(1.0, -np.maximum(e, -1022))[..., None]
+
+
 def normalize_rows(m: SymbolMatrix) -> SymbolMatrix:
-    """Scale each row so its mean |s|^2 is exactly 1."""
-    power = np.mean(np.abs(m.values) ** 2, axis=1)
+    """Scale each row so its mean |s|^2 is exactly 1; any finite, nonzero
+    row can be normalized."""
+    values = scale_to_unit(m.values)
+    power = np.mean(np.abs(values) ** 2, axis=1)
     if np.any(power == 0.0):
         raise ValueError("cannot normalize an all-zero row")
-    return SymbolMatrix(m.values / np.sqrt(power)[:, None], normalized=True)
+    return SymbolMatrix(values / np.sqrt(power)[:, None], normalized=True)
 
 
 def store_symbol_matrix(m: SymbolMatrix, path) -> None:
@@ -83,10 +96,15 @@ def read_json(path, what: str):
 def load_symbol_matrix(path) -> SymbolMatrix:
     payload = read_json(path, "symbol-matrix file")
     try:
-        n_rows, n_cols = payload["n_rows"], payload["n_cols"]
-        raw = np.asarray(payload["data"], dtype=float)
+        n_rows, n_cols, data = payload["n_rows"], payload["n_cols"], payload["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing symbol-matrix fields: {exc}") from exc
+    try:
+        raw = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: data must be a list of numbers: {exc}") from exc
+    if raw.ndim != 1 or not np.isfinite(raw).all():
+        raise ValueError(f"{path}: data must be a flat list of finite numbers")
     for name, n in (("n_rows", n_rows), ("n_cols", n_cols)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"{path}: {name} must be an integer >= 1, got {n!r}")

@@ -35,7 +35,7 @@ from .link import (
     snr,
     snr_linear,
     steering_precoder,
-    transmit_with_rng,
+    transmit,
 )
 from .ris import MAX_BITS, Codebook, _configuration, _select_rows, active_mask, build_codebook
 
@@ -382,14 +382,14 @@ class _Corpus:
 ERROR_FREE_SNR = 1e6
 
 
-def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
+def _corpus_pipeline(scene, gains, corpus, modulation, seeds, max_bleu) -> list:
     """Score one method's corpus at several gains: for each gain (a row),
     send the whole corpus through the scalar channel in a single
-    transmission, drawing from that row's rng, and demodulate it as one row.
-    A row whose SNR reaches ERROR_FREE_SNR (a nonzero gain on a noiseless
-    link included) arrives as sent by the bound given there, so it is
-    neither drawn, equalized nor demodulated, and leaves its rng unused; a
-    zero gain, whose SNR is 0, still reaches equalize's "link outage" error.
+    transmission, drawing from that row's seed, and demodulate it as one
+    row. A row whose SNR reaches ERROR_FREE_SNR (a nonzero gain on a
+    noiseless link included) arrives as sent by the bound given there, so
+    it is neither drawn, equalized nor demodulated; a zero gain, whose SNR
+    is 0, still reaches equalize's "link outage" error.
     Each sentence's bit error rate comes from one comparison of the received
     row with the sent one (see metrics.bit_error_rates), in which a pad bit
     never counts. A sentence that arrived without a bit error decodes to
@@ -402,11 +402,11 @@ def _corpus_pipeline(scene, gains, corpus, modulation, rngs, max_bleu) -> list:
     demodulate = coding.MODULATIONS[modulation][1]
     received_rows = []
     bers = np.zeros((len(gains), corpus.sizes.size))
-    for received_bers, g, rng in zip(bers, gains, rngs):
+    for received_bers, g, seed in zip(bers, gains, seeds):
         if snr_linear(g, scene.budget) >= ERROR_FREE_SNR:  # 0 for a zero gain
             received_rows.append(corpus.sent)
             continue
-        noisy = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
+        noisy = transmit(corpus.symbols, g, scene.budget, seed)
         received = demodulate(equalize(noisy, g, scene.budget.p_tx).values[0])
         received_rows.append(received)
         received_bers[:] = metrics.bit_error_rates(corpus.sent, received,
@@ -452,11 +452,9 @@ def _prepare_methods(cfg: ExperimentConfig):
             folded = [coding.sixbit_fold(s) for s in sentences]
             encoded = [coding.sixbit_encode_folded(s) for s in folded]
             methods.append(_Corpus("sixbit", folded, encoded, None, cfg.modulation))
-    semantic = None
-    if cfg.symbol_matrix_path is not None:
-        m = coding.load_symbol_matrix(cfg.symbol_matrix_path)
-        semantic = coding.normalize_rows(m)
-    return methods, semantic
+    if cfg.symbol_matrix_path is None:
+        return methods, None
+    return methods, coding.normalize_rows(coding.load_symbol_matrix(cfg.symbol_matrix_path))
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
@@ -483,27 +481,23 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     def run_ratio(i, ratio, points):
         gains = [g for _, g in points]
         snrs_db = [snr(g, scene.budget)[1] for g in gains]  # raises on overflow, before any draw
-        seeds = [[derive_seed(cfg.master_seed, i, j, k) for k in range(len(method_names))]
-                 for j in range(len(points))]
+        # seeds[k][j]: method k's seed at quantization j
+        seeds = [[derive_seed(cfg.master_seed, i, j, k) for j in range(len(points))]
+                 for k in range(len(method_names))]
         by_method = []
         for k, name in enumerate(method_names):
             if name == "semantic":
                 # no record field reads the received matrix: draw it only to store it
                 if cfg.received_matrix_dir is not None:
-                    for bits, g, row in zip(cfg.quantizations, gains, seeds):
-                        received = transmit_with_rng(semantic, g, scene.budget,
-                                                     np.random.default_rng(row[k]))
-                        bits_tag = "none" if bits is None else str(bits)
-                        out = os.path.join(
-                            cfg.received_matrix_dir, f"semantic_r{ratio}_b{bits_tag}.json"
-                        )
-                        coding.store_symbol_matrix(received, out)
+                    for bits, g, seed in zip(cfg.quantizations, gains, seeds[k]):
+                        out = f"semantic_r{ratio}_b{'none' if bits is None else bits}.json"
+                        coding.store_symbol_matrix(transmit(semantic, g, scene.budget, seed),
+                                                   os.path.join(cfg.received_matrix_dir, out))
                 by_method.append([(None, None, None, None)] * len(points))
             else:
-                rngs = [np.random.default_rng(row[k]) for row in seeds]
                 by_method.append(_corpus_pipeline(scene, gains, methods[k], cfg.modulation,
-                                                  rngs, cfg.max_bleu))
-        return [SweepRecord(ratio, bits, idx, snr_db, name, *by_method[k][j], seeds[j][k])
+                                                  seeds[k], cfg.max_bleu))
+        return [SweepRecord(ratio, bits, idx, snr_db, name, *by_method[k][j], seeds[k][j])
                 for j, (bits, (idx, _), snr_db) in enumerate(
                     zip(cfg.quantizations, points, snrs_db))
                 for k, name in enumerate(method_names)]

@@ -117,8 +117,7 @@ def transmit(
     plus i.i.d. circularly-symmetric complex Gaussian noise of total variance
     noise_power. The channel stays constant across the whole matrix;
     bit-identical for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    return transmit_with_rng(s, g, budget, rng)
+    return transmit_with_rng(s, g, budget, np.random.default_rng(seed))
 
 
 def transmit_with_rng(

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .coding import read_json
+from .coding import read_json, scale_to_unit
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 BLEU_ORDER = 4
@@ -285,8 +285,10 @@ def triplet_f1(source: KnowledgeGraph, decoded: KnowledgeGraph):
 
 
 def cosine_similarity(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """The cosine of the angle between two real vectors, for any finite,
+    nonzero magnitudes (see coding.scale_to_unit)."""
+    a = scale_to_unit(np.asarray(a, dtype=float))
+    b = scale_to_unit(np.asarray(b, dtype=float))
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")

@@ -117,6 +117,7 @@ class Codebook:
         steer = self.incident_direction + self.directions[k]
         return np.mod(-kappa * (self._offsets @ steer), TWO_PI)
 
+    @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
         """Phase slopes (K,) per row step and per column step: with r' and
         c' the row and column indices counted from the array center,
@@ -228,6 +229,33 @@ def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
     return np.cumprod(z, axis=0, out=z)
 
 
+def _level_ramps(cb: Codebook, bits: int, ks, rows=slice(None), cols=slice(None)):
+    """The terms a (len(ks), rows) and b (len(ks), cols) of the `bits`-bit
+    levels of codewords `ks` over a box of the array: a[k, r] = row[k] /
+    step * r' and b[k, c] = col[k] / step * c' - 0.5, whatever `ks` and the
+    box, with step = 2*pi / 2^bits (see Codebook.slopes). _levels rounds
+    a + b up, to the phase's nearest level, ties toward the lower. The
+    filter, the re-score and _configuration all take their levels from
+    here, so they put a phase on a level boundary at the same level."""
+    step = TWO_PI / (1 << bits)
+    row_slope, col_slope = cb.slopes
+    r = (np.arange(cb.ris.rows) - (cb.ris.rows - 1) / 2.0)[rows]
+    c = (np.arange(cb.ris.cols) - (cb.ris.cols - 1) / 2.0)[cols]
+    return np.outer(row_slope[ks] / step, r), np.outer(col_slope[ks] / step, c) - 0.5
+
+
+def _levels(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
+    """The levels (K', rows, cols) of the terms of _level_ramps."""
+    level = np.ceil(a[:, :, None] + b[:, None, :]).astype(np.intp)
+    level &= (1 << bits) - 1  # the mod
+    return level
+
+
+def _quantized_phases(cb: Codebook, k: int, bits: int) -> np.ndarray:
+    """Codeword k's element phases, each at its level of _level_ramps."""
+    return _levels(*_level_ramps(cb, bits, [k]), bits).ravel() * (TWO_PI / (1 << bits))
+
+
 def _filter_amplitudes(
     cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +268,9 @@ def _filter_amplitudes(
     row and column phasors and the mask's coefficient grid C. On quantized
     phases, each block of codewords builds its phasors over the union
     bounding box of the masks once and scores them under every mask in one
-    product. The phase ramps and the quantization levels are computed in
-    double precision, so a quantized phase lands on the level its exact
-    phase takes unless it lies on a level boundary up to rounding."""
+    product. The quantized phasors are those of the levels of
+    _level_ramps, the levels _configuration applies, so a phase on a level
+    boundary takes the same level here as in the exact re-score."""
     ris = cb.ris
     grids = masks.reshape(-1, ris.rows, ris.cols)
     union = grids.any(axis=0)
@@ -262,12 +290,11 @@ def _filter_amplitudes(
     box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
     box = (box * scale[:, :, None]).astype(np.complex64)
     margin = _MARGIN_PER_TERM * ((r1 - r0) * (c1 - c0) + 3) * (masks @ modulus)
-    row_first = r0 - (ris.rows - 1) / 2.0  # r' of the box's first row
-    col_first = c0 - (ris.cols - 1) / 2.0
-    row_slope, col_slope = cb.slopes()
     if bits is None:
-        row_z = _ramp_phasors(row_slope, row_first, r1 - r0).astype(np.complex64)
-        col_z = _ramp_phasors(col_slope, col_first, c1 - c0).astype(np.complex64)
+        row_slope, col_slope = cb.slopes
+        # from r' and c' of the box's first row and column
+        row_z = _ramp_phasors(row_slope, r0 - (ris.rows - 1) / 2.0, r1 - r0).astype(np.complex64)
+        col_z = _ramp_phasors(col_slope, c0 - (ris.cols - 1) / 2.0, c1 - c0).astype(np.complex64)
         # (box rows, K), one buffer for every mask: a new product per mask, its
         # size growing with the mask, raised the peak RSS of a default-scene
         # selection by 0.6 MB
@@ -283,17 +310,13 @@ def _filter_amplitudes(
                 amplitude[m] = np.abs(t.sum(axis=0))
         return amplitude / scale, margin
     levels = 1 << bits
-    step = TWO_PI / levels
-    table = np.exp(1j * np.arange(levels) * step).astype(np.complex64)  # level phasors
-    a = np.outer(row_slope / step, row_first + np.arange(r1 - r0))
-    b = np.outer(col_slope / step, col_first + np.arange(c1 - c0)) - 0.5
+    table = np.exp(1j * np.arange(levels) * (TWO_PI / levels)).astype(np.complex64)
+    a, b = _level_ramps(cb, bits, slice(None), slice(r0, r1), slice(c0, c1))
     box = box.reshape(len(masks), -1).T  # (box, M): one column per mask
     amplitude = np.empty((len(cb), len(masks)))
     for k0 in range(0, len(cb), _BLOCK_ROWS):
         k1 = min(k0 + _BLOCK_ROWS, len(cb))
-        # ceil(x - 0.5) rounds as _quantize does; `& (levels - 1)` is the mod
-        level = np.ceil(a[k0:k1, :, None] + b[k0:k1, None, :]).astype(np.intp)
-        level &= levels - 1
+        level = _levels(a[k0:k1], b[k0:k1], bits)
         amplitude[k0:k1] = np.abs(table[level].reshape(k1 - k0, -1) @ box)
     return amplitude.T / scale, margin
 
@@ -320,7 +343,7 @@ def _configuration(cb: Codebook, k: int, mask, bits: int | None) -> RisConfigura
     `bits` (None: continuous); its gain is the one _select_rows gives."""
     phases = cb.phases(k)
     if bits is not None:
-        phases = np.where(mask, _quantize(phases, bits), phases)
+        phases = np.where(mask, _quantized_phases(cb, k, bits), phases)
     return RisConfiguration(phases, mask, bits)
 
 
@@ -348,7 +371,7 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     # cache took a select-quantized sweep from 0.062 to 0.057 s
     @cache
     def phases(k, b):
-        return cb.phases(k) if b is None else _quantize(phases(k, None), b)
+        return cb.phases(k) if b is None else _quantized_phases(cb, k, b)
 
     @cache
     def phasor(k, b):

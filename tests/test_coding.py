@@ -451,8 +451,27 @@ def test_normalize_rows():
 
 
 def test_normalize_rows_rejects_zero_row():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all-zero row"):
         normalize_rows(SymbolMatrix(np.zeros((2, 3), dtype=complex)))
+    with pytest.raises(ValueError, match="all-zero row"):  # beside a row of 5e-324
+        normalize_rows(SymbolMatrix([[5e-324, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("exponent", [-1074, -1000, -664, 664, 1000, 1023])
+def test_normalize_rows_at_extreme_magnitudes(exponent):
+    # rows of 1e200 squared to inf and failed the unit-power check, and rows
+    # of 1e-200 squared to 0 and were "all-zero": each row is scaled by a
+    # power of two first, so rows 2^exponent times as large normalize to
+    # bitwise the same symbols
+    rng = np.random.default_rng(3)
+    parts = rng.uniform(0.5, 1.0, size=(2, 3, 5)) * rng.choice([-1.0, 1.0], size=(2, 3, 5))
+    unit = parts[0] + 1j * parts[1]
+    if exponent == -1074:  # the smallest subnormal, which only 0 and 1 scale exactly
+        unit = np.array([[1.0, 1j, -1.0, 0.0, -1j]])
+    with np.errstate(all="raise"):
+        out = normalize_rows(SymbolMatrix(unit * 2.0**exponent))
+    assert out.normalized
+    assert np.array_equal(out.values, normalize_rows(SymbolMatrix(unit)).values)
 
 
 def test_qpsk_row_already_normalized():

@@ -40,7 +40,7 @@ from rislink.link import (
     end_to_end_channel,
     equalize,
     snr_linear,
-    transmit_with_rng,
+    transmit,
 )
 from rislink.metrics import bit_error_rate
 from rislink.ris import (
@@ -225,7 +225,7 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     # At -60 dBm every point is below 60 dB, so every row is drawn
     cfg = small_config(tmp_path, quantizations=[1, 2, None], noise_dbm=-60.0)
     selected = count_calls(monkeypatch, "_select_rows")
-    sent = count_calls(monkeypatch, "transmit_with_rng")
+    sent = count_calls(monkeypatch, "transmit")
     records = run_sweep(cfg, quantize_before_select=before)
     assert len(selected) == selections
     assert all(len(args[2]) == len(cfg.ratios) for args in selected)
@@ -551,11 +551,11 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
     assert pads == set(range(coding.BITS_PER_SYMBOL[modulation]))
 
 
-def score_each_sentence(scene, g, corpus, modulation, rng, max_bleu, decode):
+def score_each_sentence(scene, g, corpus, modulation, seed, max_bleu, decode):
     """_corpus_pipeline as a per-sentence scorer, every sentence decoded on
     its own by `decode` and scored by char_error_rate and bleu; and each
     sentence's bit error rate."""
-    received = transmit_with_rng(corpus.symbols, g, scene.budget, rng)
+    received = transmit(corpus.symbols, g, scene.budget, seed)
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
     recovered, bers = receive(corpus, equalized, coding.MODULATIONS[modulation][1])
     char_errs, bleus = [], []
@@ -588,14 +588,12 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
              else [ratio_gain(scene, ratio) for ratio in [0.05, 0.15, 0.3, 0.6, 1.0]])
     errored = []
     for k, corpus in enumerate(corpora):
-        # every row of a corpus is scored in one call, each from its own rng
+        # every row of a corpus is scored in one call, each from its own seed
         seeds = [derive_seed(5, i, k) for i in range(len(gains))]
-        rows = harness._corpus_pipeline(scene, gains, corpus, modulation,
-                                        [np.random.default_rng(s) for s in seeds], 0.6)
+        rows = harness._corpus_pipeline(scene, gains, corpus, modulation, seeds, 0.6)
         assert len(rows) == len(gains)
         for row, g, seed in zip(rows, gains, seeds):
-            oracle, bers = score_each_sentence(scene, g, corpus, modulation,
-                                               np.random.default_rng(seed), 0.6,
+            oracle, bers = score_each_sentence(scene, g, corpus, modulation, seed, 0.6,
                                                decoders[corpus.name])
             assert row == oracle
             errored.append(np.count_nonzero(bers) / len(bers))
@@ -620,7 +618,7 @@ def test_row_scorer_skips_error_free_rows_beside_errored_ones(monkeypatch, modul
     # one call scores a row above the error-free threshold, which is not
     # drawn, beside two rows whose errored sentences are gathered and
     # decoded; the skipped row scores as drawing it would
-    sent = count_calls(monkeypatch, "transmit_with_rng")
+    sent = count_calls(monkeypatch, "transmit")
 
     def gains_of(scene):
         g = ratio_gain(scene, 1.0)  # scaled to twice the threshold's SNR
@@ -644,7 +642,7 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
     # the budget's noise power is scaled so that the row's SNR is
     # ERROR_FREE_SNR * (1 -+ 1e-9): the row below is drawn, the one above not
     corpora, scene, g = threshold_scene(tmp_path, modulation="16qam")
-    sent = count_calls(monkeypatch, "transmit_with_rng")
+    sent = count_calls(monkeypatch, "transmit")
     scores = []
     for scale in (1 - 1e-9, 1 + 1e-9):
         gamma = harness.ERROR_FREE_SNR * scale
@@ -652,8 +650,7 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
         scene.budget = LinkBudget(b.p_tx, abs(g) ** 2 * b.p_tx / gamma, b.w_tx, b.w_rx)
         assert (snr_linear(g, scene.budget) >= harness.ERROR_FREE_SNR) == (scale > 1)
         drawn = len(sent)
-        scores.append([harness._corpus_pipeline(scene, [g], corpus, "16qam",
-                                                 [np.random.default_rng(3)], 0.6)
+        scores.append([harness._corpus_pipeline(scene, [g], corpus, "16qam", [3], 0.6)
                        for corpus in corpora])
         assert len(sent) - drawn == (len(corpora) if scale < 1 else 0)
     assert scores[0] == scores[1] == [[(0.0, 0.0, 1.0, 1.0 / 0.6)]] * len(corpora)
@@ -664,26 +661,23 @@ def test_zero_gain_row_is_a_link_outage(tmp_path, noise_dbm):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=noise_dbm)
     for corpus in corpora:
         with pytest.raises(ValueError, match="link outage"):
-            harness._corpus_pipeline(scene, [g, 0j], corpus, "qpsk",
-                                     [np.random.default_rng(k) for k in range(2)], 0.6)
+            harness._corpus_pipeline(scene, [g, 0j], corpus, "qpsk", [0, 1], 0.6)
 
 
 def test_noiseless_row_is_not_drawn(tmp_path, monkeypatch):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=-math.inf)
-    sent = count_calls(monkeypatch, "transmit_with_rng")
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
+    sent = count_calls(monkeypatch, "transmit")
     for corpus in corpora:
-        assert harness._corpus_pipeline(scene, [g], corpus, "qpsk", [rng], 0.6) == [
+        assert harness._corpus_pipeline(scene, [g], corpus, "qpsk", [3], 0.6) == [
             (0.0, 0.0, 1.0, 1.0 / 0.6)]
-    assert len(sent) == 0 and rng.bit_generator.state == state
+    assert len(sent) == 0
 
 
 def test_sweep_straddling_the_threshold_is_deterministic_across_parallelism(tmp_path,
                                                                              monkeypatch):
     # at -80 dBm the small scene's points span 51 to 63 dB: the rows above
     # 60 dB are not drawn, the rest are, and jobs does not change a byte
-    sent = count_calls(monkeypatch, "transmit_with_rng")
+    sent = count_calls(monkeypatch, "transmit")
     blobs = []
     for jobs in (1, 4):
         cfg = small_config(tmp_path, noise_dbm=-80.0, quantizations=[1, 2, None],
@@ -906,7 +900,7 @@ def test_semantic_route_transmits_only_to_store(tmp_path, monkeypatch, before):
     # no record field reads the received matrix: without a directory the
     # sweep draws nothing, and its records are those of the sweep that
     # writes the files
-    sent = count_calls(monkeypatch, "transmit_with_rng")
+    sent = count_calls(monkeypatch, "transmit")
     records = run_sweep(semantic_config(tmp_path), quantize_before_select=before)
     assert sent == []
     out_dir = tmp_path / "received"
@@ -919,8 +913,7 @@ def test_semantic_route_transmits_only_to_store(tmp_path, monkeypatch, before):
     semantic = coding.normalize_rows(load_symbol_matrix(cfg.symbol_matrix_path))
     for r in records:
         _, ris_cfg, _ = configure_point(scene, r.ratio, r.bits, before)
-        expected = transmit_with_rng(semantic, ris_cfg.gain(scene.coefficients), scene.budget,
-                                     np.random.default_rng(r.seed))
+        expected = transmit(semantic, ris_cfg.gain(scene.coefficients), scene.budget, r.seed)
         tag = "none" if r.bits is None else r.bits
         stored = load_symbol_matrix(out_dir / f"semantic_r{r.ratio}_b{tag}.json")
         np.testing.assert_array_equal(stored.values, expected.values)
@@ -1039,18 +1032,6 @@ def test_cli_snr_noiseless_ranks_by_gain(tmp_path, capsys):
         assert "codeword=324 " in capsys.readouterr().out
 
 
-def test_cli_transmit_shape_preserved(tmp_path):
-    cfg_path = cli_config(tmp_path)
-    rng = np.random.default_rng(1)
-    m = SymbolMatrix(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-    infile = tmp_path / "in.json"
-    store_symbol_matrix(m, infile)
-    outfile = tmp_path / "out.json"
-    assert cli_main(["transmit", "--config", str(cfg_path), "--in", str(infile),
-                     "--out", str(outfile), "--ratio", "1.0", "--seed", "5"]) == 0
-    assert load_symbol_matrix(outfile).shape == (5, 3)
-
-
 def test_cli_metrics_identity(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     ref.write_text("the node reports a value.\n")
@@ -1157,6 +1138,16 @@ def test_readme_modules_table_names_resolve():
             if reduce(lambda obj, part: getattr(obj, part, None), name.split("."), module) is None:
                 missing.append(f"{module.__name__}: {name}")
     assert missing == []
+
+
+def test_readme_configuration_names_every_key():
+    # every config key, array-spec keys included, is backticked in the
+    # README's Configuration section, so a key that is added or renamed
+    # cannot go undocumented
+    section = README.read_text().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(\w+)`", section))
+    keys = {f.name for cls in (ExperimentConfig, ArraySpec) for f in fields(cls)}
+    assert keys - documented == set()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -1268,15 +1259,34 @@ def test_cli_noiseless_noise_floor_is_accepted(tmp_path, capsys):
                         for r in rows)
 
 
-def test_cli_transmit_empty_matrix_exits_1(tmp_path, capsys):
+def symbol_config(tmp_path, matrix_path):
+    """The path of a config whose one method sends the symbol matrix at
+    `matrix_path`."""
+    path = tmp_path / "semantic.json"
+    path.write_text(small_config(tmp_path, corpus_path=None, baselines=[],
+                                 symbol_matrix_path=str(matrix_path)).to_json())
+    return path
+
+
+@pytest.mark.parametrize("payload", [
+    {"n_rows": 1, "n_cols": 0, "data": []},
+    {"n_rows": 1, "n_cols": 2, "data": [[1.0, 2.0], [3.0]]},
+    {"n_rows": 1, "n_cols": 2, "data": [1.0, 2.0, "abcd", 4.0]},
+    {"n_rows": 1, "n_cols": 2, "data": [[1.0, 2.0], [3.0, 4.0]]},
+    {"n_rows": 1, "n_cols": 1, "data": [math.nan, 1.0]},
+], ids=["empty", "ragged", "string", "nested", "nan"])
+def test_cli_malformed_symbol_matrix_exits_1(tmp_path, capsys, payload):
+    # a ragged or string data list ended in numpy's message, "setting an
+    # array element with a sequence" or "could not convert string to float",
+    # and a NaN in "symbols must be finite", none of which named the file;
+    # a nested list was read row by row
     infile = tmp_path / "in.json"
-    infile.write_text(json.dumps({"n_rows": 1, "n_cols": 0, "data": []}))
-    assert cli_main(["transmit", "--in", str(infile), "--out", str(tmp_path / "out.json"),
-                     "--ratio", "1.0"]) == 1
+    infile.write_text(json.dumps(payload))
+    assert cli_main(["sweep", "--config", str(symbol_config(tmp_path, infile))]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert not (tmp_path / "out.json").exists()
+    assert captured.err.startswith(f"error: {infile}: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["blank-text", "no-vectors"])
@@ -1320,6 +1330,19 @@ def test_cli_metrics_misshapen_files_exit_1(tmp_path, capsys, kind, payload):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("magnitude", [1e-200, 1e200])
+def test_cli_metrics_embeddings_at_extreme_magnitudes(tmp_path, capsys, magnitude):
+    # 1e200 warned and reported a similarity of 0.0 with exit 0, and 1e-200
+    # exited 1 with "undefined for a zero vector"
+    ref, hyp = tmp_path / "ref.json", tmp_path / "hyp.json"
+    ref.write_text(json.dumps({"dim": 2, "vectors": [[magnitude, magnitude]]}))
+    hyp.write_text(json.dumps({"dim": 2, "vectors": [[1.0, 1.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["metrics", "--ref-emb", str(ref), "--hyp-emb", str(hyp)]) == 0
+    assert json.loads(capsys.readouterr().out)["similarity"] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("lone, missing", [
     ("--ref", "--hyp"), ("--hyp", "--ref"), ("--ref-graph", "--hyp-graph"),
     ("--hyp-graph", "--ref-graph"), ("--ref-emb", "--hyp-emb"), ("--hyp-emb", "--ref-emb"),
@@ -1340,20 +1363,15 @@ def test_cli_metrics_lone_option_exits_1(tmp_path, capsys, lone, missing):
 
 
 @pytest.mark.parametrize("bits", ["1.5", "true", "", str(MAX_BITS + 1)])
-@pytest.mark.parametrize("command", ["snr", "transmit"])
-def test_cli_malformed_bits_names_the_option(tmp_path, capsys, command, bits):
+@pytest.mark.parametrize("command", ["snr"])
+def test_cli_malformed_bits_names_the_option(capsys, command, bits):
     # the message was int()'s, "invalid literal for int() with base 10", and
     # a count above MAX_BITS ran
-    infile = tmp_path / "in.json"
-    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), infile)
-    extra = ["--in", str(infile), "--out", str(tmp_path / "out.json")]
-    argv = [command, "--ratio", "0.5", "--bits", bits, *(extra if command == "transmit" else [])]
-    assert cli_main(argv) == 1
+    assert cli_main([command, "--ratio", "0.5", "--bits", bits]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: --bits must be an integer from 1 to {MAX_BITS} or 'none', "
                             f"got {bits!r}\n")
-    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--quantize-before-select"]])
@@ -1371,19 +1389,6 @@ def test_cli_sweep_bits_beyond_max_bits_exits_1(tmp_path, capsys, flags):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_cli_negative_seed_names_the_option(tmp_path, capsys):
-    # the message was numpy's, "expected non-negative integer"
-    infile = tmp_path / "in.json"
-    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), infile)
-    argv = ["transmit", "--in", str(infile), "--out", str(tmp_path / "out.json"),
-            "--ratio", "1.0", "--seed", "-1"]
-    assert cli_main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
-    assert not (tmp_path / "out.json").exists()
-
-
 NON_UTF8 = "caf\xe9 au lait\n".encode("latin-1")
 
 
@@ -1399,15 +1404,12 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
     graph.write_text(json.dumps([["a", "r", "b"]]))
     emb = tmp_path / "emb.json"
     emb.write_text(json.dumps({"dim": 2, "vectors": [[1.0, 2.0]]}))
-    symbols = tmp_path / "symbols.json"
-    store_symbol_matrix(SymbolMatrix(np.ones((1, 2))), symbols)
     argv = {
         "corpus": ["sweep", "--config", str(cli_config(tmp_path))],
         "config": ["snr", "--config", str(bad), "--ratio", "1.0"],
         "ref": ["metrics", "--ref", str(bad), "--hyp", str(ref)],
         "hyp": ["metrics", "--ref", str(ref), "--hyp", str(bad)],
-        "symbols": ["transmit", "--in", str(bad), "--out", str(tmp_path / "out.json"),
-                    "--ratio", "1.0"],
+        "symbols": ["sweep", "--config", str(symbol_config(tmp_path, bad))],
         "graph": ["metrics", "--ref-graph", str(graph), "--hyp-graph", str(bad)],
         "emb": ["metrics", "--ref-emb", str(bad), "--hyp-emb", str(emb)],
     }[kind]
@@ -1419,7 +1421,7 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys, kind):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ")
     assert captured.err.count("\n") == 1
-    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("config, message", [

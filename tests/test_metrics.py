@@ -280,6 +280,25 @@ def test_cosine_scale_invariance():
         assert cosine_similarity(a, 0.002 * b) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("exponent", [-1074, -1000, -664, 664, 1000, 1020])
+def test_cosine_power_of_two_scaling_is_exact(exponent):
+    # vectors of 1e200 squared to inf and gave nan (0.0 against a unit
+    # vector), and vectors of 1e-200 squared to 0 and were "zero vectors":
+    # each vector is now scaled by a power of two first, so any finite,
+    # nonzero magnitude gives bitwise the cosine of the unscaled vectors
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(0.5, 1.0, size=(2, 8)) * rng.choice([-1.0, 1.0], size=(2, 8))
+    base = cosine_similarity(a, b)
+    if exponent == -1074:  # the smallest subnormal, which only 0 and 1 scale exactly
+        a = np.array([1.0, -1.0, 0.0, 1.0])
+        b, base = a, cosine_similarity(a, a)
+    with np.errstate(all="raise"):
+        assert cosine_similarity(a * 2.0**exponent, b) == base
+        assert cosine_similarity(a * 2.0**exponent, b * 2.0**exponent) == base
+        assert cosine_similarity([1e200, 1e200], [1e200, 1e200]) == pytest.approx(1.0)
+        assert cosine_similarity([1e-200, 1e-200], [1.0, 1.0]) == pytest.approx(1.0)
+
+
 # --- error rates ----------------------------------------------------------------
 
 

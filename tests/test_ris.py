@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scene
 from rislink.channel import ChannelMatrix, wavelength
-from rislink.geometry import element_positions, facing_array, unit
+from rislink.geometry import PlanarArray, element_positions, facing_array, unit
 from rislink.link import snr_linear
 from rislink.ris import (
     MAX_BITS,
@@ -20,7 +20,7 @@ from rislink.ris import (
     quantize_phases,
     select_codeword,
 )
-from rislink.ris import _filter_amplitudes, _quantize, _select_rows
+from rislink.ris import _configuration, _filter_amplitudes, _quantize, _select_rows
 
 LAM = wavelength(28e9)
 
@@ -224,7 +224,7 @@ def test_slopes_separate_the_phases(shape):
     # theta_k(r, c) = row[k] * r' + col[k] * c' modulo 2*pi, up to rounding
     ris = make_ris(*shape)
     cb = build_codebook(ris, unit([0.3, 1.0, 0.1]), (6, 3), LAM)
-    row, col = cb.slopes()
+    row, col = cb.slopes
     r = np.arange(shape[0]) - (shape[0] - 1) / 2
     c = np.arange(shape[1]) - (shape[1] - 1) / 2
     for k in range(len(cb)):
@@ -485,3 +485,42 @@ def test_monotone_masking_under_conjugate_oracle():
         value = snr_linear(np.sum(cfg.reflection_coefficients() * c), budget)
         assert value >= previous
         previous = value
+
+
+def boundary_codebook(rows, cols, fraction, bits):
+    """A codebook on a rows x cols RIS whose 81 codewords have row and
+    column phase slopes on every multiple m * fraction of a `bits`-bit level
+    step, m from -4 to 4, so that many of their phases lie on a level
+    boundary up to rounding."""
+    lam, spacing = 0.1, 0.15
+    ris = PlanarArray([0.0, 0.0, 0.0], rows, cols, spacing, [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    incident = np.array([0.0, 0.0, 1.0])
+    # a steering component s gives the slope -2*pi/lam * spacing * s
+    s = -np.arange(-4, 5) * fraction * (2 * np.pi / (1 << bits)) * lam / (2 * np.pi * spacing)
+    steer = [(s_r, s_c, 0.5) for s_r in s for s_c in s]
+    return Codebook(ris, lam, np.array(steer) - incident, incident)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [0.5, 0.25])
+@pytest.mark.parametrize("shape", [(2, 4), (2, 5), (3, 4), (3, 5)])
+def test_quantized_selection_reaches_the_exhaustive_optimum_on_level_boundaries(
+        shape, fraction, bits):
+    # with c the conjugate of one codeword's quantized profile, quantized
+    # selection must reach the best power of an exhaustive scan of the
+    # configurations it applies. The filter took its levels from the
+    # separable phases and the re-score from Codebook.phases: a phase on a
+    # level boundary could take different levels in the two, and the
+    # exhaustive winner was dropped before the re-score (36 against 64)
+    cb = boundary_codebook(*shape, fraction, bits)
+    full = np.ones(cb.ris.num_elements, dtype=bool)
+    masks = np.array([full, active_mask(cb.ris, 0.5)])
+    reflection = [np.array([_configuration(cb, j, mask, bits).reflection_coefficients()
+                            for j in range(len(cb))]) for mask in masks]
+    for planted in range(len(cb)):
+        c = np.conj(reflection[0][planted])
+        for mask, refl, [(k, g)] in zip(masks, reflection, _select_rows(cb, c, masks, bits,
+                                                                        [bits])):
+            assert g == _configuration(cb, k, mask, bits).gain(c)
+            assert abs(g) ** 2 >= np.max(np.abs(refl @ c) ** 2) * (1 - 1e-9), (planted, k)
