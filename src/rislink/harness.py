@@ -322,10 +322,8 @@ class _Corpus:
     `tokenizer` reading the same tokens off symbol indices, and their
     edit-distance lanes built once, in `edits`, with `columns` the peq
     column of each alphabet symbol. These four are built on first use, so
-    a sweep in which no row has a bit error never builds them. Nothing
-    locks them: on Python 3.12 and later, where cached_property takes no
-    lock, two threads of a sweep with jobs > 1 may each build one, with
-    equal contents, and one of the two is kept."""
+    a sweep in which no row has a bit error never builds them; a sweep
+    uses them only in _score_rows, on its calling thread."""
 
     def __init__(self, name: str, sentences: list, encoded, code: coding.HuffmanCode | None,
                  modulation: str):
@@ -382,23 +380,22 @@ class _Corpus:
 ERROR_FREE_SNR = 1e6
 
 
-def _corpus_pipeline(scene, gains, corpus, modulation, seeds, max_bleu) -> list:
-    """Score one method's corpus at several gains: for each gain (a row),
-    send the whole corpus through the scalar channel in a single
-    transmission, drawing from that row's seed, and demodulate it as one
-    row. A row whose SNR reaches ERROR_FREE_SNR (a nonzero gain on a
-    noiseless link included) arrives as sent by the bound given there, so
-    it is neither drawn, equalized nor demodulated; a zero gain, whose SNR
-    is 0, still reaches equalize's "link outage" error.
+def _send_rows(scene, gains, corpus, modulation, seeds):
+    """Send one method's corpus at several gains, the first stage of its
+    rows: for each gain (a row), send the whole corpus through the scalar
+    channel in a single transmission, drawing from that row's seed, and
+    demodulate it as one row. A row whose SNR reaches ERROR_FREE_SNR (a
+    nonzero gain on a noiseless link included) arrives as sent by the bound
+    given there, so it is neither drawn, equalized nor demodulated; a zero
+    gain, whose SNR is 0, still reaches equalize's "link outage" error.
     Each sentence's bit error rate comes from one comparison of the received
     row with the sent one (see metrics.bit_error_rates), in which a pad bit
-    never counts. A sentence that arrived without a bit error decodes to
-    itself (both codes round-trip every sentence), so it scores char_err 0
-    and BLEU 1 undecoded. The bits of the other sentences of every row are
-    gathered end to end and decoded in one call to symbol indices, and their
-    edit distances and BLEU scores computed from those indices in one call
-    each, with no per-sentence or per-token string. Returns each row's
-    corpus means (ber, char_err, bleu, rel_bleu)."""
+    never counts. The bits of the sentences with a bit error, of every row,
+    are gathered end to end and decoded in one call to symbol indices.
+    Returns the (rows, sentences) bit error rates and, unless no sentence
+    has a bit error, the errored sentences for _score_rows: their row and
+    sentence index, row after row, their symbol indices end to end and the
+    number of symbols of each."""
     demodulate = coding.MODULATIONS[modulation][1]
     received_rows = []
     bers = np.zeros((len(gains), corpus.sizes.size))
@@ -412,21 +409,64 @@ def _corpus_pipeline(scene, gains, corpus, modulation, seeds, max_bleu) -> list:
         received_bers[:] = metrics.bit_error_rates(corpus.sent, received,
                                                    corpus.starts, corpus.sizes)
     row, indices = np.nonzero(bers)  # row after row, each row's sentences in order
-    char_errs = np.zeros(bers.shape)
-    bleus = np.ones(bers.shape)
-    if indices.size:
-        # the received row as runs: each sentence's bits, then its pad
-        keep = np.zeros((len(gains), corpus.runs.size), dtype=bool)
-        keep[:, ::2] = bers != 0
-        bits = np.concatenate([received[np.repeat(k, corpus.runs)]
-                               for received, k in zip(received_rows, keep)])
-        codes, counts = corpus.decode(bits, corpus.sizes[indices])
-        char_errs[row, indices] = corpus.edits.char_error_rates(indices, corpus.columns[codes],
-                                                                counts)
-        bleus[row, indices] = corpus.references.flat_scores(
-            indices, corpus.tokenizer.flatten(codes, counts))
-    means = zip(*(a.mean(axis=1).tolist() for a in (bers, char_errs, bleus)))
-    return [(ber, char_err, bleu, bleu / max_bleu) for ber, char_err, bleu in means]
+    if not indices.size:
+        return bers, None
+    # the received row as runs: each sentence's bits, then its pad
+    keep = np.zeros((len(gains), corpus.runs.size), dtype=bool)
+    keep[:, ::2] = bers != 0
+    bits = np.concatenate([received[np.repeat(k, corpus.runs)]
+                           for received, k in zip(received_rows, keep)])
+    return bers, (row, indices, *corpus.decode(bits, corpus.sizes[indices]))
+
+
+# The most errored sentences that one edit-distance, tokenizing or BLEU call
+# scores. Each call is a Python loop of numpy steps, so a larger chunk pays
+# that overhead fewer times, but its arrays, and a sweep's peak RSS, grow
+# with it (CHANGES.md holds the measured table).
+SCORE_LANES = 600
+
+
+def _score_rows(corpus, sent, max_bleu) -> list:
+    """Score one method's rows at every ratio, the second stage of its rows,
+    from each ratio's _send_rows result in `sent`. A sentence that arrived
+    without a bit error decodes to itself (both codes round-trip every
+    sentence), so it scores char_err 0 and BLEU 1 undecoded. The errored
+    sentences of every ratio are taken end to end, and their edit distances
+    and BLEU scores computed from their symbol indices SCORE_LANES sentences
+    at a time, one call each per chunk, with no per-sentence or per-token
+    string. A score is a sentence's own, so the chunks change none. Returns,
+    for each ratio, each row's corpus means (ber, char_err, bleu,
+    rel_bleu)."""
+    char_errs = [np.zeros(bers.shape) for bers, _ in sent]
+    bleus = [np.ones(bers.shape) for bers, _ in sent]
+    errored = [(r, rows) for r, (_, rows) in enumerate(sent) if rows is not None]
+    if errored:
+        indices = np.concatenate([ratio_indices for _, (_, ratio_indices, _, _) in errored])
+        counts = np.concatenate([ratio_counts for _, (_, _, _, ratio_counts) in errored])
+        # the symbol indices stay in their ratios' arrays: each chunk gathers
+        # its own, from where its sentences' and each ratio's symbols start
+        codes = [ratio_codes for _, (_, _, ratio_codes, _) in errored]
+        ends = np.cumsum(counts)
+        offsets = np.cumsum([0] + [part.size for part in codes[:-1]]).tolist()
+        char_err, bleu = np.empty(indices.size), np.empty(indices.size)
+        for a in range(0, indices.size, SCORE_LANES):
+            b = min(a + SCORE_LANES, indices.size)
+            first, last = int(ends[a] - counts[a]), int(ends[b - 1])
+            chunk = np.concatenate([part[max(first - start, 0) : max(last - start, 0)]
+                                    for part, start in zip(codes, offsets)])
+            char_err[a:b] = corpus.edits.char_error_rates(indices[a:b], corpus.columns[chunk],
+                                                          counts[a:b])
+            bleu[a:b] = corpus.references.flat_scores(
+                indices[a:b], corpus.tokenizer.flatten(chunk, counts[a:b]))
+        a = 0
+        for r, (row, ratio_indices, _, _) in errored:
+            b = a + ratio_indices.size
+            char_errs[r][row, ratio_indices] = char_err[a:b]
+            bleus[r][row, ratio_indices] = bleu[a:b]
+            a = b
+    means = [zip(*(x.mean(axis=1).tolist() for x in arrays))
+             for arrays in zip((bers for bers, _ in sent), char_errs, bleus)]
+    return [[(ber, c, b, b / max_bleu) for ber, c, b in rows] for rows in means]
 
 
 def load_sentences(path) -> list:
@@ -462,13 +502,17 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     """Full sweep over ratios x quantizations x methods. Every ratio's
     codeword is selected first (see _configure_ratios), before the inputs
     are read and encoded, so that selection, the sweep's largest working
-    set, does not hold them. Then the transmission and scoring run one task
-    per ratio, on `jobs` threads, and each task scores all of its
-    quantizations' rows of a corpus method in one _corpus_pipeline call.
-    The semantic matrix is transmitted only when `received_matrix_dir` is
-    set, since no record field reads it. Records come in (ratio,
-    quantization, method) order and are deterministic for a given master
-    seed regardless of `jobs`; the CSV is written atomically."""
+    set, does not hold them. Then the transmission runs one task per ratio,
+    on `jobs` threads: each task sends all of its quantizations' rows of a
+    corpus method in one _send_rows call, which also decodes their errored
+    sentences. After every task has ended, each corpus method's errored
+    sentences of all ratios are scored on the calling thread, in chunks of
+    SCORE_LANES sentences (see _score_rows), so `jobs` does not parallelize
+    scoring, and only this thread builds a corpus's scoring tables. The
+    semantic matrix is transmitted only when `received_matrix_dir` is set,
+    since no record field reads it. Records come in (ratio, quantization,
+    method) order and are deterministic for a given master seed regardless
+    of `jobs`; the CSV is written atomically."""
     _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
     scene = build_scene(cfg)
     configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
@@ -477,40 +521,41 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     method_names = [c.name for c in methods] + (["semantic"] if semantic is not None else [])
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
+    # seeds[i][k][j]: method k's seed at ratio i, quantization j
+    seeds = [[[derive_seed(cfg.master_seed, i, j, k) for j in range(len(cfg.quantizations))]
+              for k in range(len(method_names))] for i in range(len(cfg.ratios))]
 
-    def run_ratio(i, ratio, points):
-        gains = [g for _, g in points]
+    def send_ratio(i):
+        gains = [g for _, g in configured[i]]
         snrs_db = [snr(g, scene.budget)[1] for g in gains]  # raises on overflow, before any draw
-        # seeds[k][j]: method k's seed at quantization j
-        seeds = [[derive_seed(cfg.master_seed, i, j, k) for j in range(len(points))]
-                 for k in range(len(method_names))]
-        by_method = []
-        for k, name in enumerate(method_names):
-            if name == "semantic":
-                # no record field reads the received matrix: draw it only to store it
-                if cfg.received_matrix_dir is not None:
-                    for bits, g, seed in zip(cfg.quantizations, gains, seeds[k]):
-                        out = f"semantic_r{ratio}_b{'none' if bits is None else bits}.json"
-                        coding.store_symbol_matrix(transmit(semantic, g, scene.budget, seed),
-                                                   os.path.join(cfg.received_matrix_dir, out))
-                by_method.append([(None, None, None, None)] * len(points))
-            else:
-                by_method.append(_corpus_pipeline(scene, gains, methods[k], cfg.modulation,
-                                                  seeds[k], cfg.max_bleu))
-        return [SweepRecord(ratio, bits, idx, snr_db, name, *by_method[k][j], seeds[k][j])
-                for j, (bits, (idx, _), snr_db) in enumerate(
-                    zip(cfg.quantizations, points, snrs_db))
-                for k, name in enumerate(method_names)]
+        rows = [_send_rows(scene, gains, corpus, cfg.modulation, seeds[i][k])
+                for k, corpus in enumerate(methods)]
+        if semantic is not None and cfg.received_matrix_dir is not None:
+            # no record field reads the received matrix: draw it only to store it
+            for bits, g, seed in zip(cfg.quantizations, gains, seeds[i][-1]):
+                out = f"semantic_r{cfg.ratios[i]}_b{'none' if bits is None else bits}.json"
+                coding.store_symbol_matrix(transmit(semantic, g, scene.budget, seed),
+                                           os.path.join(cfg.received_matrix_dir, out))
+        return snrs_db, rows
 
     if jobs > 1:
         # imported here: it loads logging, which a jobs=1 run need not pay for
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run_ratio, range(len(cfg.ratios)), cfg.ratios, configured))
+            sent = list(pool.map(send_ratio, range(len(cfg.ratios))))
     else:
-        nested = [run_ratio(i, *task) for i, task in enumerate(zip(cfg.ratios, configured))]
-    records = [rec for group in nested for rec in group]
+        sent = [send_ratio(i) for i in range(len(cfg.ratios))]
+    # scores[k][i][j]: method k's record fields at ratio i, quantization j
+    scores = [_score_rows(corpus, [rows[k] for _, rows in sent], cfg.max_bleu)
+              for k, corpus in enumerate(methods)]
+    if semantic is not None:
+        scores.append([[(None, None, None, None)] * len(cfg.quantizations)] * len(cfg.ratios))
+    records = [SweepRecord(ratio, bits, idx, snr_db, name, *scores[k][i][j], seeds[i][k][j])
+               for i, (ratio, points, (snrs_db, _)) in enumerate(zip(cfg.ratios, configured, sent))
+               for j, (bits, (idx, _), snr_db) in enumerate(
+                   zip(cfg.quantizations, points, snrs_db))
+               for k, name in enumerate(method_names)]
     write_records(records, cfg.output_path)
     return records
 

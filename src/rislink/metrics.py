@@ -389,15 +389,17 @@ class EditReferences:
 
     def columns(self, text: str) -> np.ndarray:
         """peq column of each character of `text` (0 for one in no
-        sentence). A corpus maps its decoders' alphabet through this once,
-        and then each decoded symbol index through that table."""
-        return _index_in(self.alphabet, _code_points(text)) + 1
+        sentence), in the smallest unsigned type that holds every column. A
+        corpus maps its decoders' alphabet through this once, and then each
+        decoded symbol index through that table."""
+        columns = _index_in(self.alphabet, _code_points(text)) + 1
+        return columns.astype(np.min_scalar_type(self.alphabet.size))
 
     def distances(self, indices, columns, counts) -> np.ndarray:
         """levenshtein(sentences[indices[i]], text i) for every i, the texts
         given end to end as peq columns, text i of counts[i] characters."""
         indices = np.asarray(indices, dtype=np.intp)
-        columns = np.asarray(columns, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.min_scalar_type(self.alphabet.size))
         counts = np.asarray(counts, dtype=np.int64)
         firsts = np.cumsum(counts) - counts
         out = np.empty(indices.size, dtype=np.int64)
@@ -412,14 +414,14 @@ class EditReferences:
         order = order[np.argsort(-counts[order], kind="stable")]
         n, m, ref = counts[order], m[order], indices[order]
         width = int(n.max(initial=0))
-        reading = np.arange(width) < n[:, None]
-        at = np.repeat(firsts[order] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        eq = np.zeros((order.size, width), dtype=np.uint64)
-        eq[reading] = self.peq[np.repeat(ref, n), columns[at]]
-        eq = np.ascontiguousarray(eq.T)  # eq[t]: the step-t masks of every lane
+        # texts[i]: text i's columns, then column 0, whose masks are 0; in
+        # the type of `columns`, so no array per character is a wide one
+        texts = np.zeros((indices.size, int(counts.max(initial=0))), dtype=columns.dtype)
+        texts[np.arange(texts.shape[1]) < counts[:, None]] = columns
+        eq = self.peq[ref, texts[order, :width].T]  # eq[t]: the step-t masks of every lane
         vp = np.full(order.size, 2**64 - 1, dtype=np.uint64)
         vn = np.zeros(order.size, dtype=np.uint64)
-        for t, a in enumerate(reading.sum(axis=0).tolist()):
+        for t, a in enumerate((np.arange(width) < n[:, None]).sum(axis=0).tolist()):
             vp[:a], vn[:a] = _hyyro_step(eq[t, :a], vp[:a], vn[:a])
         # the distance is the top of the last column, n, plus its m deltas
         full = np.right_shift(np.uint64(2**64 - 1), (_LANE_BITS - m).astype(np.uint64))
@@ -478,7 +480,8 @@ def load_graph(path) -> KnowledgeGraph:
 
 def load_embeddings(path) -> np.ndarray:
     """Embedding JSON: {"dim": int, "vectors": [[real]]}; all vectors must
-    share the declared dimension. JSON of any other shape is a ValueError."""
+    share the declared dimension, and every number be finite. JSON of any
+    other shape is a ValueError."""
     payload = read_json(path, "embedding file")
     if not isinstance(payload, dict) or not {"dim", "vectors"} <= payload.keys():
         raise ValueError(f"{path}: embeddings must be an object with dim and vectors")
@@ -493,6 +496,9 @@ def load_embeddings(path) -> np.ndarray:
         if len(v) != dim:
             raise ValueError(f"{path}: vector {i} has dimension {len(v)}, expected {dim}")
     try:
-        return np.asarray(vectors, dtype=float).reshape(len(vectors), dim)
+        array = np.asarray(vectors, dtype=float).reshape(len(vectors), dim)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: vectors must hold numbers: {exc}") from exc
+    if not np.isfinite(array).all():  # JSON's NaN and Infinity parse
+        raise ValueError(f"{path}: vectors must hold finite numbers")
+    return array

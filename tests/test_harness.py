@@ -8,10 +8,11 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -372,35 +373,46 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
 
 def test_scoring_tables_are_built_only_when_a_row_errs(tmp_path, monkeypatch):
     # at -120 dBm every row of the small scene is at or above 60 dB, so no
-    # sentence is decoded and no corpus builds its BLEU, edit-distance or
-    # tokenizer tables; at a noisy floor each corpus builds each once, and
-    # jobs does not change a byte
+    # sentence is decoded and no corpus builds its BLEU, edit-distance,
+    # tokenizer or column tables; at a noisy floor, where every ratio has
+    # errored rows, each corpus builds each table once, on the thread that
+    # calls run_sweep, with jobs 1 or 4, and jobs does not change a byte
     expected = run_sweep(small_config(tmp_path, output_path=str(tmp_path / "a.csv")))
     assert min(r.snr_db for r in expected) >= 60.0
-    built = {name: count_calls(monkeypatch, name, metrics)
-             for name in ("BleuReferences", "EditReferences", "SymbolTokenizer")}
+    built = {name: [] for name in ("BleuReferences", "EditReferences", "SymbolTokenizer",
+                                   "columns")}
 
-    def refuse(*args):
-        raise AssertionError("a scoring table was built")
+    def on_thread(name, build):
+        def counted(*args):
+            built[name].append(threading.current_thread())
+            return build(*args)
+        return counted
 
-    with monkeypatch.context() as patch:
-        for name in built:
-            patch.setattr(metrics, name, refuse)
-        assert run_sweep(small_config(tmp_path, output_path=str(tmp_path / "b.csv"))) == expected
+    for name in ("BleuReferences", "EditReferences", "SymbolTokenizer"):
+        monkeypatch.setattr(metrics, name, on_thread(name, getattr(metrics, name)))
+    columns = cached_property(on_thread("columns", harness._Corpus.columns.func))
+    columns.__set_name__(harness._Corpus, "columns")
+    monkeypatch.setattr(harness._Corpus, "columns", columns)
+
+    assert run_sweep(small_config(tmp_path, output_path=str(tmp_path / "b.csv"))) == expected
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert built == {name: [] for name in built}
     blobs = []
     interval = sys.getswitchinterval()
     for jobs in (1, 4):
         cfg = small_config(tmp_path, noise_dbm=16.0, output_path=str(tmp_path / f"{jobs}.csv"))
-        sys.setswitchinterval(1e-6)  # threads that race to build a table switch often
+        for calls in built.values():
+            calls.clear()
+        sys.setswitchinterval(1e-6)  # threads that raced to build a table would switch often
         try:
             records = run_sweep(cfg, jobs=jobs)
         finally:
             sys.setswitchinterval(interval)
         blobs.append(Path(cfg.output_path).read_bytes())
-        if jobs == 1:
-            assert all(len(calls) == 2 for calls in built.values())  # huffman, sixbit
-    assert all(r.ber > 0 for r in records) and blobs[0] == blobs[1]
+        assert {r.ratio for r in records if r.ber > 0} == set(cfg.ratios)
+        # once per corpus (huffman, sixbit), on this thread
+        assert built == {name: [threading.current_thread()] * 2 for name in built}
+    assert blobs[0] == blobs[1]
 
 
 def test_sweep_deterministic_across_parallelism_with_errors(tmp_path):
@@ -469,7 +481,7 @@ def short_sentence_corpora(tmp_path, modulation):
 
 def receive(corpus, equalized, demodulate):
     """The corpus's padded bits demodulated from its equalized row, and each
-    sentence's bit error rate, as _corpus_pipeline takes them."""
+    sentence's bit error rate, as harness._send_rows takes them."""
     received = demodulate(equalized)
     return received, metrics.bit_error_rates(corpus.sent, received, corpus.starts, corpus.sizes)
 
@@ -551,8 +563,16 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
     assert pads == set(range(coding.BITS_PER_SYMBOL[modulation]))
 
 
+def corpus_rows(scene, gains, corpus, modulation, seeds, max_bleu) -> list:
+    """One ratio's rows of a corpus method, sent and scored as a sweep does
+    them: one harness._send_rows call, then harness._score_rows on it alone."""
+    sent = harness._send_rows(scene, gains, corpus, modulation, seeds)
+    [rows] = harness._score_rows(corpus, [sent], max_bleu)
+    return rows
+
+
 def score_each_sentence(scene, g, corpus, modulation, seed, max_bleu, decode):
-    """_corpus_pipeline as a per-sentence scorer, every sentence decoded on
+    """corpus_rows as a per-sentence scorer, every sentence decoded on
     its own by `decode` and scored by char_error_rate and bleu; and each
     sentence's bit error rate."""
     received = transmit(corpus.symbols, g, scene.budget, seed)
@@ -573,7 +593,7 @@ def ratio_gain(scene, ratio):
 
 
 def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
-    """Assert that _corpus_pipeline scores every row of each corpus method
+    """Assert that corpus_rows scores every row of each corpus method
     as score_each_sentence does, on the default scene at the gains
     gains_of(scene) (by default those of five ratios), and return the share
     of each row's sentences that arrived with bit errors."""
@@ -590,7 +610,7 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     for k, corpus in enumerate(corpora):
         # every row of a corpus is scored in one call, each from its own seed
         seeds = [derive_seed(5, i, k) for i in range(len(gains))]
-        rows = harness._corpus_pipeline(scene, gains, corpus, modulation, seeds, 0.6)
+        rows = corpus_rows(scene, gains, corpus, modulation, seeds, 0.6)
         assert len(rows) == len(gains)
         for row, g, seed in zip(rows, gains, seeds):
             oracle, bers = score_each_sentence(scene, g, corpus, modulation, seed, 0.6,
@@ -650,7 +670,7 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
         scene.budget = LinkBudget(b.p_tx, abs(g) ** 2 * b.p_tx / gamma, b.w_tx, b.w_rx)
         assert (snr_linear(g, scene.budget) >= harness.ERROR_FREE_SNR) == (scale > 1)
         drawn = len(sent)
-        scores.append([harness._corpus_pipeline(scene, [g], corpus, "16qam", [3], 0.6)
+        scores.append([corpus_rows(scene, [g], corpus, "16qam", [3], 0.6)
                        for corpus in corpora])
         assert len(sent) - drawn == (len(corpora) if scale < 1 else 0)
     assert scores[0] == scores[1] == [[(0.0, 0.0, 1.0, 1.0 / 0.6)]] * len(corpora)
@@ -661,14 +681,14 @@ def test_zero_gain_row_is_a_link_outage(tmp_path, noise_dbm):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=noise_dbm)
     for corpus in corpora:
         with pytest.raises(ValueError, match="link outage"):
-            harness._corpus_pipeline(scene, [g, 0j], corpus, "qpsk", [0, 1], 0.6)
+            corpus_rows(scene, [g, 0j], corpus, "qpsk", [0, 1], 0.6)
 
 
 def test_noiseless_row_is_not_drawn(tmp_path, monkeypatch):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=-math.inf)
     sent = count_calls(monkeypatch, "transmit")
     for corpus in corpora:
-        assert harness._corpus_pipeline(scene, [g], corpus, "qpsk", [3], 0.6) == [
+        assert corpus_rows(scene, [g], corpus, "qpsk", [3], 0.6) == [
             (0.0, 0.0, 1.0, 1.0 / 0.6)]
     assert len(sent) == 0
 
@@ -692,8 +712,9 @@ def test_sweep_straddling_the_threshold_is_deterministic_across_parallelism(tmp_
 
 # characters that tokenize, the edit-distance lanes and sixbit folding each
 # treat apart: digits and underscores (word characters), non-ASCII letters
-# and digits, tabs, punctuation runs, and a sentence longer than the 64
-# characters an edit-distance lane holds
+# and digits, tabs, punctuation runs, a sentence longer than the 64
+# characters an edit-distance lane holds, and one-letter sentences, whose
+# Huffman bits can decode to no symbol once they err
 VARIED_CORPUS = [
     "Sensor_3 reports 42 frames at 06:15, then 7 more.",
     "naïve café\tserves crème brûlée; straße 9 is closed!",
@@ -703,6 +724,8 @@ VARIED_CORPUS = [
     "a very long sentence that keeps going past the lane width of sixty four characters here",
     "ok",
     "¿qué?  ¡sí! _under_score_ and  double  spaces",
+    "e",
+    "t",
 ]
 
 
@@ -713,6 +736,79 @@ def test_row_scorer_equals_per_sentence_scorer_on_varied_text(tmp_path, noise_db
     corpus_path.write_text("\n".join(VARIED_CORPUS * 3) + "\n")
     errored = check_row_scorer(corpus_path, noise_dbm, modulation)
     assert max(errored) == 1.0 if noise_dbm == 25.0 else max(errored) > 0
+
+
+def count_scoring_calls(monkeypatch) -> dict:
+    """The number of sentences of each EditReferences.distances and
+    BleuReferences.flat_scores call, by (method name, table)."""
+    calls = {}
+    for owner, name in ((metrics.EditReferences, "distances"),
+                        (metrics.BleuReferences, "flat_scores")):
+        def counted(table, indices, *args, original=getattr(owner, name), name=name):
+            calls.setdefault((name, id(table)), []).append(len(indices))
+            return original(table, indices, *args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("lanes", ["one", "split", "all"])
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_chunking_changes_no_score(tmp_path, monkeypatch, modulation, lanes):
+    # three ratios of two rows each, scored together in chunks of one
+    # sentence, of one sentence fewer than the first ratio's errored ones (so
+    # its rows end in the next chunk, beside the second ratio's), or of every
+    # errored sentence: each row equals the per-sentence oracle
+    corpus_path = tmp_path / "varied.txt"
+    corpus_path.write_text("\n".join(VARIED_CORPUS * 3) + "\n")
+    cfg = ExperimentConfig(noise_dbm=25.0, modulation=modulation, corpus_path=str(corpus_path),
+                           quantizations=[None])
+    scene = build_scene(cfg)
+    corpora, _ = harness._prepare_methods(cfg)
+    code = coding.huffman_build(coding.huffman_frequencies(corpora[0].sentences))
+    decoders = {"huffman": lambda bits: coding.huffman_decode(bits, code),
+                "sixbit": coding.sixbit_decode}
+    gains = [[ratio_gain(scene, r) for r in pair] for pair in ([0.05, 0.15], [0.3, 0.6], [1.0, 1.0])]
+    calls = count_scoring_calls(monkeypatch)
+    for k, corpus in enumerate(corpora):
+        seeds = [[derive_seed(5, i, j, k) for j in range(2)] for i in range(len(gains))]
+        sent = [harness._send_rows(scene, g, corpus, modulation, s) for g, s in zip(gains, seeds)]
+        errored = [rows[1].size for _, rows in sent]
+        chunk = {"one": 1, "split": errored[0] - 1, "all": sum(errored)}[lanes]
+        monkeypatch.setattr(harness, "SCORE_LANES", chunk)
+        calls.clear()
+        scored = harness._score_rows(corpus, sent, 0.6)
+        whole, rest = divmod(sum(errored), chunk)
+        assert calls[("flat_scores", id(corpus.references))] == [chunk] * whole + [rest] * (rest > 0)
+        for rows, ratio_gains, ratio_seeds in zip(scored, gains, seeds):
+            assert rows == [score_each_sentence(scene, g, corpus, modulation, seed, 0.6,
+                                                decoders[corpus.name])[0]
+                            for g, seed in zip(ratio_gains, ratio_seeds)]
+        # the oracle ran on a reference over 64 characters and, in Huffman, on
+        # empty decoded texts
+        assert max(corpus.edits.lengths[rows[1]].max() for _, rows in sent) > 64
+        assert corpus.name == "sixbit" or min(rows[3].min() for _, rows in sent) == 0
+        assert errored[0] > 1
+
+
+@pytest.mark.parametrize("noise_dbm", [-120.0, 25.0])
+def test_sweep_scores_each_method_once_per_chunk(tmp_path, monkeypatch, noise_dbm):
+    # the benchmark's sweep-clean and sweep-lowsnr sweeps (default scene,
+    # sample corpus): at 25 dBm every sentence of a method's 20 x 3 rows
+    # errs, and its 6000 are scored in chunks of SCORE_LANES, not once per
+    # ratio; at -120 dBm none errs, so nothing is scored and no table built
+    calls = count_scoring_calls(monkeypatch)
+    built = {name: count_calls(monkeypatch, name, metrics)
+             for name in ("BleuReferences", "EditReferences", "SymbolTokenizer")}
+    run_sweep(ExperimentConfig(noise_dbm=noise_dbm, corpus_path=str(SAMPLE_CORPUS),
+                               master_seed=11, output_path=str(tmp_path / "sweep.csv")))
+    if noise_dbm < 0:
+        assert calls == {} and built == {name: [] for name in built}
+        return
+    assert all(len(tables) == 2 for tables in built.values())  # huffman, sixbit
+    assert sorted(name for name, _ in calls) == ["distances"] * 2 + ["flat_scores"] * 2
+    for lanes in calls.values():
+        assert sum(lanes) == 20 * 3 * 100 and max(lanes) == harness.SCORE_LANES
+        assert len(lanes) == math.ceil(sum(lanes) / harness.SCORE_LANES)
 
 
 @pytest.mark.parametrize("sentences", [
@@ -1116,6 +1212,14 @@ def test_readme_error_free_threshold_is_the_code_constant():
     assert float(db) == 10.0 * math.log10(harness.ERROR_FREE_SNR)
 
 
+def test_readme_scoring_chunk_is_the_code_constant():
+    # the README's statement of how many errored sentences one scoring call
+    # takes names the constant and its value
+    [(name, value)] = re.findall(r"`harness\.(\w+)` =\s+(\d+)\s+sentences", README.read_text())
+    assert name == "SCORE_LANES"
+    assert int(value) == harness.SCORE_LANES
+
+
 def test_readme_bit_bound_is_the_code_constant():
     # the Physical model, CLI and Configuration sections each state the
     # range of a bit count through the constant and its value
@@ -1328,6 +1432,22 @@ def test_cli_metrics_misshapen_files_exit_1(tmp_path, capsys, kind, payload):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("option", ["--ref-emb", "--hyp-emb"])
+def test_cli_metrics_non_finite_embeddings_exit_1(tmp_path, capsys, option, value):
+    # an Infinity printed a RuntimeWarning and "similarity": NaN, with exit 0
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"dim": 2, "vectors": [[1.0, 1.0]]}))
+    bad.write_text('{"dim": 2, "vectors": [[%s, 1.0]]}' % value)
+    files = {"--ref-emb": good, "--hyp-emb": good, option: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["metrics", *(str(x) for pair in files.items() for x in pair)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: vectors must hold finite numbers\n"
 
 
 @pytest.mark.parametrize("magnitude", [1e-200, 1e200])
