@@ -70,8 +70,10 @@ def _read_lines(path) -> list:
 
 
 def cmd_metrics(args) -> int:
-    if not (math.isfinite(args.max_bleu) and args.max_bleu > 0):
-        raise ValueError(f"--max-bleu must be a positive finite number, got {args.max_bleu}")
+    if not (math.isfinite(args.max_bleu) and args.max_bleu > 0
+            and math.isfinite(1.0 / args.max_bleu)):
+        raise ValueError("--max-bleu must be a positive finite number whose reciprocal is "
+                         f"finite, got {args.max_bleu}")
     for pair in (("ref", "hyp"), ("ref_graph", "hyp_graph"), ("ref_emb", "hyp_emb")):
         ref, hyp = (bool(getattr(args, name)) for name in pair)
         if ref != hyp:
@@ -160,8 +162,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

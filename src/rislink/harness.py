@@ -132,8 +132,9 @@ class ExperimentConfig:
                  "large enough that the wavelength c/f is finite", self.frequency_hz)
         _require(self.noise_dbm < math.inf,  # -inf is the noiseless override
                  "noise_dbm", "finite or -Infinity", self.noise_dbm)
-        _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf,
-                 "max_bleu", "a positive finite number", self.max_bleu)
+        _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf
+                 and 1.0 / self.max_bleu < math.inf, "max_bleu",
+                 "a positive finite number whose reciprocal is finite", self.max_bleu)
         _require(_is_count(self.master_seed, 0),
                  "master_seed", "a non-negative integer", self.master_seed)
         _require(_is_list(self.codebook_grid, _is_count, 2),
@@ -393,9 +394,10 @@ def _send_rows(scene, gains, corpus, modulation, seeds):
     never counts. The bits of the sentences with a bit error, of every row,
     are gathered end to end and decoded in one call to symbol indices.
     Returns the (rows, sentences) bit error rates and, unless no sentence
-    has a bit error, the errored sentences for _score_rows: their row and
-    sentence index, row after row, their symbol indices end to end and the
-    number of symbols of each."""
+    has a bit error, the errored sentences for _score_rows: their flat
+    positions in the bit error rates, row after row, their symbol indices
+    end to end and the number of symbols of each, the positions and counts
+    in small unsigned types."""
     demodulate = coding.MODULATIONS[modulation][1]
     received_rows = []
     bers = np.zeros((len(gains), corpus.sizes.size))
@@ -408,21 +410,25 @@ def _send_rows(scene, gains, corpus, modulation, seeds):
         received_rows.append(received)
         received_bers[:] = metrics.bit_error_rates(corpus.sent, received,
                                                    corpus.starts, corpus.sizes)
-    row, indices = np.nonzero(bers)  # row after row, each row's sentences in order
-    if not indices.size:
+    positions = np.flatnonzero(bers)  # row after row, each row's sentences in order
+    if not positions.size:
         return bers, None
     # the received row as runs: each sentence's bits, then its pad
     keep = np.zeros((len(gains), corpus.runs.size), dtype=bool)
     keep[:, ::2] = bers != 0
     bits = np.concatenate([received[np.repeat(k, corpus.runs)]
                            for received, k in zip(received_rows, keep)])
-    return bers, (row, indices, *corpus.decode(bits, corpus.sizes[indices]))
+    codes, counts = corpus.decode(bits, corpus.sizes[positions % corpus.sizes.size])
+    # a type that holds bers.size holds the sentence count too, which
+    # _score_rows divides the positions by
+    return bers, (positions.astype(np.min_scalar_type(bers.size)), codes,
+                  counts.astype(np.min_scalar_type(counts.max())))
 
 
-# The most errored sentences that one edit-distance, tokenizing or BLEU call
-# scores. Each call is a Python loop of numpy steps, so a larger chunk pays
-# that overhead fewer times, but its arrays, and a sweep's peak RSS, grow
-# with it (CHANGES.md holds the measured table).
+# The most errored sentences that one tokenizing or BLEU call scores. Each
+# call is a Python loop of numpy steps, so a larger chunk pays that overhead
+# fewer times, but its arrays, and a sweep's peak RSS, grow with it
+# (CHANGES.md holds the measured table).
 SCORE_LANES = 600
 
 
@@ -431,38 +437,40 @@ def _score_rows(corpus, sent, max_bleu) -> list:
     from each ratio's _send_rows result in `sent`. A sentence that arrived
     without a bit error decodes to itself (both codes round-trip every
     sentence), so it scores char_err 0 and BLEU 1 undecoded. The errored
-    sentences of every ratio are taken end to end, and their edit distances
-    and BLEU scores computed from their symbol indices SCORE_LANES sentences
-    at a time, one call each per chunk, with no per-sentence or per-token
-    string. A score is a sentence's own, so the chunks change none. Returns,
-    for each ratio, each row's corpus means (ber, char_err, bleu,
-    rel_bleu)."""
+    sentences of every ratio are taken end to end and scored from their
+    symbol indices, with no per-sentence or per-token string: their edit
+    distances in one call, whose lanes step together, and their BLEU scores
+    SCORE_LANES sentences at a time, one tokenizing and one BLEU call per
+    chunk. A score is a sentence's own, so neither the grouping nor the
+    chunks change any. Returns, for each ratio, each row's corpus means
+    (ber, char_err, bleu, rel_bleu)."""
     char_errs = [np.zeros(bers.shape) for bers, _ in sent]
     bleus = [np.ones(bers.shape) for bers, _ in sent]
     errored = [(r, rows) for r, (_, rows) in enumerate(sent) if rows is not None]
     if errored:
-        indices = np.concatenate([ratio_indices for _, (_, ratio_indices, _, _) in errored])
-        counts = np.concatenate([ratio_counts for _, (_, _, _, ratio_counts) in errored])
+        indices = np.concatenate([positions % corpus.sizes.size
+                                  for _, (positions, _, _) in errored])
+        counts = np.concatenate([ratio_counts for _, (_, _, ratio_counts) in errored])
+        codes = [ratio_codes for _, (_, ratio_codes, _) in errored]
+        char_err = corpus.edits.char_error_rates(
+            indices, np.concatenate([corpus.columns[part] for part in codes]), counts)
         # the symbol indices stay in their ratios' arrays: each chunk gathers
         # its own, from where its sentences' and each ratio's symbols start
-        codes = [ratio_codes for _, (_, _, ratio_codes, _) in errored]
         ends = np.cumsum(counts)
         offsets = np.cumsum([0] + [part.size for part in codes[:-1]]).tolist()
-        char_err, bleu = np.empty(indices.size), np.empty(indices.size)
+        bleu = np.empty(indices.size)
         for a in range(0, indices.size, SCORE_LANES):
             b = min(a + SCORE_LANES, indices.size)
             first, last = int(ends[a] - counts[a]), int(ends[b - 1])
             chunk = np.concatenate([part[max(first - start, 0) : max(last - start, 0)]
                                     for part, start in zip(codes, offsets)])
-            char_err[a:b] = corpus.edits.char_error_rates(indices[a:b], corpus.columns[chunk],
-                                                          counts[a:b])
             bleu[a:b] = corpus.references.flat_scores(
                 indices[a:b], corpus.tokenizer.flatten(chunk, counts[a:b]))
         a = 0
-        for r, (row, ratio_indices, _, _) in errored:
-            b = a + ratio_indices.size
-            char_errs[r][row, ratio_indices] = char_err[a:b]
-            bleus[r][row, ratio_indices] = bleu[a:b]
+        for r, (positions, _, _) in errored:
+            b = a + positions.size
+            np.put(char_errs[r], positions, char_err[a:b])
+            np.put(bleus[r], positions, bleu[a:b])
             a = b
     means = [zip(*(x.mean(axis=1).tolist() for x in arrays))
              for arrays in zip((bers for bers, _ in sent), char_errs, bleus)]
@@ -506,9 +514,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     on `jobs` threads: each task sends all of its quantizations' rows of a
     corpus method in one _send_rows call, which also decodes their errored
     sentences. After every task has ended, each corpus method's errored
-    sentences of all ratios are scored on the calling thread, in chunks of
-    SCORE_LANES sentences (see _score_rows), so `jobs` does not parallelize
-    scoring, and only this thread builds a corpus's scoring tables. The
+    sentences of all ratios are scored on the calling thread, their edit
+    distances in one call and their BLEU scores in chunks of SCORE_LANES
+    sentences (see _score_rows), so `jobs` does not parallelize scoring,
+    and only this thread builds a corpus's scoring tables. The
     semantic matrix is transmitted only when `received_matrix_dir` is set,
     since no record field reads it. Records come in (ratio, quantization,
     method) order and are deterministic for a given master seed regardless

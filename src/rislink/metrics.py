@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coding import read_json, scale_to_unit
 
@@ -128,6 +129,8 @@ class SymbolTokenizer:
         starts = np.flatnonzero(token & ~joins)
         token[:-1] &= ~joins[1:]  # now only the last symbol of each token
         sizes = np.flatnonzero(token) + 1 - starts
+        # each sentence's tokens are those that start in it
+        lengths = np.diff(np.searchsorted(starts, ends), prepend=0)
         # each token's prefixes, one character per step: its first from the
         # empty prefix, then the others of the tokens of two characters or
         # more, all of them at every step (a token that has ended keeps its
@@ -137,15 +140,19 @@ class SymbolTokenizer:
         prefix = np.take(self.step[0], np.take(codes, starts))
         longer = np.flatnonzero(sizes > 1)
         size, at, p = sizes[longer], starts[longer], prefix[longer].astype(np.intp)
+        too_long = np.flatnonzero(sizes > self.depth)  # longer than every vocabulary token
+        steps = min(self.depth, int(sizes.max(initial=0)))
+        # each per-token array goes as soon as it is read for the last time
+        del kinds, joins, token, starts, sizes
         step, stride = self.step.ravel(), self.kinds.size
-        for t in range(1, min(self.depth, int(sizes.max(initial=0)))):
+        for t in range(1, steps):
             symbol = np.take(codes, np.minimum(at + t, codes.size - 1))
             p = np.where(size > t, np.take(step, p * stride + symbol), p)
         prefix[longer] = p
-        prefix[sizes > self.depth] = len(self.step) - 1  # longer than every vocabulary token
+        prefix[too_long] = len(self.step) - 1
+        del longer, size, at, p, too_long
         ids = self.ids[prefix]
-        owner = np.searchsorted(ends, starts, side="right")
-        lengths = np.bincount(owner, minlength=counts.size)
+        owner = np.repeat(np.arange(counts.size), lengths)
         room = np.cumsum(lengths)[owner] - np.arange(ids.size)
         return ids, owner, lengths, room
 
@@ -194,8 +201,9 @@ class BleuReferences:
         holds, which so matches nothing), one np.unique counts them per
         candidate, and one bincount sums their counts, clipped by the
         reference's, per candidate. A candidate that is empty or has no
-        clipped match at some order up to its length scores 0 here; only the
-        others reach the scalar _bleu_from_matches."""
+        clipped match at some order up to its length scores 0 here, whatever
+        its longer n-grams match, so its tokens are dropped before the next
+        order; only the others reach the scalar _bleu_from_matches."""
         tokens, owner, lengths, room = flat
         indices = np.asarray(indices, dtype=np.intp)
         if lengths.size != indices.size:
@@ -206,6 +214,13 @@ class BleuReferences:
         matches = np.zeros((BLEU_ORDER, indices.size), dtype=np.int64)
         ids = np.zeros(tokens.size, dtype=np.int64)
         for n, (table, keys, counts) in enumerate(zip(self.ngrams, self.keys, self.counts), 1):
+            if n > 1:
+                # drop the tokens of every candidate already at 0; a candidate
+                # keeps its tokens together, so `inside + n - 1` still reads
+                # the last token of each n-gram
+                kept = np.flatnonzero(~((matches[n - 2] == 0) & (lengths >= n - 1))[owner])
+                if kept.size < tokens.size:
+                    tokens, owner, room, ids = (x[kept] for x in (tokens, owner, room, ids))
             inside = np.flatnonzero(room >= n)  # a prefix without an id keys below 0
             gram = _index_in(table, ids[inside] * (len(self.vocabulary) + 1)
                              + tokens[inside + n - 1])
@@ -409,20 +424,24 @@ class EditReferences:
             text = columns[firsts[i] : firsts[i] + counts[i]].tolist()
             out[i] = levenshtein(self.columns(self.sentences[indices[i]]).tolist(), text)
         # lanes sorted by text length, longest first, so that the lanes still
-        # reading at step t are a prefix of them
+        # reading at step t are the first live[t] of them
         order = np.flatnonzero(lane)
         order = order[np.argsort(-counts[order], kind="stable")]
         n, m, ref = counts[order], m[order], indices[order]
         width = int(n.max(initial=0))
-        # texts[i]: text i's columns, then column 0, whose masks are 0; in
-        # the type of `columns`, so no array per character is a wide one
-        texts = np.zeros((indices.size, int(counts.max(initial=0))), dtype=columns.dtype)
-        texts[np.arange(texts.shape[1]) < counts[:, None]] = columns
-        eq = self.peq[ref, texts[order, :width].T]  # eq[t]: the step-t masks of every lane
+        live = n.size - np.cumsum(np.bincount(n, minlength=width))[:width]
+        # texts[t, i]: the step-t column of lane i, in the type of `columns`,
+        # so no array per character is a wide one; past the end of its text it
+        # holds the next text's columns, which no step reads
+        texts = sliding_window_view(np.append(columns, np.zeros(width, columns.dtype)),
+                                    width)[firsts[order]].T.copy()
+        # each step gathers its live lanes' masks from the flat peq table
+        peq, rows = self.peq.ravel(), ref * self.peq.shape[1]
         vp = np.full(order.size, 2**64 - 1, dtype=np.uint64)
         vn = np.zeros(order.size, dtype=np.uint64)
-        for t, a in enumerate((np.arange(width) < n[:, None]).sum(axis=0).tolist()):
-            vp[:a], vn[:a] = _hyyro_step(eq[t, :a], vp[:a], vn[:a])
+        for t, a in enumerate(live.tolist()):
+            eq = np.take(peq, rows[:a] + texts[t, :a])
+            vp[:a], vn[:a] = _hyyro_step(eq, vp[:a], vn[:a])
         # the distance is the top of the last column, n, plus its m deltas
         full = np.right_shift(np.uint64(2**64 - 1), (_LANE_BITS - m).astype(np.uint64))
         out[order] = n + np.bitwise_count(vp & full) - np.bitwise_count(vn & full).astype(np.int64)

@@ -772,21 +772,24 @@ def test_chunking_changes_no_score(tmp_path, monkeypatch, modulation, lanes):
     for k, corpus in enumerate(corpora):
         seeds = [[derive_seed(5, i, j, k) for j in range(2)] for i in range(len(gains))]
         sent = [harness._send_rows(scene, g, corpus, modulation, s) for g, s in zip(gains, seeds)]
-        errored = [rows[1].size for _, rows in sent]
+        errored = [rows[0].size for _, rows in sent]
         chunk = {"one": 1, "split": errored[0] - 1, "all": sum(errored)}[lanes]
         monkeypatch.setattr(harness, "SCORE_LANES", chunk)
         calls.clear()
         scored = harness._score_rows(corpus, sent, 0.6)
         whole, rest = divmod(sum(errored), chunk)
-        assert calls[("flat_scores", id(corpus.references))] == [chunk] * whole + [rest] * (rest > 0)
+        assert calls == {("distances", id(corpus.edits)): [sum(errored)],
+                         ("flat_scores", id(corpus.references)):
+                             [chunk] * whole + [rest] * (rest > 0)}
         for rows, ratio_gains, ratio_seeds in zip(scored, gains, seeds):
             assert rows == [score_each_sentence(scene, g, corpus, modulation, seed, 0.6,
                                                 decoders[corpus.name])[0]
                             for g, seed in zip(ratio_gains, ratio_seeds)]
         # the oracle ran on a reference over 64 characters and, in Huffman, on
         # empty decoded texts
-        assert max(corpus.edits.lengths[rows[1]].max() for _, rows in sent) > 64
-        assert corpus.name == "sixbit" or min(rows[3].min() for _, rows in sent) == 0
+        n = len(corpus.sentences)
+        assert max(corpus.edits.lengths[rows[0] % n].max() for _, rows in sent) > 64
+        assert corpus.name == "sixbit" or min(rows[2].min() for _, rows in sent) == 0
         assert errored[0] > 1
 
 
@@ -794,8 +797,9 @@ def test_chunking_changes_no_score(tmp_path, monkeypatch, modulation, lanes):
 def test_sweep_scores_each_method_once_per_chunk(tmp_path, monkeypatch, noise_dbm):
     # the benchmark's sweep-clean and sweep-lowsnr sweeps (default scene,
     # sample corpus): at 25 dBm every sentence of a method's 20 x 3 rows
-    # errs, and its 6000 are scored in chunks of SCORE_LANES, not once per
-    # ratio; at -120 dBm none errs, so nothing is scored and no table built
+    # errs, and its 6000 get their edit distances in one call and their BLEU
+    # scores in chunks of SCORE_LANES, not once per ratio; at -120 dBm none
+    # errs, so nothing is scored and no table built
     calls = count_scoring_calls(monkeypatch)
     built = {name: count_calls(monkeypatch, name, metrics)
              for name in ("BleuReferences", "EditReferences", "SymbolTokenizer")}
@@ -806,7 +810,10 @@ def test_sweep_scores_each_method_once_per_chunk(tmp_path, monkeypatch, noise_db
         return
     assert all(len(tables) == 2 for tables in built.values())  # huffman, sixbit
     assert sorted(name for name, _ in calls) == ["distances"] * 2 + ["flat_scores"] * 2
-    for lanes in calls.values():
+    for (name, _), lanes in calls.items():
+        if name == "distances":
+            assert lanes == [20 * 3 * 100]
+            continue
         assert sum(lanes) == 20 * 3 * 100 and max(lanes) == harness.SCORE_LANES
         assert len(lanes) == math.ceil(sum(lanes) / harness.SCORE_LANES)
 
@@ -1418,6 +1425,50 @@ def test_cli_metrics_bad_max_bleu_exits_1(tmp_path, capsys, max_bleu):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_max_bleu_with_an_infinite_reciprocal_is_rejected(tmp_path, capsys):
+    # 1 / 1e-320 overflows, which would make every rel_bleu inf
+    with pytest.raises(ValueError, match="^max_bleu must be .*reciprocal is finite, got 1e-320$"):
+        ExperimentConfig(max_bleu=1e-320)
+    assert ExperimentConfig(max_bleu=1e-300).max_bleu == 1e-300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_bleu": 1e-320}))
+    assert cli_main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_bleu must be") and err.count("\n") == 1
+
+
+def test_cli_metrics_max_bleu_with_an_infinite_reciprocal_exits_1(tmp_path, capsys):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the node reports a value.\n")
+    assert cli_main(["metrics", "--ref", str(ref), "--hyp", str(ref),
+                     "--max-bleu", "1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-bleu must be") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 TiB for an array with shape (100000, 100000, 1024) and "
+     "data type complex128", "Unable to allocate 74.5 TiB"),
+    ("", "out of memory"),
+])
+@pytest.mark.parametrize("command", [["sweep", "--config"], ["snr", "--ratio", "1", "--config"]])
+def test_cli_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, command, message, shown):
+    # a scene too large for memory ends in one line, as numpy's
+    # _ArrayMemoryError (a MemoryError) would; no huge array is allocated
+    def build_scene(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "build_scene", build_scene)
+    monkeypatch.setattr("rislink.cli.build_scene", build_scene)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"codebook_grid": [100000, 100000]}))
+    assert cli_main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or shown}\n" and shown in captured.err
 
 
 @pytest.mark.parametrize("kind, payload", [

@@ -135,6 +135,83 @@ def test_bleu_table_equals_slice_counting(case):
                                for k, candidate in rows]
 
 
+# distinct tokens, so that an n-gram of a reference occurs in it once
+DISTINCT = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True)
+
+
+def dying_candidate(reference: list, order: int) -> list:
+    """A candidate whose first order without a clipped match against a
+    reference of distinct tokens is `order`, or one that matches at every
+    order up to its length for 0: at 1 no token is in it; at 2 its tokens in
+    reverse; at 3 or more its first order - 1 tokens, then its first token
+    again, a return that no reference of distinct tokens makes. None when
+    the reference is too short to make one."""
+    if order == 0:
+        return list(reference)
+    if order == 1:
+        return list("xy")
+    if order == 2:
+        return reference[::-1] if len(reference) > 1 else None
+    if len(reference) < order - 1:
+        return None
+    return reference[: order - 1] + reference[:1]
+
+
+@st.composite
+def pruned_batches(draw):
+    """Reference token lists of distinct tokens, and candidates that first
+    lose every clipped match at order 1, 2, 3 or 4, or match at every order,
+    beside empty ones and short slices of a reference; batches where every
+    candidate dies, or none does, come up among them."""
+    references = draw(st.lists(DISTINCT, min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        k = draw(st.integers(0, len(references) - 1))
+        reference = references[k]
+        kind = draw(st.sampled_from(["dies", "empty", "short"]))
+        if kind == "dies":
+            candidate = dying_candidate(reference, draw(st.integers(0, 4)))
+        elif kind == "short":
+            at = draw(st.integers(0, len(reference) - 1))
+            candidate = reference[at : at + draw(st.integers(1, 2))]
+        else:
+            candidate = []
+        if candidate is not None:
+            rows.append((k, candidate))
+    return references, rows
+
+
+@given(pruned_batches())
+@example(([list("abcdef")], [(0, dying_candidate(list("abcdef"), n)) for n in range(5)]
+                            + [(0, []), (0, list("a")), (0, list("ab"))]))
+@example(([list("abcd"), list("e")], [(0, list("xy")), (0, list("dcba")), (1, list("x")),
+                                      (0, list("aba")), (0, list("abca"))]))  # every one dies
+@example(([list("abcd"), list("e")], [(0, list("abcd")), (1, list("e")), (0, list("bc")),
+                                      (0, [])]))  # none dies
+def test_pruned_bleu_equals_slice_counting(case):
+    # flat_scores drops a candidate's tokens once an order up to its length
+    # has no clipped match; the candidates left, shorter ones among them,
+    # score as if nothing had been dropped
+    references, rows = case
+    table = BleuReferences(references)
+    scores = table.scores([k for k, _ in rows], [candidate for _, candidate in rows])
+    assert scores.tolist() == [bleu_counted_by_slices(candidate, references[k])
+                               for k, candidate in rows]
+
+
+@given(DISTINCT, st.integers(0, 4))
+def test_dying_candidates_die_at_their_order(reference, order):
+    candidate = dying_candidate(reference, order)
+    if candidate is None:
+        return
+
+    def matched(n):
+        grams = {tuple(reference[i : i + n]) for i in range(len(reference) - n + 1)}
+        return any(tuple(candidate[i : i + n]) in grams for i in range(len(candidate) - n + 1))
+    orders = range(1, min(4, len(candidate)) + 1)
+    assert [n for n in orders if not matched(n)][:1] == ([order] if order else [])
+
+
 def test_bleu_table_ids():
     # tokens get ids in order of first appearance; an n-gram's key is its
     # prefix's id times V + 1 plus its last token's id, its id the key's rank
@@ -440,6 +517,25 @@ def test_lane_edit_distance_characters_in_no_reference():
     assert lanes.alphabet.tolist() == [ord(ch) for ch in "abcd"]
     texts = ["xyz", "xyzw", "Z" * 70, "abcX" + "abcd" * 15]
     assert lanes.distances([0, 0, 1, 1], *as_columns(lanes, texts)).tolist() == [3, 4, 70, 1]
+
+
+def test_lane_edit_distance_one_call_of_mixed_lanes():
+    # one call over many lanes: one text far longer than the rest, so that
+    # most lanes stop long before the last step, empty texts, and references
+    # of 0 to 90 characters, those over 64 scored off the lanes
+    rng = np.random.default_rng(3)
+    alphabet = list("abc .xé")
+    references = ["".join(rng.choice(alphabet[:5], size=n)) for n in rng.integers(0, 91, 40)]
+    references[5] = ""
+    assert max(map(len, references)) > 64
+    indices = rng.integers(0, len(references), 300).tolist()
+    assert 5 in indices
+    texts = ["".join(rng.choice(alphabet, size=n)) for n in rng.integers(0, 12, 300)]
+    texts[7] = "".join(rng.choice(alphabet, size=1000))
+    texts[::25] = [""] * 12
+    lanes = EditReferences(references)
+    distances = lanes.distances(indices, *as_columns(lanes, texts))
+    assert distances.tolist() == [levenshtein(references[k], t) for k, t in zip(indices, texts)]
 
 
 # --- scoring from symbol indices --------------------------------------------
