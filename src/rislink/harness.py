@@ -275,9 +275,51 @@ class SweepRecord:
 _COLUMNS = [(f.name, "none" if f.name == "bits" else "") for f in fields(SweepRecord)]
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Stable per-point seed; independent of execution order."""
-    return int(np.random.SeedSequence([master_seed, *indices]).generate_state(1)[0])
+# numpy.random.SeedSequence's hash constants and pool size (M. E. O'Neill's
+# seed_seq design, numpy/random/bit_generator.pyx), whose output numpy keeps
+# stable (NEP 19)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def derive_seeds(master_seed: int, shape) -> np.ndarray:
+    """SeedSequence([master_seed, *index]).generate_state(1)[0] at every
+    index of an array of `shape`, all in one pass: stable per-point seeds,
+    independent of execution order. The entropy words (the master seed's
+    32-bit words, least significant first, then the index) are hashed into
+    the pool and mixed as SeedSequence does, on Python ints for the master
+    seed's words and uint64 lanes for the index's, each step masked to 32
+    bits; the hash constants follow the same chain for every index."""
+    _require(master_seed >= 0, "master_seed", "a non-negative integer", master_seed)
+    words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    entropy = words + list(np.indices(shape, dtype=np.uint64))
+    entropy += [0] * (_POOL - len(entropy))  # a short entropy is hashed out with zeros
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32) & _MASK32
+    return np.asarray(value ^ value >> 16, dtype=np.uint32)
 
 
 def _configure_ratios(scene: Scene, ratios, quantizations,
@@ -311,24 +353,15 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
     return idx, cfg, snr_linear(g, scene.budget)
 
 
-class _Corpus:
-    """One method's corpus, modulated once into a single symbol row. Each
+class _Layout:
+    """A corpus's sentences modulated once into a single symbol row. Each
     sentence's bits are padded with zero bits to whole symbols on their own;
     `sent` is the padded bits of every sentence in turn, which is the layout
     of the demodulated row: sentence k spans starts[k]:starts[k] + sizes[k]
     there, and its pad follows; `runs` holds each sentence's size and then
-    its pad's, in turn. The method decodes to indices into `alphabet` (see
-    decode); `code` is None for the fixed 6-bit code. The sentences' BLEU
-    references are tokenized and counted once, in `references`, with
-    `tokenizer` reading the same tokens off symbol indices, and their
-    edit-distance lanes built once, in `edits`, with `columns` the peq
-    column of each alphabet symbol. These four are built on first use, so
-    a sweep in which no row has a bit error never builds them; a sweep
-    uses them only in _score_rows, on its calling thread."""
+    its pad's, in turn."""
 
-    def __init__(self, name: str, sentences: list, encoded, code: coding.HuffmanCode | None,
-                 modulation: str):
-        self.name, self.sentences, self.code = name, sentences, code
+    def __init__(self, encoded: list, modulation: str):
         self.sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
         pads = -self.sizes % coding.BITS_PER_SYMBOL[modulation]
         self.starts = np.cumsum(self.sizes + pads) - self.sizes - pads
@@ -337,8 +370,44 @@ class _Corpus:
                                     for part in (bits, np.zeros(pad, dtype=np.uint8))])
         symbols, _ = coding.MODULATIONS[modulation][0](self.sent)
         self.symbols = coding.SymbolMatrix(symbols.reshape(1, -1))
+
+
+class _Corpus:
+    """One method's corpus of `count` sentences. The method decodes to
+    indices into `alphabet` (see decode); `code` is None for the fixed 6-bit
+    code, which sends the sentences folded into its alphabet. Everything
+    else is built on first use: `sentences`, as the method sends them, and
+    their bit `layout` (see _Layout), which run_sweep builds on its calling
+    thread before any row is sent, and only when some row will be drawn; the
+    sentences' BLEU references, tokenized and counted once, in `references`,
+    with `tokenizer` reading the same tokens off symbol indices, and their
+    edit-distance lanes, in `edits`, with `columns` the peq column of each
+    alphabet symbol. Those four are built only in _score_rows, on the
+    calling thread, when some row has a bit error. So a sweep in which no
+    row is drawn neither folds, encodes nor modulates a sentence, and a
+    worker thread only reads what is built."""
+
+    def __init__(self, name: str, sentences: list, code: coding.HuffmanCode | None,
+                 modulation: str):
+        self.name, self.code, self.modulation = name, code, modulation
+        self.count = len(sentences)
+        self._read = sentences
         # a Huffman code built from character counts has one character per symbol
         self.alphabet = coding.SIXBIT_ALPHABET if code is None else "".join(code.symbols)
+
+    @cached_property
+    def sentences(self) -> list:
+        if self.code is None:
+            return [coding.sixbit_fold(s) for s in self._read]
+        return self._read
+
+    @cached_property
+    def layout(self) -> _Layout:
+        if self.code is None:
+            encoded = [coding.sixbit_encode_folded(s) for s in self.sentences]
+        else:
+            encoded = [coding.huffman_encode(s, self.code) for s in self.sentences]
+        return _Layout(encoded, self.modulation)
 
     @cached_property
     def references(self) -> metrics.BleuReferences:
@@ -388,7 +457,8 @@ def _send_rows(scene, gains, corpus, modulation, seeds):
     demodulate it as one row. A row whose SNR reaches ERROR_FREE_SNR (a
     nonzero gain on a noiseless link included) arrives as sent by the bound
     given there, so it is neither drawn, equalized nor demodulated; a zero
-    gain, whose SNR is 0, still reaches equalize's "link outage" error.
+    gain, whose SNR is 0, still reaches equalize's "link outage" error. The
+    corpus's layout is read only when some row is drawn.
     Each sentence's bit error rate comes from one comparison of the received
     row with the sent one (see metrics.bit_error_rates), in which a pad bit
     never counts. The bits of the sentences with a bit error, of every row,
@@ -398,27 +468,31 @@ def _send_rows(scene, gains, corpus, modulation, seeds):
     positions in the bit error rates, row after row, their symbol indices
     end to end and the number of symbols of each, the positions and counts
     in small unsigned types."""
+    bers = np.zeros((len(gains), corpus.count))
+    drawn = [snr_linear(g, scene.budget) < ERROR_FREE_SNR for g in gains]  # 0 for a zero gain
+    if not any(drawn):
+        return bers, None
+    layout = corpus.layout
     demodulate = coding.MODULATIONS[modulation][1]
     received_rows = []
-    bers = np.zeros((len(gains), corpus.sizes.size))
-    for received_bers, g, seed in zip(bers, gains, seeds):
-        if snr_linear(g, scene.budget) >= ERROR_FREE_SNR:  # 0 for a zero gain
-            received_rows.append(corpus.sent)
+    for received_bers, g, seed, draw in zip(bers, gains, seeds, drawn):
+        if not draw:
+            received_rows.append(layout.sent)
             continue
-        noisy = transmit(corpus.symbols, g, scene.budget, seed)
+        noisy = transmit(layout.symbols, g, scene.budget, seed)
         received = demodulate(equalize(noisy, g, scene.budget.p_tx).values[0])
         received_rows.append(received)
-        received_bers[:] = metrics.bit_error_rates(corpus.sent, received,
-                                                   corpus.starts, corpus.sizes)
+        received_bers[:] = metrics.bit_error_rates(layout.sent, received,
+                                                   layout.starts, layout.sizes)
     positions = np.flatnonzero(bers)  # row after row, each row's sentences in order
     if not positions.size:
         return bers, None
     # the received row as runs: each sentence's bits, then its pad
-    keep = np.zeros((len(gains), corpus.runs.size), dtype=bool)
+    keep = np.zeros((len(gains), layout.runs.size), dtype=bool)
     keep[:, ::2] = bers != 0
-    bits = np.concatenate([received[np.repeat(k, corpus.runs)]
+    bits = np.concatenate([received[np.repeat(k, layout.runs)]
                            for received, k in zip(received_rows, keep)])
-    codes, counts = corpus.decode(bits, corpus.sizes[positions % corpus.sizes.size])
+    codes, counts = corpus.decode(bits, layout.sizes[positions % corpus.count])
     # a type that holds bers.size holds the sentence count too, which
     # _score_rows divides the positions by
     return bers, (positions.astype(np.min_scalar_type(bers.size)), codes,
@@ -443,13 +517,17 @@ def _score_rows(corpus, sent, max_bleu) -> list:
     SCORE_LANES sentences at a time, one tokenizing and one BLEU call per
     chunk. A score is a sentence's own, so neither the grouping nor the
     chunks change any. Returns, for each ratio, each row's corpus means
-    (ber, char_err, bleu, rel_bleu)."""
-    char_errs = [np.zeros(bers.shape) for bers, _ in sent]
-    bleus = [np.ones(bers.shape) for bers, _ in sent]
+    (ber, char_err, bleu, rel_bleu), taken over the (ratios, rows,
+    sentences) arrays of all ratios in one call each."""
+    bers = np.array([ratio_bers for ratio_bers, _ in sent])
+    char_errs = np.zeros(bers.shape)
+    bleus = np.ones(bers.shape)
     errored = [(r, rows) for r, (_, rows) in enumerate(sent) if rows is not None]
     if errored:
-        indices = np.concatenate([positions % corpus.sizes.size
-                                  for _, (positions, _, _) in errored])
+        # each errored sentence's flat position in the (ratios, rows, sentences) arrays
+        at = np.concatenate([r * bers[0].size + positions.astype(np.intp)
+                             for r, (positions, _, _) in errored])
+        indices = at % corpus.count
         counts = np.concatenate([ratio_counts for _, (_, _, ratio_counts) in errored])
         codes = [ratio_codes for _, (_, ratio_codes, _) in errored]
         char_err = corpus.edits.char_error_rates(
@@ -466,15 +544,11 @@ def _score_rows(corpus, sent, max_bleu) -> list:
                                     for part, start in zip(codes, offsets)])
             bleu[a:b] = corpus.references.flat_scores(
                 indices[a:b], corpus.tokenizer.flatten(chunk, counts[a:b]))
-        a = 0
-        for r, (positions, _, _) in errored:
-            b = a + positions.size
-            np.put(char_errs[r], positions, char_err[a:b])
-            np.put(bleus[r], positions, bleu[a:b])
-            a = b
-    means = [zip(*(x.mean(axis=1).tolist() for x in arrays))
-             for arrays in zip((bers for bers, _ in sent), char_errs, bleus)]
-    return [[(ber, c, b, b / max_bleu) for ber, c, b in rows] for rows in means]
+        char_errs.flat[at] = char_err
+        bleus.flat[at] = bleu
+    means = [x.mean(axis=2) for x in (bers, char_errs, bleus)]
+    rows = np.stack((*means, means[2] / max_bleu), axis=-1).tolist()
+    return [list(map(tuple, ratio_rows)) for ratio_rows in rows]
 
 
 def load_sentences(path) -> list:
@@ -487,19 +561,19 @@ def load_sentences(path) -> list:
 
 def _prepare_methods(cfg: ExperimentConfig):
     """Per-method corpora (see _Corpus) and the semantic matrix when given.
-    Huffman frequencies come from the evaluation corpus itself; the sixbit
-    route folds the corpus into its 64-character alphabet first."""
+    The sentences are read and the Huffman code is built from the evaluation
+    corpus itself here, so a corpus no code can be built from fails before
+    any row is sent; the sixbit route folds the corpus into its 64-character
+    alphabet, and each route encodes and modulates it, only when its
+    layout is first needed."""
     methods = []
     if cfg.corpus_path is not None:
         sentences = load_sentences(cfg.corpus_path)
         if "huffman" in cfg.baselines:
             code = coding.huffman_build(coding.huffman_frequencies(sentences))
-            encoded = [coding.huffman_encode(s, code) for s in sentences]
-            methods.append(_Corpus("huffman", sentences, encoded, code, cfg.modulation))
+            methods.append(_Corpus("huffman", sentences, code, cfg.modulation))
         if "sixbit" in cfg.baselines:
-            folded = [coding.sixbit_fold(s) for s in sentences]
-            encoded = [coding.sixbit_encode_folded(s) for s in folded]
-            methods.append(_Corpus("sixbit", folded, encoded, None, cfg.modulation))
+            methods.append(_Corpus("sixbit", sentences, None, cfg.modulation))
     if cfg.symbol_matrix_path is None:
         return methods, None
     return methods, coding.normalize_rows(coding.load_symbol_matrix(cfg.symbol_matrix_path))
@@ -507,10 +581,16 @@ def _prepare_methods(cfg: ExperimentConfig):
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               quantize_before_select: bool = False) -> list:
-    """Full sweep over ratios x quantizations x methods. Every ratio's
-    codeword is selected first (see _configure_ratios), before the inputs
-    are read and encoded, so that selection, the sweep's largest working
-    set, does not hold them. Then the transmission runs one task per ratio,
+    """Full sweep over ratios x quantizations x methods. The output path
+    (and `received_matrix_dir`, when a matrix is to be stored there) is
+    checked first, so a bad one fails before any work. Every ratio's
+    codeword is selected next (see _configure_ratios), before the inputs
+    are read, so that selection, the sweep's largest working set, does not
+    hold them. Every point's seed is derived in one derive_seeds call, and
+    its SNR taken once. Only if some point's SNR is below ERROR_FREE_SNR,
+    so that its corpus rows are drawn, does each corpus build its layout,
+    here on the calling thread: a sweep at the default floor never encodes
+    or modulates a sentence. Then the transmission runs one task per ratio,
     on `jobs` threads: each task sends all of its quantizations' rows of a
     corpus method in one _send_rows call, which also decodes their errored
     sentences. After every task has ended, each corpus method's errored
@@ -523,6 +603,13 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     method) order and are deterministic for a given master seed regardless
     of `jobs`; the CSV is written atomically."""
     _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
+    path = cfg.output_path
+    _require(os.path.basename(path) and not os.path.isdir(path)
+             and os.path.isdir(os.path.dirname(os.path.abspath(path))),
+             "output_path", "a file name in an existing directory", path)
+    _require(cfg.symbol_matrix_path is None or cfg.received_matrix_dir is None
+             or os.path.isdir(cfg.received_matrix_dir), "received_matrix_dir",
+             "an existing directory", cfg.received_matrix_dir)
     scene = build_scene(cfg)
     configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
                                    quantize_before_select)
@@ -531,12 +618,17 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     if not method_names:
         raise ValueError("config provides no input source: nothing to sweep")
     # seeds[i][k][j]: method k's seed at ratio i, quantization j
-    seeds = [[[derive_seed(cfg.master_seed, i, j, k) for j in range(len(cfg.quantizations))]
-              for k in range(len(method_names))] for i in range(len(cfg.ratios))]
+    seeds = derive_seeds(cfg.master_seed, (len(cfg.ratios), len(cfg.quantizations),
+                                           len(method_names))).transpose(0, 2, 1).tolist()
+    # snrs[i][j]: the (linear, dB) SNR at ratio i, quantization j; raises on
+    # overflow, before any draw
+    snrs = [[snr(g, scene.budget) for _, g in points] for points in configured]
+    if methods and any(linear < ERROR_FREE_SNR for row in snrs for linear, _ in row):
+        for corpus in methods:
+            corpus.layout  # built here, so that the worker threads only read it
 
     def send_ratio(i):
         gains = [g for _, g in configured[i]]
-        snrs_db = [snr(g, scene.budget)[1] for g in gains]  # raises on overflow, before any draw
         rows = [_send_rows(scene, gains, corpus, cfg.modulation, seeds[i][k])
                 for k, corpus in enumerate(methods)]
         if semantic is not None and cfg.received_matrix_dir is not None:
@@ -545,7 +637,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
                 out = f"semantic_r{cfg.ratios[i]}_b{'none' if bits is None else bits}.json"
                 coding.store_symbol_matrix(transmit(semantic, g, scene.budget, seed),
                                            os.path.join(cfg.received_matrix_dir, out))
-        return snrs_db, rows
+        return rows
 
     if jobs > 1:
         # imported here: it loads logging, which a jobs=1 run need not pay for
@@ -556,14 +648,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     else:
         sent = [send_ratio(i) for i in range(len(cfg.ratios))]
     # scores[k][i][j]: method k's record fields at ratio i, quantization j
-    scores = [_score_rows(corpus, [rows[k] for _, rows in sent], cfg.max_bleu)
+    scores = [_score_rows(corpus, [rows[k] for rows in sent], cfg.max_bleu)
               for k, corpus in enumerate(methods)]
     if semantic is not None:
         scores.append([[(None, None, None, None)] * len(cfg.quantizations)] * len(cfg.ratios))
     records = [SweepRecord(ratio, bits, idx, snr_db, name, *scores[k][i][j], seeds[i][k][j])
-               for i, (ratio, points, (snrs_db, _)) in enumerate(zip(cfg.ratios, configured, sent))
-               for j, (bits, (idx, _), snr_db) in enumerate(
-                   zip(cfg.quantizations, points, snrs_db))
+               for i, (ratio, points, ratio_snrs) in enumerate(zip(cfg.ratios, configured, snrs))
+               for j, (bits, (idx, _), (_, snr_db)) in enumerate(
+                   zip(cfg.quantizations, points, ratio_snrs))
                for k, name in enumerate(method_names)]
     write_records(records, cfg.output_path)
     return records

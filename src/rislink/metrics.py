@@ -273,8 +273,9 @@ def bleu(candidate, reference) -> float:
 
 def relative_bleu(candidate, reference, max_bleu: float) -> float:
     """BLEU divided by the noiseless-pipeline ceiling; may exceed 1."""
-    if not max_bleu > 0:
-        raise ValueError("max_bleu must be positive")
+    if not (0 < max_bleu < math.inf and 1.0 / max_bleu < math.inf):
+        raise ValueError("max_bleu must be a positive finite number whose reciprocal is "
+                         f"finite, got {max_bleu!r}")
     return bleu(candidate, reference) / max_bleu
 
 

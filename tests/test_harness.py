@@ -31,7 +31,7 @@ from rislink.harness import (
     ExperimentConfig,
     build_scene,
     configure_point,
-    derive_seed,
+    derive_seeds,
     run_sweep,
     write_records,
 )
@@ -415,6 +415,95 @@ def test_scoring_tables_are_built_only_when_a_row_errs(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def test_clean_sweep_neither_encodes_nor_modulates_a_sentence(tmp_path, monkeypatch):
+    # the benchmark's sweep-clean: every point is at 124-149 dB, so no row is
+    # drawn and no corpus is folded, encoded or modulated, yet every record
+    # is as before
+    cfg = ExperimentConfig(corpus_path=str(SAMPLE_CORPUS), master_seed=11,
+                           output_path=str(tmp_path / "a.csv"))
+    expected = run_sweep(cfg)
+
+    def boom(*args):
+        raise AssertionError("a corpus was encoded or modulated")
+
+    for name in ("huffman_encode", "sixbit_encode_folded", "sixbit_fold", "qpsk_modulate"):
+        monkeypatch.setattr(coding, name, boom)
+    monkeypatch.setitem(coding.MODULATIONS, "qpsk", (boom, coding.qpsk_demodulate))
+    cfg.output_path = str(tmp_path / "b.csv")
+    assert run_sweep(cfg) == expected
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_layout_is_built_once_on_the_calling_thread(tmp_path, monkeypatch):
+    # at -81 dBm the small scene's points lie at 55-64 dB, on both sides of
+    # ERROR_FREE_SNR: each corpus builds its layout once, on the thread that
+    # calls run_sweep, before any worker sends a row; at -120 dBm never
+    built = []
+
+    def on_thread(corpus):
+        built.append((corpus.name, threading.current_thread()))
+        return build(corpus)
+
+    build = harness._Corpus.layout.func
+    layout = cached_property(on_thread)
+    layout.__set_name__(harness._Corpus, "layout")
+    monkeypatch.setattr(harness._Corpus, "layout", layout)
+    run_sweep(small_config(tmp_path))
+    assert built == []
+    blobs = []
+    interval = sys.getswitchinterval()
+    for jobs in (1, 4):
+        cfg = small_config(tmp_path, noise_dbm=-81.0, output_path=str(tmp_path / f"{jobs}.csv"))
+        built.clear()
+        sys.setswitchinterval(1e-6)  # threads that raced to build a layout would switch often
+        try:
+            records = run_sweep(cfg, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        blobs.append(Path(cfg.output_path).read_bytes())
+        snrs = [r.snr_db for r in records]
+        assert min(snrs) < 60.0 < max(snrs)
+        assert built == [(name, threading.current_thread()) for name in ("huffman", "sixbit")]
+    assert blobs[0] == blobs[1]
+
+
+def test_cli_one_character_corpus_exits_1(tmp_path, capsys):
+    # no Huffman code has one symbol: the corpus fails when it is read, as
+    # before its layout was built lazily, not when a row is drawn
+    corpus_path = tmp_path / "one.txt"
+    corpus_path.write_text("aaaa\naa\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(tmp_path, corpus_path=str(corpus_path)).to_json())
+    assert cli_main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: huffman_build needs at least 2 symbols") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_bad_output_paths_exit_1_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # each failed only after the whole sweep, or inside the pool, naming a
+    # temp file; now each is one line naming the field, before any work
+    scenes = count_calls(monkeypatch, "build_scene")
+    matrix_path = tmp_path / "m.json"
+    store_symbol_matrix(SymbolMatrix(np.ones((2, 3), dtype=complex)), matrix_path)
+    missing = str(tmp_path / "nonexistent" / "dir")
+    cases = [
+        ({"output_path": os.path.join(missing, "o.csv")}, [], "output_path"),
+        ({}, ["--out", str(tmp_path)], "output_path"),
+        ({"symbol_matrix_path": str(matrix_path), "received_matrix_dir": missing}, [],
+         "received_matrix_dir"),
+    ]
+    for overrides, args, field in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(small_config(tmp_path, **overrides).to_json())
+        assert cli_main(["sweep", "--config", str(path), "--jobs", "4", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {field} must be ")
+    assert scenes == []
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "corpus.txt", "m.json"]
+
+
 def test_sweep_deterministic_across_parallelism_with_errors(tmp_path):
     # at this noise floor every row has errored sentences, so the rows of a
     # ratio are decoded and scored together; and the semantic route rides along
@@ -483,7 +572,7 @@ def receive(corpus, equalized, demodulate):
     """The corpus's padded bits demodulated from its equalized row, and each
     sentence's bit error rate, as harness._send_rows takes them."""
     received = demodulate(equalized)
-    return received, metrics.bit_error_rates(corpus.sent, received, corpus.starts, corpus.sizes)
+    return received, metrics.bit_error_rates(corpus.layout.sent, received, corpus.layout.starts, corpus.layout.sizes)
 
 
 def decode_texts(corpus, rows) -> list:
@@ -502,20 +591,20 @@ def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_s
     rng = np.random.default_rng(11)
     pads = set()
     for corpus in short_sentence_corpora(tmp_path, modulation):
-        row = corpus.symbols.values[0]
+        row = corpus.layout.symbols.values[0]
         equalized = row + 0.6 * (rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size))
         recovered, bers = receive(corpus, equalized, demodulate)
-        assert recovered.size == corpus.sent.size == bits_per_symbol * row.size
+        assert recovered.size == corpus.layout.sent.size == bits_per_symbol * row.size
         at = 0
-        for k, (start, size) in enumerate(zip(corpus.starts, corpus.sizes)):
-            bits = corpus.sent[start : start + size]
+        for k, (start, size) in enumerate(zip(corpus.layout.starts, corpus.layout.sizes)):
+            bits = corpus.layout.sent[start : start + size]
             assert decode_texts(corpus, [bits]) == [corpus.sentences[k]]
             symbols, pad = modulate(bits)
             # the row is each sentence's own symbols in turn, and the sent
             # layout each sentence's bits, then its pad of zeros
             assert start == bits_per_symbol * at
             assert np.array_equal(row[at : at + symbols.size], symbols)
-            assert not corpus.sent[start + size : start + size + pad].any()
+            assert not corpus.layout.sent[start + size : start + size + pad].any()
             own = demodulate(equalized[at : at + symbols.size], n_bits=bits.size)
             at += symbols.size
             pads.add(pad)
@@ -536,12 +625,12 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
     rng = np.random.default_rng(17)
     pads = set()
     for corpus in short_sentence_corpora(tmp_path, modulation):
-        sent = corpus.sent
-        stops = corpus.starts + corpus.sizes
+        sent = corpus.layout.sent
+        stops = corpus.layout.starts + corpus.layout.sizes
         in_pad = np.ones(sent.size, dtype=bool)
-        for start, stop in zip(corpus.starts, stops):
+        for start, stop in zip(corpus.layout.starts, stops):
             in_pad[start:stop] = False
-        pads.update((np.append(corpus.starts[1:], sent.size) - stops).tolist())
+        pads.update((np.append(corpus.layout.starts[1:], sent.size) - stops).tolist())
         one_pad_bit = np.zeros(sent.size, dtype=bool)
         one_pad_bit[np.flatnonzero(in_pad)[-1:]] = True  # none if no sentence is padded
         flips = {"none": np.zeros(sent.size, dtype=bool), "all": np.ones(sent.size, dtype=bool),
@@ -554,7 +643,7 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
             recovered, bers = receive(corpus, symbols, demodulate)
             assert np.array_equal(recovered, received_bits)
             expected = [bit_error_rate(sent[a:b], recovered[a:b])
-                        for a, b in zip(corpus.starts, stops)]
+                        for a, b in zip(corpus.layout.starts, stops)]
             assert bers.tolist() == expected, name
             if name in ("none", "pads", "one pad bit"):
                 assert not bers.any()
@@ -575,11 +664,11 @@ def score_each_sentence(scene, g, corpus, modulation, seed, max_bleu, decode):
     """corpus_rows as a per-sentence scorer, every sentence decoded on
     its own by `decode` and scored by char_error_rate and bleu; and each
     sentence's bit error rate."""
-    received = transmit(corpus.symbols, g, scene.budget, seed)
+    received = transmit(corpus.layout.symbols, g, scene.budget, seed)
     equalized = equalize(received, g, scene.budget.p_tx).values[0]
     recovered, bers = receive(corpus, equalized, coding.MODULATIONS[modulation][1])
     char_errs, bleus = [], []
-    for sentence, start, size in zip(corpus.sentences, corpus.starts, corpus.sizes):
+    for sentence, start, size in zip(corpus.sentences, corpus.layout.starts, corpus.layout.sizes):
         decoded = decode(recovered[start : start + size])
         char_errs.append(metrics.char_error_rate(sentence, decoded))
         bleus.append(metrics.bleu(metrics.tokenize(decoded), metrics.tokenize(sentence)))
@@ -609,7 +698,7 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     errored = []
     for k, corpus in enumerate(corpora):
         # every row of a corpus is scored in one call, each from its own seed
-        seeds = [derive_seed(5, i, k) for i in range(len(gains))]
+        seeds = derive_seeds(5, (len(gains), len(corpora)))[:, k].tolist()
         rows = corpus_rows(scene, gains, corpus, modulation, seeds, 0.6)
         assert len(rows) == len(gains)
         for row, g, seed in zip(rows, gains, seeds):
@@ -770,7 +859,7 @@ def test_chunking_changes_no_score(tmp_path, monkeypatch, modulation, lanes):
     gains = [[ratio_gain(scene, r) for r in pair] for pair in ([0.05, 0.15], [0.3, 0.6], [1.0, 1.0])]
     calls = count_scoring_calls(monkeypatch)
     for k, corpus in enumerate(corpora):
-        seeds = [[derive_seed(5, i, j, k) for j in range(2)] for i in range(len(gains))]
+        seeds = derive_seeds(5, (len(gains), 2, len(corpora)))[..., k].tolist()
         sent = [harness._send_rows(scene, g, corpus, modulation, s) for g, s in zip(gains, seeds)]
         errored = [rows[0].size for _, rows in sent]
         chunk = {"one": 1, "split": errored[0] - 1, "all": sum(errored)}[lanes]
@@ -830,7 +919,7 @@ def test_every_sentence_decodes_from_its_own_bits(tmp_path, sentences):
     corpora, _ = harness._prepare_methods(small_config(tmp_path, corpus_path=str(corpus_path)))
     code = coding.huffman_build(coding.huffman_frequencies(sentences))
     for corpus in corpora:
-        rows = [corpus.sent[a : a + n] for a, n in zip(corpus.starts, corpus.sizes)]
+        rows = [corpus.layout.sent[a : a + n] for a, n in zip(corpus.layout.starts, corpus.layout.sizes)]
         assert decode_texts(corpus, rows) == corpus.sentences
         if corpus.name == "huffman":
             assert corpus.sentences == sentences
@@ -1057,9 +1146,33 @@ def test_sweep_without_inputs_fails(tmp_path):
         run_sweep(small_config(tmp_path, corpus_path=str(blank)))
 
 
-def test_derive_seed_stable():
-    assert derive_seed(7, 1, 2, 3) == derive_seed(7, 1, 2, 3)
-    assert derive_seed(7, 1, 2, 3) != derive_seed(7, 1, 2, 4)
+def seed_sequence_seeds(master_seed, shape) -> np.ndarray:
+    """The oracle of derive_seeds: one SeedSequence per index."""
+    return np.array([np.random.SeedSequence([master_seed, *index]).generate_state(1)[0]
+                     for index in np.ndindex(*shape)], dtype=np.uint32).reshape(shape)
+
+
+# one to five 32-bit entropy words for the master seed
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**40])
+@pytest.mark.parametrize("shape", [(7,), (4, 3), (20, 3, 2), (2, 3, 2, 2)])
+def test_derive_seeds_match_seed_sequence(master_seed, shape):
+    seeds = derive_seeds(master_seed, shape)
+    assert seeds.dtype == np.uint32
+    assert np.array_equal(seeds, seed_sequence_seeds(master_seed, shape))
+    assert np.unique(seeds).size == seeds.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**200),
+       st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(lambda s: math.prod(s) <= 40))
+def test_derive_seeds_match_seed_sequence_property(master_seed, shape):
+    assert np.array_equal(derive_seeds(master_seed, shape),
+                          seed_sequence_seeds(master_seed, tuple(shape)))
+
+
+def test_derive_seeds_rejects_a_negative_master_seed():
+    with pytest.raises(ValueError, match="^master_seed must be a non-negative integer, got -1$"):
+        derive_seeds(-1, (2,))
 
 
 def test_write_records_atomic(tmp_path):
