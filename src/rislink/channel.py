@@ -10,7 +10,8 @@ beta = (d_centers / d0)^alpha is the per-link path loss evaluated once at
 the center-to-center distance, with the reference distance d0 fixed at
 1 m. No NLoS component and no direct tx-rx link are modeled.
 
-`los_channel` builds a whole channel matrix; `cascaded_los_coefficients`
+`los_channel` builds a whole channel matrix, which holds its entries
+alone: the wavelength enters them through kappa. `cascaded_los_coefficients`
 reduces the two links through a RIS to one coefficient per RIS element,
 building the entries of both links a block of RIS elements at a time.
 """
@@ -48,17 +49,15 @@ class PathLossModel:
 
 class ChannelMatrix:
     """Complex per-element channel coefficients, n_rx_elements x
-    n_tx_elements, together with the carrier wavelength used to build it."""
+    n_tx_elements."""
 
-    def __init__(self, entries, wavelength: float):
+    def __init__(self, entries):
         e = np.asarray(entries, dtype=complex)
         if e.ndim != 2:
             raise ValueError("channel entries must be a 2D matrix")
         if not np.all(np.isfinite(e)):
             raise ValueError("channel entries must be finite")
-        if not wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        self.entries, self.wavelength = e, wavelength
+        self.entries = e
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,7 +113,7 @@ def los_channel(
     """
     link = _link(tx, rx, wavelength, pl)
     entries = _los_entries(element_positions(tx), element_positions(rx), tx, rx, *link)
-    return ChannelMatrix(entries, wavelength)
+    return ChannelMatrix(entries)
 
 
 def _cascade_blocks(n_ris: int, blocks, w_tx: np.ndarray,

@@ -156,6 +156,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             _require(isinstance(value, str) or value is None and name != "output_path",
                      name, "a path string", value)
+        _require(self.received_matrix_dir is None or self.symbol_matrix_path is not None,
+                 "received_matrix_dir", "null unless symbol_matrix_path is set",
+                 self.received_matrix_dir)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -378,14 +381,15 @@ class _Corpus:
     code, which sends the sentences folded into its alphabet. Everything
     else is built on first use: `sentences`, as the method sends them, and
     their bit `layout` (see _Layout), which run_sweep builds on its calling
-    thread before any row is sent, and only when some row will be drawn; the
-    sentences' BLEU references, tokenized and counted once, in `references`,
-    with `tokenizer` reading the same tokens off symbol indices, and their
-    edit-distance lanes, in `edits`, with `columns` the peq column of each
-    alphabet symbol. Those four are built only in _score_rows, on the
-    calling thread, when some row has a bit error. So a sweep in which no
-    row is drawn neither folds, encodes nor modulates a sentence, and a
-    worker thread only reads what is built."""
+    thread before any row is sent, and only when its `drawn` table marks
+    some row (see _send_rows); the sentences' BLEU references, tokenized
+    and counted once, in `references`, with `tokenizer` reading the same
+    tokens off symbol indices, and their edit-distance lanes, in `edits`,
+    with `columns` the peq column of each alphabet symbol. Those four are
+    built only in _score_rows, on the calling thread, when some row has a
+    bit error. So a sweep in which no row is drawn neither folds, encodes
+    nor modulates a sentence, and a worker thread only reads what is
+    built."""
 
     def __init__(self, name: str, sentences: list, code: coding.HuffmanCode | None,
                  modulation: str):
@@ -450,49 +454,44 @@ class _Corpus:
 ERROR_FREE_SNR = 1e6
 
 
-def _send_rows(scene, gains, corpus, modulation, seeds):
+def _send_rows(budget, gains, drawn, corpus, seeds):
     """Send one method's corpus at several gains, the first stage of its
-    rows: for each gain (a row), send the whole corpus through the scalar
-    channel in a single transmission, drawing from that row's seed, and
-    demodulate it as one row. A row whose SNR reaches ERROR_FREE_SNR (a
-    nonzero gain on a noiseless link included) arrives as sent by the bound
-    given there, so it is neither drawn, equalized nor demodulated; a zero
-    gain, whose SNR is 0, still reaches equalize's "link outage" error. The
-    corpus's layout is read only when some row is drawn.
+    rows. Each gain is a row. A row that `drawn` marks (run_sweep decides
+    it, see ERROR_FREE_SNR) sends the whole corpus through the scalar
+    channel in one transmission, drawing from the row's seed, and is
+    demodulated as one row; a drawn zero gain is a "link outage" error.
+    Any other row arrives as sent: it is neither drawn, equalized nor
+    demodulated, and the corpus's layout is read only if some row is drawn.
     Each sentence's bit error rate comes from one comparison of the received
     row with the sent one (see metrics.bit_error_rates), in which a pad bit
-    never counts. The bits of the sentences with a bit error, of every row,
-    are gathered end to end and decoded in one call to symbol indices.
+    never counts. A row's bits of its errored sentences are gathered once
+    its rates are known; every row's are decoded end to end in one call.
     Returns the (rows, sentences) bit error rates and, unless no sentence
     has a bit error, the errored sentences for _score_rows: their flat
     positions in the bit error rates, row after row, their symbol indices
     end to end and the number of symbols of each, the positions and counts
     in small unsigned types."""
     bers = np.zeros((len(gains), corpus.count))
-    drawn = [snr_linear(g, scene.budget) < ERROR_FREE_SNR for g in gains]  # 0 for a zero gain
     if not any(drawn):
         return bers, None
     layout = corpus.layout
-    demodulate = coding.MODULATIONS[modulation][1]
-    received_rows = []
-    for received_bers, g, seed, draw in zip(bers, gains, seeds, drawn):
-        if not draw:
-            received_rows.append(layout.sent)
-            continue
-        noisy = transmit(layout.symbols, g, scene.budget, seed)
-        received = demodulate(equalize(noisy, g, scene.budget.p_tx).values[0])
-        received_rows.append(received)
-        received_bers[:] = metrics.bit_error_rates(layout.sent, received,
-                                                   layout.starts, layout.sizes)
+    demodulate = coding.MODULATIONS[corpus.modulation][1]
+    # the received row as runs: each sentence's bits, then its pad
+    keep = np.zeros(layout.runs.size, dtype=bool)
+    errored_bits = []
+    for row_bers, g, seed, draw in zip(bers, gains, seeds, drawn):
+        if draw:
+            noisy = transmit(layout.symbols, g, budget, seed)
+            received = demodulate(equalize(noisy, g, budget.p_tx).values[0])
+            row_bers[:] = metrics.bit_error_rates(layout.sent, received,
+                                                  layout.starts, layout.sizes)
+            keep[::2] = row_bers != 0
+            errored_bits.append(received[np.repeat(keep, layout.runs)])
     positions = np.flatnonzero(bers)  # row after row, each row's sentences in order
     if not positions.size:
         return bers, None
-    # the received row as runs: each sentence's bits, then its pad
-    keep = np.zeros((len(gains), layout.runs.size), dtype=bool)
-    keep[:, ::2] = bers != 0
-    bits = np.concatenate([received[np.repeat(k, layout.runs)]
-                           for received, k in zip(received_rows, keep)])
-    codes, counts = corpus.decode(bits, layout.sizes[positions % corpus.count])
+    codes, counts = corpus.decode(np.concatenate(errored_bits),
+                                  layout.sizes[positions % corpus.count])
     # a type that holds bers.size holds the sentence count too, which
     # _score_rows divides the positions by
     return bers, (positions.astype(np.min_scalar_type(bers.size)), codes,
@@ -582,34 +581,34 @@ def _prepare_methods(cfg: ExperimentConfig):
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               quantize_before_select: bool = False) -> list:
     """Full sweep over ratios x quantizations x methods. The output path
-    (and `received_matrix_dir`, when a matrix is to be stored there) is
-    checked first, so a bad one fails before any work. Every ratio's
-    codeword is selected next (see _configure_ratios), before the inputs
-    are read, so that selection, the sweep's largest working set, does not
-    hold them. Every point's seed is derived in one derive_seeds call, and
-    its SNR taken once. Only if some point's SNR is below ERROR_FREE_SNR,
-    so that its corpus rows are drawn, does each corpus build its layout,
-    here on the calling thread: a sweep at the default floor never encodes
-    or modulates a sentence. Then the transmission runs one task per ratio,
-    on `jobs` threads: each task sends all of its quantizations' rows of a
-    corpus method in one _send_rows call, which also decodes their errored
-    sentences. After every task has ended, each corpus method's errored
-    sentences of all ratios are scored on the calling thread, their edit
-    distances in one call and their BLEU scores in chunks of SCORE_LANES
-    sentences (see _score_rows), so `jobs` does not parallelize scoring,
-    and only this thread builds a corpus's scoring tables. The
-    semantic matrix is transmitted only when `received_matrix_dir` is set,
-    since no record field reads it. Records come in (ratio, quantization,
-    method) order and are deterministic for a given master seed regardless
-    of `jobs`; the CSV is written atomically."""
+    (and `received_matrix_dir`, when set) is checked first, so a bad one
+    fails before any work. Every ratio's codeword is selected next (see
+    _configure_ratios), before the inputs are read, so that selection, the
+    sweep's largest working set, does not hold them. Every point's seed is
+    derived in one derive_seeds call, and its SNR taken once, which decides,
+    once, whether its corpus rows are drawn (an SNR below ERROR_FREE_SNR):
+    every _send_rows call reads that `drawn` table. Only if it marks some
+    row does each corpus build its layout, here on the calling thread: a
+    sweep at the default floor never encodes or modulates a sentence. Then
+    the transmission runs one task per ratio, on `jobs` threads: each task
+    sends all of its quantizations' rows of a corpus method in one
+    _send_rows call, which also decodes their errored sentences. After every
+    task has ended, each corpus method's errored sentences of all ratios are
+    scored on the calling thread, their edit distances in one call and their
+    BLEU scores in chunks of SCORE_LANES sentences (see _score_rows), so
+    `jobs` does not parallelize scoring, and only this thread builds a
+    corpus's scoring tables. The semantic matrix is transmitted only when
+    `received_matrix_dir` is set, since no record field reads it. Records
+    come in (ratio, quantization, method) order and are deterministic for a
+    given master seed regardless of `jobs`; the CSV is written
+    atomically."""
     _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
     path = cfg.output_path
     _require(os.path.basename(path) and not os.path.isdir(path)
              and os.path.isdir(os.path.dirname(os.path.abspath(path))),
              "output_path", "a file name in an existing directory", path)
-    _require(cfg.symbol_matrix_path is None or cfg.received_matrix_dir is None
-             or os.path.isdir(cfg.received_matrix_dir), "received_matrix_dir",
-             "an existing directory", cfg.received_matrix_dir)
+    _require(cfg.received_matrix_dir is None or os.path.isdir(cfg.received_matrix_dir),
+             "received_matrix_dir", "an existing directory", cfg.received_matrix_dir)
     scene = build_scene(cfg)
     configured = _configure_ratios(scene, cfg.ratios, cfg.quantizations,
                                    quantize_before_select)
@@ -621,17 +620,19 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     seeds = derive_seeds(cfg.master_seed, (len(cfg.ratios), len(cfg.quantizations),
                                            len(method_names))).transpose(0, 2, 1).tolist()
     # snrs[i][j]: the (linear, dB) SNR at ratio i, quantization j; raises on
-    # overflow, before any draw
+    # overflow, before any draw. drawn[i][j]: whether that point's corpus
+    # rows are drawn; the linear SNR is 0 for a zero gain, inf when noiseless
     snrs = [[snr(g, scene.budget) for _, g in points] for points in configured]
-    if methods and any(linear < ERROR_FREE_SNR for row in snrs for linear, _ in row):
+    drawn = [[linear < ERROR_FREE_SNR for linear, _ in row] for row in snrs]
+    if methods and any(map(any, drawn)):
         for corpus in methods:
             corpus.layout  # built here, so that the worker threads only read it
 
     def send_ratio(i):
         gains = [g for _, g in configured[i]]
-        rows = [_send_rows(scene, gains, corpus, cfg.modulation, seeds[i][k])
+        rows = [_send_rows(scene.budget, gains, drawn[i], corpus, seeds[i][k])
                 for k, corpus in enumerate(methods)]
-        if semantic is not None and cfg.received_matrix_dir is not None:
+        if cfg.received_matrix_dir is not None:
             # no record field reads the received matrix: draw it only to store it
             for bits, g, seed in zip(cfg.quantizations, gains, seeds[i][-1]):
                 out = f"semantic_r{cfg.ratios[i]}_b{'none' if bits is None else bits}.json"

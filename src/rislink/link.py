@@ -75,7 +75,7 @@ def end_to_end_channel(h_ris_tx: ChannelMatrix, cfg, h_rx_ris: ChannelMatrix) ->
         )
     theta = cfg.reflection_coefficients()
     entries = (h_rx_ris.entries * theta[None, :]) @ h_ris_tx.entries
-    return ChannelMatrix(entries, h_ris_tx.wavelength)
+    return ChannelMatrix(entries)
 
 
 def effective_gain(h_e2e: ChannelMatrix, budget: LinkBudget) -> complex:

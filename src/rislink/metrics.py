@@ -311,22 +311,12 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
-    sent = np.asarray(sent).ravel()
-    received = np.asarray(received).ravel()
-    if sent.size != received.size:
-        raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
-    if sent.size == 0:
-        return 0.0
-    return float(np.mean(sent != received))
-
-
 def bit_error_rates(sent: np.ndarray, received: np.ndarray, starts, sizes) -> np.ndarray:
-    """bit_error_rate of each segment starts[k]:starts[k] + sizes[k] of two
-    bit streams of equal length, from one comparison of the whole streams:
-    each segment counts the positions of the differing bits that fall in
-    it, so bits outside every segment never count. An empty segment scores
-    0."""
+    """The bit error rate of each segment starts[k]:starts[k] + sizes[k] of
+    two bit streams of equal length, from one comparison of the whole
+    streams: each segment counts the positions of the differing bits that
+    fall in it, so bits outside every segment never count. An empty segment
+    scores 0."""
     sent = np.asarray(sent).ravel()
     received = np.asarray(received).ravel()
     if sent.size != received.size:

@@ -19,6 +19,19 @@ WORDS_D = ["at dawn", "by the river", "near the city", "after sunset",
            "during the storm", "before noon", "at the border"]
 
 
+def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
+    """The share of differing bits of two bit streams of equal length: the
+    oracle that metrics.bit_error_rates is checked against, segment by
+    segment."""
+    sent = np.asarray(sent).ravel()
+    received = np.asarray(received).ravel()
+    if sent.size != received.size:
+        raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
+    if sent.size == 0:
+        return 0.0
+    return float(np.mean(sent != received))
+
+
 def make_corpus(n_sentences: int = 100) -> list:
     """Deterministic lowercase corpus inside the 6-bit alphabet."""
     out = []

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus
+from conftest import bit_error_rate, make_corpus
 from rislink import coding, harness, metrics
 from rislink.channel import PathLossModel, los_channel, wavelength
 from rislink.cli import build_parser
@@ -43,7 +43,6 @@ from rislink.link import (
     snr_linear,
     transmit,
 )
-from rislink.metrics import bit_error_rate
 from rislink.ris import (
     MAX_BITS,
     RisConfiguration,
@@ -280,7 +279,6 @@ def test_scene_channels_are_los_channels():
                             (scene.h_rx_ris, (scene.ris, scene.rx))):
         expected = los_channel(tx, rx, lam, pl)
         assert np.array_equal(built.entries, expected.entries)
-        assert built.wavelength == expected.wavelength
     # the scene's c is the one the two matrices give
     budget = scene.budget
     assert np.array_equal(scene.coefficients, cascaded_coefficients(
@@ -482,24 +480,28 @@ def test_cli_one_character_corpus_exits_1(tmp_path, capsys):
 
 def test_cli_bad_output_paths_exit_1_before_the_sweep(tmp_path, capsys, monkeypatch):
     # each failed only after the whole sweep, or inside the pool, naming a
-    # temp file; now each is one line naming the field, before any work
+    # temp file, or (a received_matrix_dir with no symbol matrix to store
+    # there) was ignored; now each is one line naming the field, before any work
     scenes = count_calls(monkeypatch, "build_scene")
     matrix_path = tmp_path / "m.json"
     store_symbol_matrix(SymbolMatrix(np.ones((2, 3), dtype=complex)), matrix_path)
     missing = str(tmp_path / "nonexistent" / "dir")
     cases = [
-        ({"output_path": os.path.join(missing, "o.csv")}, [], "output_path"),
-        ({}, ["--out", str(tmp_path)], "output_path"),
+        ({"output_path": os.path.join(missing, "o.csv")}, [], "output_path must be "),
+        ({}, ["--out", str(tmp_path)], "output_path must be "),
         ({"symbol_matrix_path": str(matrix_path), "received_matrix_dir": missing}, [],
-         "received_matrix_dir"),
+         "received_matrix_dir must be an existing directory"),
+        ({"received_matrix_dir": missing}, [],
+         "received_matrix_dir must be null unless symbol_matrix_path is set"),
     ]
-    for overrides, args, field in cases:
+    for overrides, args, message in cases:
+        config = dict(json.loads(small_config(tmp_path).to_json()), **overrides)
         path = tmp_path / "cfg.json"
-        path.write_text(small_config(tmp_path, **overrides).to_json())
+        path.write_text(json.dumps(config))
         assert cli_main(["sweep", "--config", str(path), "--jobs", "4", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: {field} must be ")
+        assert captured.err.startswith(f"error: {message}")
     assert scenes == []
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "corpus.txt", "m.json"]
 
@@ -652,10 +654,15 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
     assert pads == set(range(coding.BITS_PER_SYMBOL[modulation]))
 
 
-def corpus_rows(scene, gains, corpus, modulation, seeds, max_bleu) -> list:
+def drawn_rows(scene, gains) -> list:
+    """Whether each gain's row is drawn, as run_sweep decides it."""
+    return [snr_linear(g, scene.budget) < harness.ERROR_FREE_SNR for g in gains]
+
+
+def corpus_rows(scene, gains, corpus, seeds, max_bleu) -> list:
     """One ratio's rows of a corpus method, sent and scored as a sweep does
     them: one harness._send_rows call, then harness._score_rows on it alone."""
-    sent = harness._send_rows(scene, gains, corpus, modulation, seeds)
+    sent = harness._send_rows(scene.budget, gains, drawn_rows(scene, gains), corpus, seeds)
     [rows] = harness._score_rows(corpus, [sent], max_bleu)
     return rows
 
@@ -699,7 +706,7 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     for k, corpus in enumerate(corpora):
         # every row of a corpus is scored in one call, each from its own seed
         seeds = derive_seeds(5, (len(gains), len(corpora)))[:, k].tolist()
-        rows = corpus_rows(scene, gains, corpus, modulation, seeds, 0.6)
+        rows = corpus_rows(scene, gains, corpus, seeds, 0.6)
         assert len(rows) == len(gains)
         for row, g, seed in zip(rows, gains, seeds):
             oracle, bers = score_each_sentence(scene, g, corpus, modulation, seed, 0.6,
@@ -759,7 +766,7 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
         scene.budget = LinkBudget(b.p_tx, abs(g) ** 2 * b.p_tx / gamma, b.w_tx, b.w_rx)
         assert (snr_linear(g, scene.budget) >= harness.ERROR_FREE_SNR) == (scale > 1)
         drawn = len(sent)
-        scores.append([corpus_rows(scene, [g], corpus, "16qam", [3], 0.6)
+        scores.append([corpus_rows(scene, [g], corpus, [3], 0.6)
                        for corpus in corpora])
         assert len(sent) - drawn == (len(corpora) if scale < 1 else 0)
     assert scores[0] == scores[1] == [[(0.0, 0.0, 1.0, 1.0 / 0.6)]] * len(corpora)
@@ -770,14 +777,14 @@ def test_zero_gain_row_is_a_link_outage(tmp_path, noise_dbm):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=noise_dbm)
     for corpus in corpora:
         with pytest.raises(ValueError, match="link outage"):
-            corpus_rows(scene, [g, 0j], corpus, "qpsk", [0, 1], 0.6)
+            corpus_rows(scene, [g, 0j], corpus, [0, 1], 0.6)
 
 
 def test_noiseless_row_is_not_drawn(tmp_path, monkeypatch):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=-math.inf)
     sent = count_calls(monkeypatch, "transmit")
     for corpus in corpora:
-        assert corpus_rows(scene, [g], corpus, "qpsk", [3], 0.6) == [
+        assert corpus_rows(scene, [g], corpus, [3], 0.6) == [
             (0.0, 0.0, 1.0, 1.0 / 0.6)]
     assert len(sent) == 0
 
@@ -797,6 +804,20 @@ def test_sweep_straddling_the_threshold_is_deterministic_across_parallelism(tmp_
         below = sum(r.snr_db < 60.0 for r in records)
         assert 0 < below < len(records) and len(sent) == below
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("noise_dbm, jobs", [(-120.0, 1), (-80.0, 1), (-80.0, 4)])
+def test_sweep_decides_each_point_s_draw_once(tmp_path, monkeypatch, noise_dbm, jobs):
+    # the default floor, where no row is drawn, and the sweep straddling the
+    # threshold: one snr call per point decides every row of that point, and
+    # no _send_rows call takes an SNR of its own
+    snrs = count_calls(monkeypatch, "snr")
+    linears = count_calls(monkeypatch, "snr_linear")
+    cfg = small_config(tmp_path, noise_dbm=noise_dbm, quantizations=[1, 2, None])
+    records = run_sweep(cfg, jobs=jobs)
+    assert len(snrs) == len(cfg.ratios) * len(cfg.quantizations) == len(records) // 2
+    assert linears == []
+    assert (min(r.snr_db for r in records) < 60.0) == (noise_dbm > -120.0)
 
 
 # characters that tokenize, the edit-distance lanes and sixbit folding each
@@ -860,7 +881,8 @@ def test_chunking_changes_no_score(tmp_path, monkeypatch, modulation, lanes):
     calls = count_scoring_calls(monkeypatch)
     for k, corpus in enumerate(corpora):
         seeds = derive_seeds(5, (len(gains), 2, len(corpora)))[..., k].tolist()
-        sent = [harness._send_rows(scene, g, corpus, modulation, s) for g, s in zip(gains, seeds)]
+        sent = [harness._send_rows(scene.budget, g, drawn_rows(scene, g), corpus, s)
+                for g, s in zip(gains, seeds)]
         errored = [rows[0].size for _, rows in sent]
         chunk = {"one": 1, "split": errored[0] - 1, "all": sum(errored)}[lanes]
         monkeypatch.setattr(harness, "SCORE_LANES", chunk)

@@ -27,8 +27,8 @@ def scalar_budget(p_tx=1.0, noise=0.0):
     return LinkBudget(p_tx, noise, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
 
 
-def scalar_channel(value, lam=LAM):
-    return ChannelMatrix(np.array([[value]], dtype=complex), lam)
+def scalar_channel(value):
+    return ChannelMatrix(np.array([[value]], dtype=complex))
 
 
 def test_budget_validation():
@@ -115,7 +115,7 @@ def test_end_to_end_dimension_mismatch():
 
 def test_effective_gain_matches_dense_triple_product():
     rng = np.random.default_rng(8)
-    h = ChannelMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), LAM)
+    h = ChannelMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     w_tx = rng.normal(size=2) + 1j * rng.normal(size=2)
     w_tx /= np.linalg.norm(w_tx)
     w_rx = rng.normal(size=2) + 1j * rng.normal(size=2)

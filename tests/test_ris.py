@@ -446,7 +446,7 @@ def test_select_codeword_picks_planted_optimum():
     planted = len(cb) // 2 + 3
     w = h_ris_tx.entries @ budget.w_tx
     target = np.exp(-1j * cb.phases(planted)) / w
-    h_rx_ris = ChannelMatrix((target / np.conj(budget.w_rx[0]))[None, :], LAM)
+    h_rx_ris = ChannelMatrix((target / np.conj(budget.w_rx[0]))[None, :])
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
     np.testing.assert_allclose(c, np.exp(-1j * cb.phases(planted)), rtol=1e-12)
     for m in (mask, np.ones(mask.size, dtype=bool)):
