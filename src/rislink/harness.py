@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -601,7 +601,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     `received_matrix_dir` is set, since no record field reads it. Records
     come in (ratio, quantization, method) order and are deterministic for a
     given master seed regardless of `jobs`; the CSV is written
-    atomically."""
+    atomically. The sweep runs on a copy of `cfg` that has passed every
+    check again, so a field assigned after construction is held to the
+    same rules."""
+    cfg = replace(cfg)
     _require(_is_count(jobs), "jobs", "an integer >= 1", jobs)
     path = cfg.output_path
     _require(os.path.basename(path) and not os.path.isdir(path)

@@ -120,8 +120,10 @@ def transmit(
     return transmit_with_rng(s, g, budget, np.random.default_rng(seed))
 
 
+# The rng annotation is a string: evaluated on import, it would load
+# numpy.random, which only a drawn row needs
 def transmit_with_rng(
-    s: SymbolMatrix, g: complex, budget: LinkBudget, rng: np.random.Generator
+    s: SymbolMatrix, g: complex, budget: LinkBudget, rng: "np.random.Generator"
 ) -> SymbolMatrix:
     # one call draws the real parts, then the imaginary parts: the same
     # numbers, in the same order, as two calls

@@ -4,7 +4,9 @@ quantization, active-element masks, and codeword selection.
 Conventions, frozen for reproducibility:
   - quantization levels are anchored at 0, i.e. {2*pi*k / 2^B};
   - nearest level under circular distance, ties broken toward the lower level;
-  - active masks are centered square blocks (row-major flattening);
+  - active masks are square blocks (row-major flattening), centered when
+    the block's side and the array's have the same parity and otherwise
+    half an element toward index 0 (an odd side on the even default);
   - codeword selection keeps the lowest index among bitwise-equal powers.
     Codewords the array cannot tell apart (directions that differ only
     along an axis it does not span) have powers equal only up to rounding,
@@ -175,8 +177,12 @@ def quantize_phases(cfg: RisConfiguration, bits: int) -> RisConfiguration:
 
 
 def active_mask(ris: PlanarArray, ratio: float) -> np.ndarray:
-    """Centered square block of active elements covering approximately
-    `ratio` of the surface; row-major flattened boolean mask."""
+    """Square block of active elements covering approximately `ratio` of
+    the surface; row-major flattened boolean mask. The block starts at
+    (rows - side) // 2 and (cols - side) // 2, so it is centered only when
+    the side's parity matches the array's, and otherwise sits half an
+    element toward index 0: side 9 (ratio 0.05) on the 40x40 default takes
+    rows and columns 15-23 of 0-39."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
     side = int(np.floor(np.sqrt(ratio * ris.rows * ris.cols) + 0.5))

@@ -536,6 +536,26 @@ def test_sweep_rejects_invalid_jobs(tmp_path, capsys, jobs):
         assert err.startswith("error: jobs") and err.count("\n") == 1
 
 
+def test_sweep_checks_ratios_assigned_after_construction(tmp_path):
+    # the constructor rejects these ratios, yet assigned later they swept
+    # without a word
+    cfg = small_config(tmp_path)
+    cfg.ratios = [0.5, 0.1]
+    with pytest.raises(ValueError, match="^ratios must be strictly ascending$"):
+        run_sweep(cfg)
+    assert not Path(cfg.output_path).exists()
+
+
+def test_sweep_checks_a_received_matrix_dir_assigned_after_construction(tmp_path):
+    # on a corpus-only config this raised AttributeError from inside the pool
+    cfg = small_config(tmp_path)
+    cfg.received_matrix_dir = str(tmp_path)
+    with pytest.raises(ValueError, match="^received_matrix_dir must be null unless "
+                                         "symbol_matrix_path is set, got "):
+        run_sweep(cfg)
+    assert not Path(cfg.output_path).exists()
+
+
 def test_noiseless_override_gives_zero_char_error(tmp_path):
     cfg = small_config(
         tmp_path, noise_dbm=-300.0, ratios=[1.0], quantizations=[None],
@@ -1482,12 +1502,95 @@ def test_cli_overflowing_snr_exits_1(tmp_path, capsys, overrides):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures loads logging; only a sweep with jobs > 1 needs it
-    code = "import sys, rislink, rislink.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+LOADED_CHILD = """\
+import contextlib, io, json, sys
+import rislink, rislink.cli
+
+def loaded():
+    return ["numpy.random" in sys.modules, "concurrent.futures" in sys.modules]
+
+steps = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rislink.cli.main(argv) == 0, name
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_drawn_row_loads_numpy_random(tmp_path):
+    # numpy.random (about 5 MB of bit generators) loads at the first noise
+    # draw, and concurrent.futures (which loads logging) only for jobs > 1:
+    # neither loads on import, for a command that draws nothing, or for a
+    # sweep whose every point is at or above ERROR_FREE_SNR. An unquoted
+    # np.random.Generator annotation in rislink would load it on import.
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the node reports a value.\n")
+    configs = {}
+    for name, noise_dbm in (("clean", -120.0), ("noisy", 25.0)):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(small_config(
+            tmp_path, noise_dbm=noise_dbm, output_path=str(tmp_path / f"{name}.csv")).to_json())
+    steps = [
+        ("print-default-config", ["--print-default-config"]),
+        ("snr", ["snr", "--config", str(configs["clean"]), "--ratio", "1.0"]),
+        ("metrics", ["metrics", "--ref", str(ref), "--hyp", str(ref)]),
+        ("clean sweep", ["sweep", "--config", str(configs["clean"])]),
+        ("noisy sweep", ["sweep", "--config", str(configs["noisy"])]),
+    ]
+    out = subprocess.run([sys.executable, "-c", LOADED_CHILD, json.dumps(steps)],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        "import": [False, False], "print-default-config": [False, False],
+        "snr": [False, False], "metrics": [False, False],
+        "clean sweep": [False, False], "noisy sweep": [True, False],
+    }
+    gamma = 10.0 * math.log10(harness.ERROR_FREE_SNR)
+    assert all(float(r["snr_db"]) >= gamma for r in read_csv(tmp_path / "clean.csv"))
+    assert any(float(r["snr_db"]) < gamma for r in read_csv(tmp_path / "noisy.csv"))
+
+
+FIRST_DRAW_CHILD = """\
+import sys, threading
+from rislink.harness import ExperimentConfig, run_sweep
+
+
+class Watch:  # notes the thread that imports numpy.random, and finds nothing
+    thread = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random":
+            Watch.thread = threading.current_thread().name
+
+
+assert "numpy.random" not in sys.modules
+sys.meta_path.insert(0, Watch())
+run_sweep(ExperimentConfig.from_json(sys.argv[1]), jobs=4)
+print(Watch.thread)
+"""
+
+
+def test_a_first_draw_in_a_pool_thread_gives_the_same_records(tmp_path):
+    # with jobs > 1 the first draw, and so the import of numpy.random, runs
+    # in a pool thread; the CSV is byte-identical to a jobs=1 run's and to a
+    # run's in which numpy.random was loaded before the sweep
+    cfg = ExperimentConfig(noise_dbm=25.0, master_seed=11, corpus_path=str(SAMPLE_CORPUS),
+                           output_path=str(tmp_path / "fresh.csv"))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    out = subprocess.run([sys.executable, "-c", FIRST_DRAW_CHILD, str(path)],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().startswith("ThreadPoolExecutor")
+    np.random.default_rng  # loads numpy.random in this process, if nothing has yet
+    assert "numpy.random" in sys.modules
+    for jobs in (1, 4):
+        cfg.output_path = str(tmp_path / f"jobs{jobs}.csv")
+        run_sweep(cfg, jobs=jobs)
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert fresh == (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs4.csv").read_bytes()
+    assert any(float(r["ber"]) > 0 for r in read_csv(tmp_path / "fresh.csv"))
 
 
 def test_cli_noiseless_noise_floor_is_accepted(tmp_path, capsys):

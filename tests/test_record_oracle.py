@@ -1,0 +1,112 @@
+"""The committed record oracle: sweeps whose records every change is held to.
+
+Each sweep runs on the default scene, the corpus sweeps on the sample corpus
+and `select-quantized` on a seeded 16x256 symbol matrix with
+quantize-before-select, as perfbench's workloads do. `record_oracle.json`
+holds, per sweep, the sha256 of its CSV with the `snr_db` cells blanked, and,
+per noise floor and selection scheme, each point's `snr_db` as a full repr
+(the SNR depends on neither the modulation nor the seed). A sweep must match
+its hash exactly and every `snr_db` within 1e-12 relative. numpy's Generator
+streams are not promised stable across numpy versions, so the test skips
+under another numpy than the oracle's.
+
+A change that alters records on purpose regenerates the file with
+`PYTHONPATH=src python tests/test_record_oracle.py` and says why.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rislink.coding import SymbolMatrix, store_symbol_matrix
+from rislink.harness import ExperimentConfig, run_sweep
+
+ORACLE = Path(__file__).with_name("record_oracle.json")
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
+SNR_COLUMN = 3  # of the CSV: ratio, bits, codeword, snr_db, ...
+SNR_RTOL = 1e-12
+
+
+def corpus_sweep(modulation, noise_dbm, seed):
+    return (f"{modulation}-noise{noise_dbm:g}-seed{seed}",
+            dict(modulation=modulation, noise_dbm=noise_dbm, master_seed=seed), False)
+
+
+def quantized_sweep(seed):
+    return f"select-quantized-seed{seed}", dict(master_seed=seed), True
+
+
+# (name, config fields, quantize_before_select) of every oracle sweep, run at jobs=1
+SWEEPS = ([corpus_sweep(m, n, s) for m in ("qpsk", "16qam")
+           for n in (-120.0, 0.0, 8.0, 25.0) for s in (11, 29)]
+          + [quantized_sweep(s) for s in (11, 29)])
+# sweeps run again at jobs=4, against the same oracle entry
+POOLED = [corpus_sweep("16qam", 8.0, 29)]
+
+
+def run(sweep, jobs, tmp_path):
+    """(the sha256 of the sweep's CSV with snr_db blanked, its snr key, and
+    each point's snr_db in CSV order)."""
+    _, fields, before = sweep
+    cfg = ExperimentConfig(**fields, output_path=str(tmp_path / "sweep.csv"))
+    if before:
+        rng = np.random.default_rng(cfg.master_seed)
+        shape = (16, 256)
+        store_symbol_matrix(SymbolMatrix(rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape)),
+                            tmp_path / "symbols.json")
+        cfg.symbol_matrix_path = str(tmp_path / "symbols.json")
+    else:
+        cfg.corpus_path = str(CORPUS)
+    run_sweep(cfg, jobs=jobs, quantize_before_select=before)
+    header, *lines, end = (tmp_path / "sweep.csv").read_bytes().decode().split("\r\n")
+    rows = [line.split(",") for line in lines]
+    snrs = {}  # each (ratio, bits) point's, which all its methods share
+    for cells in rows:
+        snrs.setdefault(tuple(cells[:2]), cells[SNR_COLUMN])
+        cells[SNR_COLUMN] = ""
+    blanked = "\r\n".join([header, *map(",".join, rows), end])
+    digest = hashlib.sha256(blanked.encode()).hexdigest()
+    key = f"noise{cfg.noise_dbm:g}" + ("-quantize-before-select" if before else "")
+    return digest, key, list(snrs.values())
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    oracle = json.loads(ORACLE.read_text())
+    if oracle["numpy"] != np.__version__:
+        pytest.skip(f"the record oracle was taken with numpy {oracle['numpy']}, "
+                    f"this is numpy {np.__version__}")
+    return oracle
+
+
+@pytest.mark.parametrize("sweep,jobs", [(s, 1) for s in SWEEPS] + [(s, 4) for s in POOLED],
+                         ids=lambda x: x[0] if isinstance(x, tuple) else f"jobs{x}")
+def test_records_match_the_oracle(oracle, sweep, jobs, tmp_path):
+    digest, key, snrs = run(sweep, jobs, tmp_path)
+    assert digest == oracle["sweeps"][sweep[0]], "a record other than snr_db changed"
+    expected = oracle["snr_db"][key]
+    assert len(snrs) == len(expected)
+    for got, want in zip(snrs, expected):
+        assert math.isclose(float(got), float(want), rel_tol=SNR_RTOL, abs_tol=0.0), (got, want)
+
+
+def main(tmp_path):
+    """Rewrite record_oracle.json from the sweeps as they run now."""
+    oracle = {"numpy": np.__version__, "sweeps": {}, "snr_db": {}}
+    for sweep in SWEEPS:
+        digest, key, snrs = run(sweep, 1, tmp_path)
+        oracle["sweeps"][sweep[0]] = digest
+        oracle["snr_db"].setdefault(key, snrs)
+    ORACLE.write_text(json.dumps(oracle, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        main(Path(tmp))

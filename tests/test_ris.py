@@ -141,6 +141,15 @@ def test_active_mask_centered_square(ratio, expected):
     assert rows[0] == (40 - side) // 2 and cols[0] == (40 - side) // 2
 
 
+def test_active_mask_odd_side_sits_toward_index_0():
+    # side 9 (ratio 0.05) cannot be centered on 40 elements: the block starts
+    # at (40 - 9) // 2 = 15, half an element toward index 0
+    mask = active_mask(make_ris(40, 40), 0.05).reshape(40, 40)
+    expected = np.zeros((40, 40), dtype=bool)
+    expected[15:24, 15:24] = True
+    assert np.array_equal(mask, expected)
+
+
 def test_active_mask_bad_ratio():
     with pytest.raises(ValueError):
         active_mask(make_ris(), 0.0)
