@@ -343,6 +343,9 @@ def _components(symbols) -> np.ndarray:
     return np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
 
 
+_QPSK_LEVELS = np.array([1.0, -1.0]) / math.sqrt(2.0)  # per-axis Gray map: 0 -> +1, 1 -> -1
+
+
 def qpsk_modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """Gray-mapped QPSK, constellation {(+-1 +-1j)/sqrt(2)} (00 -> (1+1j)/sqrt(2)),
     unit average power. Returns (symbols, pad) where pad is the number of
@@ -351,9 +354,8 @@ def qpsk_modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
     pad = (-bits.size) % 2
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    pairs = bits.reshape(-1, 2).astype(float)
-    symbols = ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) / math.sqrt(2.0)
-    return symbols, pad
+    pairs = bits.reshape(-1, 2)
+    return _QPSK_LEVELS[pairs[:, 0]] + 1j * _QPSK_LEVELS[pairs[:, 1]], pad
 
 
 def qpsk_demodulate(symbols: np.ndarray, n_bits: int | None = None) -> np.ndarray:
@@ -392,6 +394,9 @@ def qam16_demodulate(symbols: np.ndarray, n_bits: int | None = None) -> np.ndarr
     flat = bits.ravel()
     return flat[:n_bits] if n_bits is not None else flat
 
+
+# each modulation's level on one axis, indexed by the Gray bits it carries
+AXIS_LEVELS = {"qpsk": _QPSK_LEVELS, "16qam": _QAM16_GRAY_LEVELS}
 
 MODULATIONS = {
     "qpsk": (qpsk_modulate, qpsk_demodulate),

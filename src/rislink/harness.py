@@ -31,7 +31,7 @@ from .geometry import PlanarArray, facing_array, orthonormal_frame, unit
 from .link import (
     LinkBudget,
     dbm_to_watts,
-    equalize,
+    receive_bits,
     snr,
     snr_linear,
     steering_precoder,
@@ -117,8 +117,9 @@ class ExperimentConfig:
         """Type and range checks; every violation raises ValueError."""
         for name in ("tx", "rx", "ris"):
             value = getattr(self, name)
-            try:
-                value = ArraySpec(**value) if isinstance(value, dict) else value
+            try:  # an ArraySpec is checked again: a field assigned after it was built
+                value = (ArraySpec(**value) if isinstance(value, dict)
+                         else replace(value) if isinstance(value, ArraySpec) else value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from exc
             _require(isinstance(value, ArraySpec), name, "an array spec object", value)
@@ -357,12 +358,11 @@ def configure_point(scene: Scene, ratio: float, bits: int | None,
 
 
 class _Layout:
-    """A corpus's sentences modulated once into a single symbol row. Each
-    sentence's bits are padded with zero bits to whole symbols on their own;
-    `sent` is the padded bits of every sentence in turn, which is the layout
-    of the demodulated row: sentence k spans starts[k]:starts[k] + sizes[k]
-    there, and its pad follows; `runs` holds each sentence's size and then
-    its pad's, in turn."""
+    """A corpus's sentences laid out as one row of bits, each padded with zero
+    bits to whole symbols on its own: `sent` is the padded bits of every
+    sentence in turn, the layout of a received row, where sentence k spans
+    starts[k]:starts[k] + sizes[k] and its pad follows; `runs` holds each
+    sentence's size and then its pad's, in turn."""
 
     def __init__(self, encoded: list, modulation: str):
         self.sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
@@ -371,8 +371,6 @@ class _Layout:
         self.runs = np.column_stack((self.sizes, pads)).ravel()
         self.sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
                                     for part in (bits, np.zeros(pad, dtype=np.uint8))])
-        symbols, _ = coding.MODULATIONS[modulation][0](self.sent)
-        self.symbols = coding.SymbolMatrix(symbols.reshape(1, -1))
 
 
 class _Corpus:
@@ -387,9 +385,8 @@ class _Corpus:
     tokens off symbol indices, and their edit-distance lanes, in `edits`,
     with `columns` the peq column of each alphabet symbol. Those four are
     built only in _score_rows, on the calling thread, when some row has a
-    bit error. So a sweep in which no row is drawn neither folds, encodes
-    nor modulates a sentence, and a worker thread only reads what is
-    built."""
+    bit error. So a sweep in which no row is drawn neither folds nor
+    encodes a sentence, and a worker thread only reads what is built."""
 
     def __init__(self, name: str, sentences: list, code: coding.HuffmanCode | None,
                  modulation: str):
@@ -438,51 +435,36 @@ class _Corpus:
         return coding.huffman_decode_indices(bits, sizes, self.code)
 
 
-# The linear SNR (60 dB) at and above which a corpus row arrives without a
-# bit error for any draw, so it is not drawn. Equalized, a symbol errs by
-# n/(g*sqrt(p_tx)), of size at most Z/sqrt(SNR) when Z bounds |z| over the
-# standard normal draws z that make up n. The smallest decision margin of
-# the unit-energy constellations is 1/sqrt(10) (16-QAM; QPSK has 1/sqrt(2)),
-# so no bit flips while Z < sqrt(SNR/10), about 316 here. numpy's
-# Generator.standard_normal is a ziggurat sampler (Marsaglia & Tsang, J.
-# Stat. Softw. 2000), `random_standard_normal` in
-# https://github.com/numpy/numpy/blob/maintenance/2.4.x/numpy/random/src/distributions/distributions.c
-# (numpy 2.4.x). It returns a draw below r ~ 3.654 or a tail draw
-# r - log1p(-U)/r, with U a 53-bit double in [0, 1). So Z < r + 53*ln(2)/r
-# ~ 13.7, and even a uniform at the smallest subnormal would give
-# Z <= r + 744.4/r ~ 207.4: both are below 316.
+# The linear SNR (60 dB) at and above which a corpus row is not drawn: the
+# 16-QAM margin 1/sqrt(10) is sqrt(SNR/5) ~ 447 sigma, so every chance that
+# link.receive_bits crosses a threshold is exactly 0.0: the row arrives as sent.
 ERROR_FREE_SNR = 1e6
 
 
 def _send_rows(budget, gains, drawn, corpus, seeds):
     """Send one method's corpus at several gains, the first stage of its
-    rows. Each gain is a row. A row that `drawn` marks (run_sweep decides
-    it, see ERROR_FREE_SNR) sends the whole corpus through the scalar
-    channel in one transmission, drawing from the row's seed, and is
-    demodulated as one row; a drawn zero gain is a "link outage" error.
-    Any other row arrives as sent: it is neither drawn, equalized nor
-    demodulated, and the corpus's layout is read only if some row is drawn.
-    Each sentence's bit error rate comes from one comparison of the received
-    row with the sent one (see metrics.bit_error_rates), in which a pad bit
-    never counts. A row's bits of its errored sentences are gathered once
-    its rates are known; every row's are decoded end to end in one call.
-    Returns the (rows, sentences) bit error rates and, unless no sentence
-    has a bit error, the errored sentences for _score_rows: their flat
-    positions in the bit error rates, row after row, their symbol indices
-    end to end and the number of symbols of each, the positions and counts
-    in small unsigned types."""
+    rows. Each gain is a row. A row that `drawn` marks (see ERROR_FREE_SNR)
+    draws the hard decisions of the corpus's bits in one link.receive_bits
+    call from its seed (a zero gain is a "link outage" error); any other row
+    arrives as sent, and the layout is read only if some row is drawn. Each
+    sentence's bit error rate comes from one comparison of the received row
+    with the sent one (see metrics.bit_error_rates), in which a pad bit never
+    counts. A row's bits of its errored sentences are gathered once its rates
+    are known; every row's are decoded end to end in one call. Returns the
+    (rows, sentences) bit error rates and, unless no sentence has a bit error,
+    the errored sentences for _score_rows: their flat positions in the bit
+    error rates, row after row, their symbol indices end to end and the number
+    of symbols of each, the positions and counts in small unsigned types."""
     bers = np.zeros((len(gains), corpus.count))
     if not any(drawn):
         return bers, None
     layout = corpus.layout
-    demodulate = coding.MODULATIONS[corpus.modulation][1]
     # the received row as runs: each sentence's bits, then its pad
     keep = np.zeros(layout.runs.size, dtype=bool)
     errored_bits = []
     for row_bers, g, seed, draw in zip(bers, gains, seeds, drawn):
         if draw:
-            noisy = transmit(layout.symbols, g, budget, seed)
-            received = demodulate(equalize(noisy, g, budget.p_tx).values[0])
+            received = receive_bits(layout.sent, corpus.modulation, g, budget, seed)
             row_bers[:] = metrics.bit_error_rates(layout.sent, received,
                                                   layout.starts, layout.sizes)
             keep[::2] = row_bers != 0
@@ -563,8 +545,8 @@ def _prepare_methods(cfg: ExperimentConfig):
     The sentences are read and the Huffman code is built from the evaluation
     corpus itself here, so a corpus no code can be built from fails before
     any row is sent; the sixbit route folds the corpus into its 64-character
-    alphabet, and each route encodes and modulates it, only when its
-    layout is first needed."""
+    alphabet, and each route encodes it, only when its layout is first
+    needed."""
     methods = []
     if cfg.corpus_path is not None:
         sentences = load_sentences(cfg.corpus_path)
@@ -589,9 +571,9 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     once, whether its corpus rows are drawn (an SNR below ERROR_FREE_SNR):
     every _send_rows call reads that `drawn` table. Only if it marks some
     row does each corpus build its layout, here on the calling thread: a
-    sweep at the default floor never encodes or modulates a sentence. Then
-    the transmission runs one task per ratio, on `jobs` threads: each task
-    sends all of its quantizations' rows of a corpus method in one
+    sweep at the default floor never encodes a sentence. Then the
+    transmission runs one task per ratio, on `jobs` threads: each task draws
+    the hard decisions of its quantizations' rows of a corpus method in one
     _send_rows call, which also decodes their errored sentences. After every
     task has ended, each corpus method's errored sentences of all ratios are
     scored on the calling thread, their edit distances in one call and their

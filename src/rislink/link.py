@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .channel import ChannelMatrix
-from .coding import SymbolMatrix
+from .coding import AXIS_LEVELS, SymbolMatrix
 from .geometry import PlanarArray, element_positions
 
 
@@ -140,3 +140,36 @@ def equalize(s_hat: SymbolMatrix, g: complex, p_tx: float) -> SymbolMatrix:
     if g == 0:
         raise ValueError("link outage: zero end-to-end gain")
     return SymbolMatrix(s_hat.values / (g * np.sqrt(p_tx)))
+
+
+def receive_bits(sent: np.ndarray, modulation: str, g: complex, budget: LinkBudget,
+                 seed: int) -> np.ndarray:
+    """The bits `modulation`'s demodulator decides on the bits `sent` (whole
+    symbols) after transmit and equalize, drawn without the noise. Equalized,
+    each constellation component is its level a plus its own Gaussian noise
+    of deviation sigma = sqrt(noise_power/2) / (|g| sqrt(p_tx)), so one
+    uniform u per component picks its decision region by inverse transform,
+    sum_j [u >= Phi((t_j - a)/sigma)] over the midpoints t_j between adjacent
+    levels: that chain's distribution, not its draws. A zero gain is a "link
+    outage" error, as in equalize."""
+    if g == 0:
+        raise ValueError("link outage: zero end-to-end gain")
+    levels = AXIS_LEVELS[modulation]
+    order = np.argsort(levels)  # the Gray index of each region, by ascending level
+    thresholds = (levels[order][1:] + levels[order][:-1]) / 2.0
+    with np.errstate(divide="ignore", over="ignore"):  # noiseless: +-inf, not 0/0
+        scale = abs(g) / np.sqrt(budget.noise_power) * np.sqrt(budget.p_tx)  # 1/(sigma sqrt 2)
+        z = (thresholds[:, None] - levels) * scale
+    # below[j][i] = Phi((t_j - a_i)/sigma), for level a_i of Gray index i
+    below = 0.5 * np.array([[math.erfc(-x) for x in row] for row in z.tolist()])
+    per = order.size.bit_length() - 1  # bits per component
+    index = sent[0::per].astype(np.intp)  # each component's Gray bits as a number
+    for k in range(1, per):
+        index = 2 * index + sent[k::per]
+    u = np.random.default_rng(seed).random(index.size)
+    region = (u >= below[0].take(index)).view(np.uint8)
+    for row in below[1:]:
+        region += u >= row.take(index)
+    # each region's Gray bits, as one unsigned integer of `per` bytes
+    bits = (order[:, None] >> np.arange(per - 1, -1, -1) & 1).astype(np.uint8)
+    return bits.view(f"u{per}").ravel().take(region).view(np.uint8)

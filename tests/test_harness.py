@@ -39,7 +39,8 @@ from rislink.link import (
     LinkBudget,
     effective_gain,
     end_to_end_channel,
-    equalize,
+    receive_bits,
+    snr,
     snr_linear,
     transmit,
 )
@@ -225,14 +226,14 @@ def test_sweep_selects_once_per_ratio(tmp_path, monkeypatch, before, selections)
     # At -60 dBm every point is below 60 dB, so every row is drawn
     cfg = small_config(tmp_path, quantizations=[1, 2, None], noise_dbm=-60.0)
     selected = count_calls(monkeypatch, "_select_rows")
-    sent = count_calls(monkeypatch, "transmit")
+    sent = count_calls(monkeypatch, "receive_bits")
     records = run_sweep(cfg, quantize_before_select=before)
     assert len(selected) == selections
     assert all(len(args[2]) == len(cfg.ratios) for args in selected)
     assert all(r.snr_db < 60.0 for r in records)
-    # one channel pass per (point, corpus method), carrying the whole corpus
+    # one draw per (point, corpus method), of the whole corpus's row of bits
     assert len(sent) == len(records) == 3 * 3 * 2
-    assert all(args[0].shape[0] == 1 for args in sent)
+    assert all(args[0].ndim == 1 for args in sent)
     # at the default -120 dBm floor every point is above 60 dB: no row is drawn
     sent.clear()
     records = run_sweep(small_config(tmp_path, quantizations=[1, 2, None]),
@@ -556,6 +557,22 @@ def test_sweep_checks_a_received_matrix_dir_assigned_after_construction(tmp_path
     assert not Path(cfg.output_path).exists()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("center", [math.nan, 0.0, 0.0], "center must be 3 finite numbers, got [nan, 0.0, 0.0]"),
+    ("rows", 0, "rows and cols must be positive integers, got (0, 8)"),
+    ("spacing", -1.0, "spacing must be a positive finite number, got -1.0"),
+])
+def test_sweep_checks_an_array_field_assigned_after_construction(tmp_path, name, value,
+                                                                 message):
+    # the sweep's copy of the config kept the same ArraySpec objects, so a
+    # NaN center failed later as "frequency_hz must be large enough ..."
+    cfg = small_config(tmp_path)
+    setattr(cfg.ris, name, value)
+    with pytest.raises(ValueError, match=f"^{re.escape('ris: ' + message)}$"):
+        run_sweep(cfg)
+    assert not Path(cfg.output_path).exists()
+
+
 def test_noiseless_override_gives_zero_char_error(tmp_path):
     cfg = small_config(
         tmp_path, noise_dbm=-300.0, ratios=[1.0], quantizations=[None],
@@ -613,7 +630,7 @@ def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_s
     rng = np.random.default_rng(11)
     pads = set()
     for corpus in short_sentence_corpora(tmp_path, modulation):
-        row = corpus.layout.symbols.values[0]
+        row, _ = modulate(corpus.layout.sent)
         equalized = row + 0.6 * (rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size))
         recovered, bers = receive(corpus, equalized, demodulate)
         assert recovered.size == corpus.layout.sent.size == bits_per_symbol * row.size
@@ -691,9 +708,9 @@ def score_each_sentence(scene, g, corpus, modulation, seed, max_bleu, decode):
     """corpus_rows as a per-sentence scorer, every sentence decoded on
     its own by `decode` and scored by char_error_rate and bleu; and each
     sentence's bit error rate."""
-    received = transmit(corpus.layout.symbols, g, scene.budget, seed)
-    equalized = equalize(received, g, scene.budget.p_tx).values[0]
-    recovered, bers = receive(corpus, equalized, coding.MODULATIONS[modulation][1])
+    recovered = receive_bits(corpus.layout.sent, modulation, g, scene.budget, seed)
+    bers = metrics.bit_error_rates(corpus.layout.sent, recovered, corpus.layout.starts,
+                                   corpus.layout.sizes)
     char_errs, bleus = [], []
     for sentence, start, size in zip(corpus.sentences, corpus.layout.starts, corpus.layout.sizes):
         decoded = decode(recovered[start : start + size])
@@ -736,12 +753,15 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     return errored
 
 
-@pytest.mark.parametrize("noise_dbm", [8.0, 16.0, 25.0])
+@pytest.mark.parametrize("noise_dbm", [10.0, 16.0, 25.0])
 @pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
 def test_row_scorer_equals_per_sentence_scorer(noise_dbm, modulation):
-    # on the default scene 8 and 16 dBm give rows where some sentences
-    # arrive error-free (scored undecoded) and others do not; at 25 dBm, the
-    # sweep-lowsnr benchmark's floor, every sentence arrives with errors
+    # on the default scene 10 and 16 dBm give rows where some sentences
+    # arrive error-free (scored undecoded) and others do not: at 10 dBm the
+    # ratio-0.3 QPSK rows expect 22 and 32 bit errors over 100 sentences, so
+    # both are mixed for almost any seed (at 8 dBm, 1.3 and 1.8: two mixed
+    # rows for two seeds in three); at 25 dBm, the sweep-lowsnr benchmark's
+    # floor, every sentence arrives with errors
     errored = check_row_scorer(SAMPLE_CORPUS, noise_dbm, modulation)
     if noise_dbm == 25.0:
         assert min(errored) == 1.0
@@ -754,7 +774,7 @@ def test_row_scorer_skips_error_free_rows_beside_errored_ones(monkeypatch, modul
     # one call scores a row above the error-free threshold, which is not
     # drawn, beside two rows whose errored sentences are gathered and
     # decoded; the skipped row scores as drawing it would
-    sent = count_calls(monkeypatch, "transmit")
+    sent = count_calls(monkeypatch, "receive_bits")
 
     def gains_of(scene):
         g = ratio_gain(scene, 1.0)  # scaled to twice the threshold's SNR
@@ -778,7 +798,7 @@ def test_rows_just_below_and_above_the_threshold_score_alike(tmp_path, monkeypat
     # the budget's noise power is scaled so that the row's SNR is
     # ERROR_FREE_SNR * (1 -+ 1e-9): the row below is drawn, the one above not
     corpora, scene, g = threshold_scene(tmp_path, modulation="16qam")
-    sent = count_calls(monkeypatch, "transmit")
+    sent = count_calls(monkeypatch, "receive_bits")
     scores = []
     for scale in (1 - 1e-9, 1 + 1e-9):
         gamma = harness.ERROR_FREE_SNR * scale
@@ -802,7 +822,7 @@ def test_zero_gain_row_is_a_link_outage(tmp_path, noise_dbm):
 
 def test_noiseless_row_is_not_drawn(tmp_path, monkeypatch):
     corpora, scene, g = threshold_scene(tmp_path, noise_dbm=-math.inf)
-    sent = count_calls(monkeypatch, "transmit")
+    sent = count_calls(monkeypatch, "receive_bits")
     for corpus in corpora:
         assert corpus_rows(scene, [g], corpus, [3], 0.6) == [
             (0.0, 0.0, 1.0, 1.0 / 0.6)]
@@ -813,7 +833,7 @@ def test_sweep_straddling_the_threshold_is_deterministic_across_parallelism(tmp_
                                                                              monkeypatch):
     # at -80 dBm the small scene's points span 51 to 63 dB: the rows above
     # 60 dB are not drawn, the rest are, and jobs does not change a byte
-    sent = count_calls(monkeypatch, "transmit")
+    sent = count_calls(monkeypatch, "receive_bits")
     blobs = []
     for jobs in (1, 4):
         cfg = small_config(tmp_path, noise_dbm=-80.0, quantizations=[1, 2, None],
@@ -999,9 +1019,43 @@ def test_snr_nondecreasing_with_planted_oracle_direction(tmp_path):
     assert all(b >= a for a, b in zip(snrs, snrs[1:]))
 
 
+def default_sweep_points(cfg) -> list:
+    """(codeword, snr_db) of each (ratio, bits) point of a config, selected
+    as a sweep selects it."""
+    scene = build_scene(cfg)
+    configured = harness._configure_ratios(scene, cfg.ratios, cfg.quantizations, False)
+    return [(idx, snr(g, scene.budget)[1]) for points in configured for idx, g in points]
+
+
+def rotated_about_z(degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return lambda p: [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
+
+
+@pytest.mark.parametrize("move", [
+    lambda p: [p[0] + 100.0, p[1] - 50.0, p[2] + 30.0], rotated_about_z(90.0),
+    rotated_about_z(37.0),
+], ids=["translated", "rotated-z-90", "rotated-z-37"])
+def test_default_scene_points_are_invariant_under_a_rigid_motion(move):
+    # the physics depends only on distances and on each array's own frame,
+    # which follows its facing direction with global z as up: moving all
+    # three centers by one translation, or one rotation about z, selects
+    # the same 60 codewords at the same SNR
+    base = ExperimentConfig()
+    moved = ExperimentConfig(**{name: ArraySpec(move(spec.center), spec.rows, spec.cols)
+                                for name, spec in (("tx", base.tx), ("rx", base.rx),
+                                                   ("ris", base.ris))})
+    expected, got = default_sweep_points(base), default_sweep_points(moved)
+    assert len(got) == len(expected) == 60
+    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
 def test_sweep_snr_db_finite_when_the_gain_squared_underflows(tmp_path):
     # 1000 m links at path-loss exponent 60 give |c| near 3e-179, so every
-    # point's |g|^2 underflows to 0 while g does not
+    # point's |g|^2 underflows to 0 while g does not; every row is drawn at
+    # sigma ~ 1e172 (RuntimeWarnings are errors here), each bit a fair coin
     cfg = small_config(tmp_path, tx=ArraySpec([-600.0, 800.0, 0.0], 4, 4),
                        rx=ArraySpec([600.0, 800.0, 0.0]), ris=ArraySpec([0.0, 0.0, 0.0], 16, 16),
                        path_loss_exponent=60.0, ratios=[0.25, 0.5, 0.75, 1.0])
@@ -1016,6 +1070,7 @@ def test_sweep_snr_db_finite_when_the_gain_squared_underflows(tmp_path):
         expected = 20 * math.log10(abs(g)) + 10 * math.log10(budget.p_tx / budget.noise_power)
         assert math.isfinite(r.snr_db)
         assert r.snr_db == pytest.approx(expected, rel=1e-12)
+        assert 0.4 < r.ber < 0.6
 
 
 def test_selection_order_continuous_then_quantize(tmp_path):

@@ -5,15 +5,19 @@ import pytest
 
 from conftest import random_scene
 from rislink.channel import ChannelMatrix, wavelength
+from rislink import coding
 from rislink.coding import SymbolMatrix
 from rislink.geometry import facing_array
+from rislink.harness import ERROR_FREE_SNR
 from rislink.link import (
     LinkBudget,
     dbm_to_watts,
     effective_gain,
     end_to_end_channel,
     equalize,
+    receive_bits,
     snr,
+    snr_linear,
     steering_precoder,
     transmit,
     transmit_with_rng,
@@ -253,3 +257,128 @@ def test_equalize_outage():
     s = SymbolMatrix(np.ones((1, 2), dtype=complex))
     with pytest.raises(ValueError):
         equalize(s, 0.0, 0.1)
+
+
+def gray_indices(bits, modulation) -> np.ndarray:
+    """Each constellation component's Gray bits, read as a binary number."""
+    per = coding.AXIS_LEVELS[modulation].size.bit_length() - 1
+    return bits.reshape(-1, per) @ (1 << np.arange(per - 1, -1, -1))
+
+
+def confusion(sent, received, modulation) -> np.ndarray:
+    """counts[i, j]: the components sent at Gray index i and decided as j."""
+    k = coding.AXIS_LEVELS[modulation].size
+    pairs = gray_indices(sent, modulation) * k + gray_indices(received, modulation)
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 6.0, 12.0])
+def test_receive_bits_decides_as_transmit_equalize_demodulate(modulation, snr_db):
+    # the sampled decisions and those of the noisy chain, on 400k bits from
+    # other seeds: the share of each (sent, decided) Gray index pair per
+    # sent index agrees within 4.5 pooled binomial standard deviations
+    modulate, demodulate = coding.MODULATIONS[modulation]
+    sent = np.random.default_rng(3).integers(0, 2, 400_000, dtype=np.uint8)
+    g = 0.3 * np.exp(0.7j)
+    budget = scalar_budget(p_tx=0.5, noise=abs(g) ** 2 * 0.5 / 10 ** (snr_db / 10))
+    assert snr(g, budget)[1] == pytest.approx(snr_db)
+    symbols = SymbolMatrix(modulate(sent)[0].reshape(1, -1))
+    chain = demodulate(equalize(transmit(symbols, g, budget, 8), g, budget.p_tx).values[0])
+    sampled = receive_bits(sent, modulation, g, budget, 9)
+    assert sampled.dtype == np.uint8 and sampled.shape == sent.shape
+    a, b = confusion(sent, sampled, modulation), confusion(sent, chain, modulation)
+    n_a, n_b = a.sum(axis=1, keepdims=True), b.sum(axis=1, keepdims=True)
+    pooled = (a + b) / (n_a + n_b)
+    sd = np.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+    assert (np.abs(a / n_a - b / n_b) <= 4.5 * sd).all()
+    assert (a != 0).sum() > a.shape[0]  # some component crossed a threshold
+
+
+def test_receive_bits_qpsk_ber_oracle():
+    # acceptance criterion 6's check, on the sampled decisions: at gamma = 10
+    # the BER is Q(sqrt(gamma)) within 5 %
+    gamma = 10.0
+    bits = np.random.default_rng(6).integers(0, 2, 4_000_000, dtype=np.uint8)
+    budget = scalar_budget(p_tx=1.0, noise=1.0 / gamma)
+    ber = np.mean(receive_bits(bits, "qpsk", 1.0 + 0j, budget, 66) != bits)
+    expected = 0.5 * math.erfc(math.sqrt(gamma / 2.0))
+    assert abs(ber - expected) <= 0.05 * expected
+
+
+class ConstantDraws:
+    """Stands in for np.random.default_rng(seed): every uniform it draws is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def draw_constant(monkeypatch, u):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ConstantDraws(u))
+
+
+def region_bits(modulation, index, n) -> np.ndarray:
+    """n components' bits, each decided at the level of Gray index `index`."""
+    per = coding.AXIS_LEVELS[modulation].size.bit_length() - 1
+    return np.tile([index >> (per - 1 - k) & 1 for k in range(per)], n).astype(np.uint8)
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_receive_bits_crosses_no_region_at_the_error_free_snr(monkeypatch, modulation):
+    # the chance Phi((t - a)/sigma) that a component falls below a threshold
+    # t is exactly 0.0 for every threshold below its level a and 1.0 for
+    # every one above at gamma = ERROR_FREE_SNR: even the extreme uniforms 0
+    # and 1 - 2^-53 decide every component as sent, and either would flip
+    # one if a chance were any other double. At 30 dB u = 0 does flip some.
+    g = 0.3 * np.exp(0.7j)
+    sent = np.random.default_rng(4).integers(0, 2, 10_000, dtype=np.uint8)
+    for gamma, flips in ((ERROR_FREE_SNR, False), (1e3, True)):
+        budget = scalar_budget(p_tx=0.5, noise=abs(g) ** 2 * 0.5 / gamma)
+        assert snr_linear(g, budget) == pytest.approx(gamma, rel=1e-15)
+        for u in (0.0, 1.0 - 2.0**-53):
+            draw_constant(monkeypatch, u)
+            received = receive_bits(sent, modulation, g, budget, 5)
+            assert (received != sent).any() == (flips and u == 0.0)
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+@pytest.mark.parametrize("noise", [1e-3, 0.0])
+def test_receive_bits_zero_gain_is_a_link_outage(modulation, noise):
+    with pytest.raises(ValueError, match="^link outage: zero end-to-end gain$"):
+        receive_bits(np.zeros(8, dtype=np.uint8), modulation, 0j, scalar_budget(noise=noise), 0)
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_receive_bits_at_extreme_gains_warns_of_nothing(monkeypatch, modulation):
+    # RuntimeWarnings are errors under pytest. A gain near 3e-179 against
+    # unit noise (sigma ~ 7e178, as on the scene whose |g|^2 underflows)
+    # decides every component by a fair coin: every chance is exactly 0.5, so
+    # u = 0.5 decides the top level and the double below it the bottom one.
+    # A noiseless link (sigma 0, even at the smallest gain) and a gain of
+    # 1e300 decide every component as sent.
+    sent = np.random.default_rng(2).integers(0, 2, 40_000, dtype=np.uint8)
+    far = scalar_budget(p_tx=0.1, noise=1.0)
+    coin = receive_bits(sent, modulation, 3e-179j, far, 1)
+    assert abs(np.mean(coin != sent) - 0.5) < 0.01
+    for g, noise in ((0.7 - 0.2j, 0.0), (1e300, 1.0), (5e-324, 0.0)):
+        assert np.array_equal(receive_bits(sent, modulation, g, scalar_budget(noise=noise), 1),
+                              sent)
+    levels = coding.AXIS_LEVELS[modulation]
+    n = sent.size // (levels.size.bit_length() - 1)
+    for u, index in ((0.5, np.argmax(levels)), (np.nextafter(0.5, 0.0), np.argmin(levels))):
+        draw_constant(monkeypatch, u)
+        assert np.array_equal(receive_bits(sent, modulation, 3e-179, far, 1),
+                              region_bits(modulation, int(index), n))
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_receive_bits_deterministic_per_seed(modulation):
+    sent = np.random.default_rng(1).integers(0, 2, 4_000, dtype=np.uint8)
+    budget = scalar_budget(p_tx=0.5, noise=0.2)
+    first = receive_bits(sent, modulation, 0.7 - 0.2j, budget, 123)
+    assert np.array_equal(first, receive_bits(sent, modulation, 0.7 - 0.2j, budget, 123))
+    assert not np.array_equal(first, receive_bits(sent, modulation, 0.7 - 0.2j, budget, 124))
+    assert (first != sent).any()

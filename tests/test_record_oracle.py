@@ -11,7 +11,8 @@ streams are not promised stable across numpy versions, so the test skips
 under another numpy than the oracle's.
 
 A change that alters records on purpose regenerates the file with
-`PYTHONPATH=src python tests/test_record_oracle.py` and says why.
+`PYTHONPATH=src python tests/test_record_oracle.py`, which prints which sweep
+hashes changed and whether any `snr_db` value did, and says why.
 """
 
 import hashlib
@@ -95,13 +96,50 @@ def test_records_match_the_oracle(oracle, sweep, jobs, tmp_path):
         assert math.isclose(float(got), float(want), rel_tol=SNR_RTOL, abs_tol=0.0), (got, want)
 
 
+def test_changes_names_each_changed_sweep_and_snr_db():
+    old = {"numpy": "2.4.6", "sweeps": {"a": "1", "b": "2", "c": "3"},
+           "snr_db": {"noise0": ["1.0", "140.0"], "noise8": ["2.5"]}}
+    new = {"numpy": "2.4.6", "sweeps": {"a": "1", "b": "4", "c": "5"},
+           "snr_db": {"noise0": ["1.0", "140.00000000000003"], "noise8": ["2.5"]}}
+    assert changes(old, new) == [
+        "changed: b", "changed: c", "2 of 3 sweep hashes changed",
+        "snr_db: 1 of 3 values changed, 0 beyond 1e-12 relative"]
+    new["snr_db"]["noise8"] = ["2.6", "3.0"]
+    assert changes(old, new)[-1] == ("snr_db: 2 of 3 values changed, 1 beyond 1e-12 relative; "
+                                     "the point sets differ")
+    assert changes(old, old) == ["0 of 3 sweep hashes changed",
+                                 "snr_db: 0 of 3 values changed, 0 beyond 1e-12 relative"]
+
+
+def changes(old, new) -> list:
+    """Lines naming each sweep whose hash differs between two oracles, and
+    whether any snr_db value changed, exactly or beyond SNR_RTOL."""
+    lines = [f"numpy {old['numpy']} -> {new['numpy']}"] if old["numpy"] != new["numpy"] else []
+    changed = [name for name, digest in new["sweeps"].items() if old["sweeps"].get(name) != digest]
+    lines += [f"changed: {name}" for name in changed]
+    lines.append(f"{len(changed)} of {len(new['sweeps'])} sweep hashes changed")
+    pairs = [(a, b) for key, values in new["snr_db"].items()
+             for a, b in zip(old["snr_db"].get(key, []), values)]
+    moved = [(a, b) for a, b in pairs if a != b]
+    beyond = [(a, b) for a, b in moved
+              if not math.isclose(float(a), float(b), rel_tol=SNR_RTOL, abs_tol=0.0)]
+    same_shape = all(len(old["snr_db"].get(key, [])) == len(values)
+                     for key, values in new["snr_db"].items())
+    lines.append(f"snr_db: {len(moved)} of {len(pairs)} values changed, {len(beyond)} beyond "
+                 f"{SNR_RTOL:g} relative" + ("" if same_shape else "; the point sets differ"))
+    return lines
+
+
 def main(tmp_path):
-    """Rewrite record_oracle.json from the sweeps as they run now."""
+    """Rewrite record_oracle.json from the sweeps as they run now, and print
+    what changed against the file it replaces."""
     oracle = {"numpy": np.__version__, "sweeps": {}, "snr_db": {}}
     for sweep in SWEEPS:
         digest, key, snrs = run(sweep, 1, tmp_path)
         oracle["sweeps"][sweep[0]] = digest
         oracle["snr_db"].setdefault(key, snrs)
+    if ORACLE.exists():
+        print("\n".join(changes(json.loads(ORACLE.read_text()), oracle)))
     ORACLE.write_text(json.dumps(oracle, indent=1) + "\n")
 
 
