@@ -10,10 +10,16 @@ beta = (d_centers / d0)^alpha is the per-link path loss evaluated once at
 the center-to-center distance, with the reference distance d0 fixed at
 1 m. No NLoS component and no direct tx-rx link are modeled.
 
+The code forms d_mn * cos as the difference of the two elements'
+projections on that end's normal, so it builds no unit vectors, and the
+phase factor from one real cos and one real sin of kappa * d_mn, which a
+test holds bitwise equal to the complex exp's value.
+
 `los_channel` builds a whole channel matrix, which holds its entries
 alone: the wavelength enters them through kappa. `cascaded_los_coefficients`
 reduces the two links through a RIS to one coefficient per RIS element,
-building the entries of both links a block of RIS elements at a time.
+building the tx -> RIS entries a block of RIS elements at a time and the
+RIS -> rx entries in one call when they are no larger than one such block.
 """
 
 import math
@@ -24,9 +30,10 @@ from .geometry import PlanarArray, element_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
-# RIS elements per block in _cascade_blocks. On the default scene
-# (one BLAS thread) blocks of 32 to 256 elements all took about 24 ms, the
-# whole matrices 34 ms; 64 peaks at 0.95 MiB traced against 17.2 MiB.
+# RIS elements per block in _cascade_blocks. On the default scene (one
+# BLAS thread, 2-core VM, medians of 15) blocks of 64 elements took 5.8 ms,
+# of 128 and 256 5.6 ms, of 32 6.8 ms, and the whole matrices 8.0 ms; 64
+# peaks at 0.44 MiB traced against 6.2 MiB for the whole matrices.
 _BLOCK_ELEMENTS = 64
 
 
@@ -87,20 +94,41 @@ def _los_entries(p_tx: np.ndarray, p_rx: np.ndarray, tx: PlanarArray, rx: Planar
                  kappa: float, beta: float) -> np.ndarray:
     """Channel entries (M, N) from the tx element positions p_tx (N, 3) of
     array `tx` to the rx element positions p_rx (M, 3) of array `rx`."""
-    # u holds the vectors from rx elements toward tx elements, (M, N, 3),
-    # built one coordinate at a time, and d their lengths from the same sum
-    # np.linalg.norm takes, without its reduction over the short last axis
-    u = np.empty((len(p_rx), len(p_tx), 3))
-    dx, dy, dz = (np.subtract(p_tx[:, k], p_rx[:, k, None], out=u[..., k]) for k in range(3))
-    d = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    # d from the three broadcast differences, summed as np.linalg.norm sums
+    # them, in place
+    dx, dy, dz = (np.subtract(p_tx[:, k], p_rx[:, k, None]) for k in range(3))
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dz *= dz
+    dx += dz
+    d = np.sqrt(dx, out=dx)
     if np.any(d == 0.0):
         raise ValueError("overlapping arrays: coincident elements")
 
-    u /= d[..., None]  # unit vectors
-    cos_rx = np.clip(u @ rx.normal, 0.0, None)
-    cos_tx = np.clip(-(u @ tx.normal), 0.0, None)
-    amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)
-    return amplitude * np.exp(-1j * kappa * d)
+    # d times each aperture cosine is the difference of the two elements'
+    # projections on that array's normal. They are taken about rx's center,
+    # so each term is on the scale of the link, not of the coordinates (far
+    # from the origin, projections about it would cancel to their ulps).
+    # Each difference is at most d, so their product is at most d^2, which
+    # build_scene keeps finite.
+    rel_tx, rel_rx = p_tx - rx.center, p_rx - rx.center
+    amplitude = np.subtract(rel_tx @ rx.normal, (rel_rx @ rx.normal)[:, None], out=dy)
+    np.maximum(amplitude, 0.0, out=amplitude)
+    on_tx = np.subtract((rel_rx @ tx.normal)[:, None], rel_tx @ tx.normal, out=dz)
+    amplitude *= np.maximum(on_tx, 0.0, out=on_tx)
+    amplitude *= np.pi**2 / beta
+    np.sqrt(amplitude, out=amplitude)
+    amplitude /= d
+
+    # amplitude * exp(-1j * kappa * d), bitwise, without the complex exp
+    phase = np.multiply(d, kappa, out=d)
+    entries = np.empty(d.shape, dtype=complex)
+    np.cos(phase, out=entries.real)
+    np.sin(phase, out=entries.imag)
+    entries.real *= amplitude
+    entries.imag *= np.negative(amplitude, out=amplitude)
+    return entries
 
 
 def los_channel(
@@ -144,16 +172,20 @@ def cascaded_los_coefficients(
 ) -> np.ndarray:
     """Per-RIS-element cascaded coefficients (see _cascade_blocks) of the LoS
     links tx -> ris -> rx, the same numbers as ris.cascaded_coefficients on
-    the two los_channel matrices. The entries of both links are built a
-    block of RIS elements at a time, so neither channel matrix is ever held
-    whole."""
+    the two los_channel matrices. The tx -> ris entries are built a block of
+    RIS elements at a time. The ris -> rx entries are built in one call when
+    they are no more than one such block's (M_rx * N_ris <= _BLOCK_ELEMENTS
+    * N_tx, as with a single-antenna receiver), and a block at a time
+    otherwise."""
     link_in = _link(tx, ris, wavelength, pl)
     link_out = _link(ris, rx, wavelength, pl)
     p_tx, p_ris, p_rx = element_positions(tx), element_positions(ris), element_positions(rx)
+    whole_out = len(p_rx) * len(p_ris) <= _BLOCK_ELEMENTS * len(p_tx)
+    h_out = _los_entries(p_ris, p_rx, ris, rx, *link_out) if whole_out else None
 
     def blocks(s):
-        return (_los_entries(p_tx, p_ris[s], tx, ris, *link_in),  # (block, N_tx)
-                _los_entries(p_ris[s], p_rx, ris, rx, *link_out))  # (M_rx, block)
+        out = h_out[:, s] if whole_out else _los_entries(p_ris[s], p_rx, ris, rx, *link_out)
+        return _los_entries(p_tx, p_ris[s], tx, ris, *link_in), out  # (block, N_tx), (M_rx, block)
 
     c = _cascade_blocks(len(p_ris), blocks, w_tx, w_rx)
     if not np.all(np.isfinite(c)):

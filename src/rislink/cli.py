@@ -13,7 +13,6 @@ point when its config sets `symbol_matrix_path` and `received_matrix_dir`.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -70,10 +69,7 @@ def _read_lines(path) -> list:
 
 
 def cmd_metrics(args) -> int:
-    if not (math.isfinite(args.max_bleu) and args.max_bleu > 0
-            and math.isfinite(1.0 / args.max_bleu)):
-        raise ValueError("--max-bleu must be a positive finite number whose reciprocal is "
-                         f"finite, got {args.max_bleu}")
+    metrics_mod.check_max_bleu(args.max_bleu, "--max-bleu")
     for pair in (("ref", "hyp"), ("ref_graph", "hyp_graph"), ("ref_emb", "hyp_emb")):
         ref, hyp = (bool(getattr(args, name)) for name in pair)
         if ref != hyp:

@@ -133,9 +133,7 @@ class ExperimentConfig:
                  "large enough that the wavelength c/f is finite", self.frequency_hz)
         _require(self.noise_dbm < math.inf,  # -inf is the noiseless override
                  "noise_dbm", "finite or -Infinity", self.noise_dbm)
-        _require(_is_real(self.max_bleu) and 0 < self.max_bleu < math.inf
-                 and 1.0 / self.max_bleu < math.inf, "max_bleu",
-                 "a positive finite number whose reciprocal is finite", self.max_bleu)
+        metrics.check_max_bleu(self.max_bleu, "max_bleu")
         _require(_is_count(self.master_seed, 0),
                  "master_seed", "a non-negative integer", self.master_seed)
         _require(_is_list(self.codebook_grid, _is_count, 2),

@@ -271,11 +271,21 @@ def bleu(candidate, reference) -> float:
     return float(BleuReferences([reference]).scores([0], [tuple(candidate)])[0])
 
 
+def check_max_bleu(value, name: str) -> None:
+    """The rule for a BLEU ceiling: a ValueError naming `name` unless `value`
+    is a positive finite number, not a bool, whose reciprocal is finite."""
+    try:
+        ok = not isinstance(value, bool) and 0 < value < math.inf and 1.0 / value < math.inf
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a positive finite number whose reciprocal is "
+                         f"finite, got {value!r}")
+
+
 def relative_bleu(candidate, reference, max_bleu: float) -> float:
     """BLEU divided by the noiseless-pipeline ceiling; may exceed 1."""
-    if not (0 < max_bleu < math.inf and 1.0 / max_bleu < math.inf):
-        raise ValueError("max_bleu must be a positive finite number whose reciprocal is "
-                         f"finite, got {max_bleu!r}")
+    check_max_bleu(max_bleu, "max_bleu")
     return bleu(candidate, reference) / max_bleu
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_arrays
-from rislink import channel
+from rislink import channel, harness
 from rislink.channel import (
     SPEED_OF_LIGHT,
     PathLossModel,
@@ -10,7 +10,7 @@ from rislink.channel import (
     los_channel,
     wavelength,
 )
-from rislink.geometry import PlanarArray, facing_array
+from rislink.geometry import PlanarArray, element_positions, facing_array
 from rislink.link import steering_precoder
 from rislink.ris import cascaded_coefficients
 
@@ -120,7 +120,8 @@ def whole_and_blocked(tx, ris, rx, lam):
     ((10, 10), (1, 1), (40, 40)),  # the default scene
     ((10, 10), (1, 1), (37, 23)),  # 851 elements: a last block of 19
     ((7, 13), (1, 1), (40, 40)),
-    ((10, 10), (2, 3), (40, 40)),
+    ((10, 10), (2, 3), (40, 40)),  # ris -> rx entries built a block at a time
+    ((10, 10), (2, 3), (24, 30)),  # ... and whole: 6 x 720 <= 64 x 100
 ])
 def test_blocked_coefficients_equal_whole_matrices(tx_shape, rx_shape, ris_shape):
     # bitwise: each coefficient is the same two dot products in either
@@ -145,9 +146,23 @@ def test_blocked_coefficients_equal_whole_on_random_scenes(seed, ris_shape, rx_s
     assert np.array_equal(blocked, whole)
 
 
-def norm_los_entries(p_tx, p_rx, tx, rx, kappa, beta):
-    """The LoS entries as an (M, N, 3) difference array reduced by
-    np.linalg.norm: the oracle channel._los_entries must equal bitwise."""
+def restated_los_entries(p_tx, p_rx, tx, rx, kappa, beta):
+    """channel._los_entries restated plainly, the oracle it must equal
+    bitwise: d by np.linalg.norm over an (M, N, 3) difference array, each
+    aperture cosine times d as the difference of the two elements'
+    projections on that array's normal about rx's center, and a complex exp."""
+    d = np.linalg.norm(p_tx[None, :, :] - p_rx[:, None, :], axis=-1)
+    rel_tx, rel_rx = p_tx - rx.center, p_rx - rx.center
+    on_rx = np.maximum(rel_tx @ rx.normal - (rel_rx @ rx.normal)[:, None], 0.0)
+    on_tx = np.maximum((rel_rx @ tx.normal)[:, None] - rel_tx @ tx.normal, 0.0)
+    amplitude = np.sqrt(on_rx * on_tx * (np.pi**2 / beta)) / d
+    return amplitude * np.exp(-1j * kappa * d)
+
+
+def unit_vector_los_entries(p_tx, p_rx, tx, rx, kappa, beta):
+    """The LoS entries with the aperture cosines read off unit vectors
+    between the elements, as the module docstring states them: the oracle
+    channel._los_entries must match to rounding."""
     diff = p_tx[None, :, :] - p_rx[:, None, :]
     d = np.linalg.norm(diff, axis=-1)
     u = diff / d[..., None]
@@ -155,6 +170,11 @@ def norm_los_entries(p_tx, p_rx, tx, rx, kappa, beta):
     cos_tx = np.clip(-(u @ tx.normal), 0.0, None)
     amplitude = np.sqrt(np.pi**2 * cos_rx * cos_tx / beta)
     return amplitude * np.exp(-1j * kappa * d)
+
+
+# entries and coefficients may differ from unit_vector_los_entries' by this
+# share of the largest magnitude among them: a few roundings of one entry
+UNIT_VECTOR_RTOL = 1e-14
 
 
 def default_layout(tx_shape, rx_shape, ris_shape):
@@ -166,24 +186,27 @@ def default_layout(tx_shape, rx_shape, ris_shape):
     return tx, rx, ris
 
 
-def assert_los_entries_equal_norm_oracle(monkeypatch, tx, rx, ris):
+def assert_los_entries_match_oracles(monkeypatch, tx, rx, ris):
     """The channels between the three arrays, both ways, and c, from
-    channel._los_entries and then again from norm_los_entries."""
+    channel._los_entries: bitwise those of restated_los_entries, and within
+    UNIT_VECTOR_RTOL of those of unit_vector_los_entries."""
     lam, pl = wavelength(28e9), PathLossModel(4.0)
     w_tx = steering_precoder(tx, ris.center, lam)
     w_rx = steering_precoder(rx, ris.center, lam)
     pairs = [(tx, ris), (ris, rx), (rx, ris), (ris, tx)]
 
-    def build():
+    def build(kernel):
+        monkeypatch.setattr(channel, "_los_entries", kernel)
         return ([los_channel(a, b, lam, pl).entries for a, b in pairs],
                 cascaded_los_coefficients(tx, ris, rx, lam, pl, w_tx, w_rx))
 
-    channels, c = build()
-    monkeypatch.setattr(channel, "_los_entries", norm_los_entries)
-    oracle_channels, oracle_c = build()
-    for entries, oracle in zip(channels, oracle_channels):
-        assert np.array_equal(entries, oracle)
-    assert np.array_equal(c, oracle_c)
+    channels, c = build(channel._los_entries)
+    restated_channels, restated_c = build(restated_los_entries)
+    unit_channels, unit_c = build(unit_vector_los_entries)
+    for got, restated, unit in zip([*channels, c], [*restated_channels, restated_c],
+                                   [*unit_channels, unit_c]):
+        assert np.array_equal(got, restated)
+        assert np.max(np.abs(got - unit)) <= UNIT_VECTOR_RTOL * np.max(np.abs(unit))
 
 
 @pytest.mark.parametrize("tx_shape, rx_shape, ris_shape", [
@@ -196,19 +219,47 @@ def assert_los_entries_equal_norm_oracle(monkeypatch, tx, rx, ris):
     ((1, 1), (1, 1), (1, 65)),  # single elements: a last RIS block of one
     ((1, 7), (3, 1), (9, 1)),
 ])
-def test_los_entries_equal_norm_oracle(monkeypatch, tx_shape, rx_shape, ris_shape):
-    assert_los_entries_equal_norm_oracle(monkeypatch,
-                                         *default_layout(tx_shape, rx_shape, ris_shape))
+def test_los_entries_match_oracles(monkeypatch, tx_shape, rx_shape, ris_shape):
+    assert_los_entries_match_oracles(monkeypatch, *default_layout(tx_shape, rx_shape, ris_shape))
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("ris_shape, rx_shape", [((4, 4), (1, 1)), ((13, 11), (1, 1)),
                                                  ((12, 16), (2, 3)), ((1, 20), (1, 1)),
                                                  ((20, 1), (2, 3))])
-def test_los_entries_equal_norm_oracle_on_random_scenes(monkeypatch, seed, ris_shape,
-                                                        rx_shape):
+def test_los_entries_match_oracles_on_random_scenes(monkeypatch, seed, ris_shape, rx_shape):
     tx, rx, ris, _ = random_arrays(seed, ris_shape, rx_shape)
-    assert_los_entries_equal_norm_oracle(monkeypatch, tx, rx, ris)
+    assert_los_entries_match_oracles(monkeypatch, tx, rx, ris)
+
+
+def test_los_entries_finite_at_the_coordinate_limit():
+    # tx and the RIS 0.999 of the largest coordinate build_scene admits from
+    # the origin on either side: their elements (spacing 1e140) lie about
+    # 7.7e153 m apart, so d^2 and the product of the two projections come
+    # within a factor 3 of the largest float; RuntimeWarnings are errors here
+    edge = 0.999 * harness._MAX_COORDINATE
+    cfg = harness.ExperimentConfig(
+        tx=harness.ArraySpec([-edge, 0.0, 0.0], 10, 10, 1e140),
+        ris=harness.ArraySpec([edge, 0.0, 0.0], 40, 40, 1e140),
+        rx=harness.ArraySpec([edge, 10.0, 0.0]), path_loss_exponent=2.0)
+    scene = harness.build_scene(cfg)
+    for h in (scene.h_ris_tx, scene.h_rx_ris):
+        assert np.all(np.isfinite(h.entries)) and np.any(h.entries != 0.0)
+    assert np.all(np.isfinite(scene.coefficients)) and np.any(scene.coefficients != 0.0)
+
+
+def test_element_behind_the_other_aperture_gives_exactly_zero():
+    # b's first element sits at x < 0, behind the aperture of a (at the
+    # origin, facing +x); its second faces a from in front. Either way
+    # round, the first element's entry is exactly 0 and the second's is not.
+    a = PlanarArray([0.0, 0.0, 0.0], 1, 1, 0.5, Y, Z, X)
+    diagonal, anti = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    b = PlanarArray([5.0, -5.0, 0.0], 2, 1, 20.0, diagonal, Z, anti)
+    assert element_positions(b)[0, 0] < 0.0 < element_positions(b)[1, 0]
+    h_ba = los_channel(a, b, 0.01, PathLossModel(4.0)).entries  # (2, 1)
+    h_ab = los_channel(b, a, 0.01, PathLossModel(4.0)).entries  # (1, 2)
+    assert h_ba[0, 0] == 0.0 and h_ab[0, 0] == 0.0
+    assert h_ba[1, 0] != 0.0 and h_ab[0, 1] != 0.0
 
 
 def test_blocked_coefficients_reject_overlapping_arrays():

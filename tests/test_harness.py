@@ -118,7 +118,7 @@ def test_config_validation():
             ExperimentConfig(ratios=ratios)
     with pytest.raises(ValueError):
         ExperimentConfig(quantizations=[1, None, 1])
-    for max_bleu in (0, -0.5, "0.6", math.inf):
+    for max_bleu in (0, -0.5, "0.6", math.inf, True, 10**400):
         with pytest.raises(ValueError):
             ExperimentConfig(max_bleu=max_bleu)
     for key, value in MISTYPED_CONFIGS:
@@ -753,15 +753,20 @@ def check_row_scorer(corpus_path, noise_dbm, modulation, gains_of=None) -> list:
     return errored
 
 
-@pytest.mark.parametrize("noise_dbm", [10.0, 16.0, 25.0])
-@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
-def test_row_scorer_equals_per_sentence_scorer(noise_dbm, modulation):
-    # on the default scene 10 and 16 dBm give rows where some sentences
+@pytest.mark.parametrize("modulation, noise_dbm", [
+    ("qpsk", 10.0), ("qpsk", 16.0), ("qpsk", 25.0),
+    ("16qam", 10.0), ("16qam", 14.0), ("16qam", 25.0),
+])
+def test_row_scorer_equals_per_sentence_scorer(modulation, noise_dbm):
+    # on the default scene the middle floors give rows where some sentences
     # arrive error-free (scored undecoded) and others do not: at 10 dBm the
-    # ratio-0.3 QPSK rows expect 22 and 32 bit errors over 100 sentences, so
-    # both are mixed for almost any seed (at 8 dBm, 1.3 and 1.8: two mixed
-    # rows for two seeds in three); at 25 dBm, the sweep-lowsnr benchmark's
-    # floor, every sentence arrives with errors
+    # ratio-0.3 QPSK rows expect 22 and 32 bit errors over 100 sentences.
+    # From receive_bits' exact per-component chances, two or more of the 10
+    # rows are mixed with probability above 0.999 for any seed at each of
+    # these floors: it fails with chance 3.0e-10 (QPSK, 10 dBm), 1.8e-14
+    # (QPSK, 16 dBm), below 1e-15 (16-QAM, 10 and 14 dBm), but 0.034 for
+    # 16-QAM at 16 dBm and 0.33 for QPSK at 8 dBm. At 25 dBm, the
+    # sweep-lowsnr benchmark's floor, every sentence arrives with errors
     errored = check_row_scorer(SAMPLE_CORPUS, noise_dbm, modulation)
     if noise_dbm == 25.0:
         assert min(errored) == 1.0
@@ -1032,6 +1037,19 @@ def rotated_about_z(degrees):
     return lambda p: [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
 
 
+def rotated_about_x(degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return lambda p: [p[0], c * p[1] - s * p[2], s * p[1] + c * p[2]]
+
+
+def moved(move) -> ExperimentConfig:
+    """The default config with `move` applied to all three array centers."""
+    base = ExperimentConfig()
+    return ExperimentConfig(**{name: ArraySpec(move(spec.center), spec.rows, spec.cols)
+                               for name, spec in (("tx", base.tx), ("rx", base.rx),
+                                                  ("ris", base.ris))})
+
+
 @pytest.mark.parametrize("move", [
     lambda p: [p[0] + 100.0, p[1] - 50.0, p[2] + 30.0], rotated_about_z(90.0),
     rotated_about_z(37.0),
@@ -1041,15 +1059,29 @@ def test_default_scene_points_are_invariant_under_a_rigid_motion(move):
     # which follows its facing direction with global z as up: moving all
     # three centers by one translation, or one rotation about z, selects
     # the same 60 codewords at the same SNR
-    base = ExperimentConfig()
-    moved = ExperimentConfig(**{name: ArraySpec(move(spec.center), spec.rows, spec.cols)
-                                for name, spec in (("tx", base.tx), ("rx", base.rx),
-                                                   ("ris", base.ris))})
-    expected, got = default_sweep_points(base), default_sweep_points(moved)
+    expected, got = default_sweep_points(ExperimentConfig()), default_sweep_points(moved(move))
     assert len(got) == len(expected) == 60
     assert [idx for idx, _ in got] == [idx for idx, _ in expected]
     for (_, a), (_, b) in zip(got, expected):
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def test_default_scene_rotated_about_x_maps_codeword_324_to_306():
+    # a quarter turn of the centers about x turns each array a quarter turn
+    # within its own plane, since its frame keeps global z as up: a quarter
+    # turn of the 72-step azimuth grid, so codeword 324 becomes 306 at all
+    # 60 points. The SNR stays where the mask's side is even. An odd side
+    # sits half an element toward index 0 (active_mask), so the rotated
+    # scene's block is not the turned block, and only codewords compare.
+    base = ExperimentConfig()
+    expected, got = default_sweep_points(base), default_sweep_points(moved(rotated_about_x(90.0)))
+    assert {(a, b) for (a, _), (b, _) in zip(expected, got)} == {(324, 306)}
+    ris = build_scene(base).ris
+    sides = [math.isqrt(np.count_nonzero(active_mask(ris, r))) for r in base.ratios]
+    even = [k for k in range(len(got)) if sides[k // len(base.quantizations)] % 2 == 0]
+    assert len(even) == 30
+    for k in even:
+        assert got[k][1] == pytest.approx(expected[k][1], rel=1e-12, abs=0.0)
 
 
 def test_sweep_snr_db_finite_when_the_gain_squared_underflows(tmp_path):

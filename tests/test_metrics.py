@@ -250,10 +250,11 @@ def test_relative_bleu():
         relative_bleu(tokens, tokens, max_bleu=0.0)
 
 
-@pytest.mark.parametrize("max_bleu", [1e-320, math.inf, math.nan])
+@pytest.mark.parametrize("max_bleu", [1e-320, math.inf, math.nan, True, 10**400])
 def test_relative_bleu_rejects_a_ceiling_whose_reciprocal_overflows(max_bleu):
     # 1 / 1e-320 is inf, so every score would be inf: the one-line message of
-    # the config's and `rislink metrics`' own check
+    # the config's and `rislink metrics`' checks, which share the rule (a
+    # bool, and an int beyond the float range, are not ceilings either)
     with pytest.raises(ValueError, match="^max_bleu must be a positive finite number whose "
                                          "reciprocal is finite, got "):
         relative_bleu(["a"], ["a"], max_bleu)

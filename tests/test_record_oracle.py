@@ -12,7 +12,8 @@ under another numpy than the oracle's.
 
 A change that alters records on purpose regenerates the file with
 `PYTHONPATH=src python tests/test_record_oracle.py`, which prints which sweep
-hashes changed and whether any `snr_db` value did, and says why.
+hashes changed and whether any `snr_db` value did, and says why. With
+`--check` the script prints the same lines and leaves the file as it is.
 """
 
 import hashlib
@@ -103,12 +104,14 @@ def test_changes_names_each_changed_sweep_and_snr_db():
            "snr_db": {"noise0": ["1.0", "140.00000000000003"], "noise8": ["2.5"]}}
     assert changes(old, new) == [
         "changed: b", "changed: c", "2 of 3 sweep hashes changed",
-        "snr_db: 1 of 3 values changed, 0 beyond 1e-12 relative"]
+        "snr_db: 1 of 3 values changed, 0 beyond 1e-12 relative, largest relative move 2e-16"]
     new["snr_db"]["noise8"] = ["2.6", "3.0"]
-    assert changes(old, new)[-1] == ("snr_db: 2 of 3 values changed, 1 beyond 1e-12 relative; "
-                                     "the point sets differ")
-    assert changes(old, old) == ["0 of 3 sweep hashes changed",
-                                 "snr_db: 0 of 3 values changed, 0 beyond 1e-12 relative"]
+    assert changes(old, new)[-1] == ("snr_db: 2 of 3 values changed, 1 beyond 1e-12 relative, "
+                                     "largest relative move 0.04; the point sets differ")
+    assert relative_move(0.0, 1e-300) == relative_move(-math.inf, 0.0) == math.inf
+    assert changes(old, old) == [
+        "0 of 3 sweep hashes changed",
+        "snr_db: 0 of 3 values changed, 0 beyond 1e-12 relative, largest relative move 0"]
 
 
 def changes(old, new) -> list:
@@ -123,16 +126,23 @@ def changes(old, new) -> list:
     moved = [(a, b) for a, b in pairs if a != b]
     beyond = [(a, b) for a, b in moved
               if not math.isclose(float(a), float(b), rel_tol=SNR_RTOL, abs_tol=0.0)]
+    largest = max((relative_move(float(a), float(b)) for a, b in moved), default=0.0)
     same_shape = all(len(old["snr_db"].get(key, [])) == len(values)
                      for key, values in new["snr_db"].items())
     lines.append(f"snr_db: {len(moved)} of {len(pairs)} values changed, {len(beyond)} beyond "
-                 f"{SNR_RTOL:g} relative" + ("" if same_shape else "; the point sets differ"))
+                 f"{SNR_RTOL:g} relative, largest relative move {largest:.2g}"
+                 + ("" if same_shape else "; the point sets differ"))
     return lines
 
 
-def main(tmp_path):
-    """Rewrite record_oracle.json from the sweeps as they run now, and print
-    what changed against the file it replaces."""
+def relative_move(a: float, b: float) -> float:
+    """|b - a| / |a|, or inf when a is 0 or not finite and b differs."""
+    return abs(b - a) / abs(a) if math.isfinite(a) and a != 0.0 else math.inf
+
+
+def main(tmp_path, check):
+    """Take the oracle sweeps as they run now and print what changed against
+    record_oracle.json; rewrite the file from them unless `check`."""
     oracle = {"numpy": np.__version__, "sweeps": {}, "snr_db": {}}
     for sweep in SWEEPS:
         digest, key, snrs = run(sweep, 1, tmp_path)
@@ -140,11 +150,20 @@ def main(tmp_path):
         oracle["snr_db"].setdefault(key, snrs)
     if ORACLE.exists():
         print("\n".join(changes(json.loads(ORACLE.read_text()), oracle)))
-    ORACLE.write_text(json.dumps(oracle, indent=1) + "\n")
+    elif check:
+        raise SystemExit(f"{ORACLE} does not exist")
+    if not check:
+        ORACLE.write_text(json.dumps(oracle, indent=1) + "\n")
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite record_oracle.json from the sweeps "
+                                     "as they run now, printing what changed.")
+    parser.add_argument("--check", action="store_true",
+                        help="print what changed without rewriting the file")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        main(Path(tmp))
+        main(Path(tmp), args.check)
