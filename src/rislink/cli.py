@@ -20,7 +20,7 @@ import numpy as np
 from . import coding, metrics as metrics_mod
 from .harness import ExperimentConfig, build_scene, configure_point, run_sweep
 from .link import snr
-from .ris import MAX_BITS
+from .ris import _check_bits
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -28,15 +28,11 @@ def _load_config(path) -> ExperimentConfig:
 
 
 def _parse_bits(text):
-    if text in (None, "none"):
-        return None
     try:
-        bits = int(text)
+        bits = None if text in (None, "none") else int(text)
     except ValueError:
-        bits = None
-    if bits is None or not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"--bits must be an integer from 1 to {MAX_BITS} or 'none', "
-                         f"got {text!r}")
+        bits = text  # not a number, which the rule rejects
+    _check_bits(bits, "--bits", "'none'", text)
     return bits
 
 

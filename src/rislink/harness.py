@@ -37,7 +37,7 @@ from .link import (
     steering_precoder,
     transmit,
 )
-from .ris import MAX_BITS, Codebook, _configuration, _select_rows, active_mask, build_codebook
+from .ris import Codebook, _check_bits, _configuration, _select_rows, active_mask, build_codebook
 
 
 def _is_real(x) -> bool:
@@ -144,9 +144,10 @@ class ExperimentConfig:
         if any(a >= b for a, b in zip(self.ratios, self.ratios[1:])):
             raise ValueError("ratios must be strictly ascending")
         q = self.quantizations
-        _require(q and _is_list(q, lambda b: b is None or _is_count(b) and b <= MAX_BITS)
-                 and len(set(q)) == len(q), "quantizations",
-                 f"a non-empty list of distinct bit counts from 1 to {MAX_BITS} or null", q)
+        # a list that is empty, holds other than counts and nulls, or repeats one fails as 0 does
+        ok = q and _is_list(q, lambda b: b is None or isinstance(b, int)) and len(set(q)) == len(q)
+        for b in q if ok else [0]:
+            _check_bits(b, "quantizations", "null", q, "a non-empty list of distinct bit counts")
         _require(isinstance(self.modulation, str) and self.modulation in coding.MODULATIONS,
                  "modulation", f"one of {sorted(coding.MODULATIONS)}", self.modulation)
         _require(_is_list(self.baselines, lambda b: b in ("huffman", "sixbit")),
@@ -360,13 +361,15 @@ class _Layout:
     bits to whole symbols on its own: `sent` is the padded bits of every
     sentence in turn, the layout of a received row, where sentence k spans
     starts[k]:starts[k] + sizes[k] and its pad follows; `runs` holds each
-    sentence's size and then its pad's, in turn."""
+    sentence's size and then its pad's, in turn, and `inside` is 1 on each
+    sentence's bits and 0 on its pad."""
 
     def __init__(self, encoded: list, modulation: str):
         self.sizes = np.array([bits.size for bits in encoded], dtype=np.intp)
         pads = -self.sizes % coding.BITS_PER_SYMBOL[modulation]
         self.starts = np.cumsum(self.sizes + pads) - self.sizes - pads
         self.runs = np.column_stack((self.sizes, pads)).ravel()
+        self.inside = np.repeat(np.tile(np.uint8([1, 0]), self.sizes.size), self.runs)
         self.sent = np.concatenate([part for bits, pad in zip(encoded, pads.tolist())
                                     for part in (bits, np.zeros(pad, dtype=np.uint8))])
 
@@ -444,33 +447,34 @@ def _send_rows(budget, gains, drawn, corpus, seeds):
     rows. Each gain is a row. A row that `drawn` marks (see ERROR_FREE_SNR)
     draws the hard decisions of the corpus's bits in one link.receive_bits
     call from its seed (a zero gain is a "link outage" error); any other row
-    arrives as sent, and the layout is read only if some row is drawn. Each
-    sentence's bit error rate comes from one comparison of the received row
-    with the sent one (see metrics.bit_error_rates), in which a pad bit never
-    counts. A row's bits of its errored sentences are gathered once its rates
-    are known; every row's are decoded end to end in one call. Returns the
-    (rows, sentences) bit error rates and, unless no sentence has a bit error,
-    the errored sentences for _score_rows: their flat positions in the bit
-    error rates, row after row, their symbol indices end to end and the number
-    of symbols of each, the positions and counts in small unsigned types."""
+    arrives as sent, and the layout is read only if some row is drawn. One
+    masked np.add.reduceat over the block of drawn rows counts their bit
+    errors per sentence, pads left out, and one boolean mask gathers their
+    errored sentences' bits, decoded end to end in one call. Returns the
+    (rows, sentences) bit error rates and, unless no sentence has a bit
+    error, the errored sentences for _score_rows: their flat positions in the
+    bit error rates, row after row, their symbol indices end to end and the
+    number of symbols of each, the positions and counts in small unsigned types."""
     bers = np.zeros((len(gains), corpus.count))
     if not any(drawn):
         return bers, None
     layout = corpus.layout
-    # the received row as runs: each sentence's bits, then its pad
-    keep = np.zeros(layout.runs.size, dtype=bool)
-    errored_bits = []
-    for row_bers, g, seed, draw in zip(bers, gains, seeds, drawn):
-        if draw:
-            received = receive_bits(layout.sent, corpus.modulation, g, budget, seed)
-            row_bers[:] = metrics.bit_error_rates(layout.sent, received,
-                                                  layout.starts, layout.sizes)
-            keep[::2] = row_bers != 0
-            errored_bits.append(received[np.repeat(keep, layout.runs)])
+    block = np.array([receive_bits(layout.sent, corpus.modulation, g, budget, seed)
+                      for g, seed, draw in zip(gains, seeds, drawn) if draw])
+    # reduceat sums from each start to the next, a sentence and its pad, as
+    # the starts ascend strictly: load_sentences keeps only non-blank lines,
+    # and both codes spend at least one bit per character. No count exceeds
+    # its sentence's size, the type it is summed in.
+    errors = np.add.reduceat((block ^ layout.sent) & layout.inside, layout.starts, axis=1,
+                             dtype=np.min_scalar_type(layout.sizes.max()))
+    bers[np.flatnonzero(drawn)] = errors / layout.sizes
     positions = np.flatnonzero(bers)  # row after row, each row's sentences in order
     if not positions.size:
         return bers, None
-    codes, counts = corpus.decode(np.concatenate(errored_bits),
+    # each drawn row as runs: each sentence's bits, then its pad
+    keep = np.zeros((block.shape[0], layout.runs.size), dtype=bool)
+    keep[:, ::2] = errors != 0
+    codes, counts = corpus.decode(block[np.repeat(keep, layout.runs, axis=1)],
                                   layout.sizes[positions % corpus.count])
     # a type that holds bers.size holds the sentence count too, which
     # _score_rows divides the positions by

@@ -6,6 +6,7 @@ g = w_rx^H H_e2e w_tx and SNR = |g|^2 * P_tx / sigma^2.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -142,34 +143,51 @@ def equalize(s_hat: SymbolMatrix, g: complex, p_tx: float) -> SymbolMatrix:
     return SymbolMatrix(s_hat.values / (g * np.sqrt(p_tx)))
 
 
+@cache
+def _decisions(modulation: str) -> tuple:
+    """Each level's Gray bits (by Gray index) and each region's (by ascending
+    level), one byte per bit, and t_j - a_i for each midpoint t_j between
+    adjacent levels and each level a_i. Built on first use: at import, the
+    numpy code it runs would swell every sweep's resident memory."""
+    levels = AXIS_LEVELS[modulation]
+    per = levels.size.bit_length() - 1  # bits per component
+    gray = np.arange(levels.size)[:, None] >> np.arange(per - 1, -1, -1) & 1
+    words = gray.astype(np.uint8).view(f"u{per}").ravel()
+    order = np.argsort(levels)  # the Gray index of each region
+    thresholds = (levels[order][1:] + levels[order][:-1]) / 2.0
+    return words, words[order], (thresholds[:, None] - levels).tolist()
+
+
+def _chances(modulation: str, g: complex, budget: LinkBudget) -> list:
+    """below[j][i] = Phi((t_j - a_i)/sigma), non-decreasing in j: t_j ascends,
+    the scale 1/(sigma sqrt 2) is >= 0 and erfc falls. A noiseless link's
+    scale is inf, and t_j - a_i is never 0, so its chances are 0 and 1."""
+    noise = budget.noise_power
+    scale = float(abs(g)) / math.sqrt(noise) * math.sqrt(budget.p_tx) if noise else math.inf
+    return [[0.5 * math.erfc(-(d * scale)) for d in row] for row in _decisions(modulation)[2]]
+
+
 def receive_bits(sent: np.ndarray, modulation: str, g: complex, budget: LinkBudget,
                  seed: int) -> np.ndarray:
     """The bits `modulation`'s demodulator decides on the bits `sent` (whole
     symbols) after transmit and equalize, drawn without the noise. Equalized,
     each constellation component is its level a plus its own Gaussian noise
     of deviation sigma = sqrt(noise_power/2) / (|g| sqrt(p_tx)), so one
-    uniform u per component picks its decision region by inverse transform,
-    sum_j [u >= Phi((t_j - a)/sigma)] over the midpoints t_j between adjacent
-    levels: that chain's distribution, not its draws. A zero gain is a "link
-    outage" error, as in equalize."""
+    uniform u per component crosses threshold t_j if u >= Phi((t_j - a)/sigma)
+    (_chances, compared per level, selected by level masks): that chain's
+    distribution, not its draws. The chances rise with j, so each crossing
+    flips the Gray bit that changes there. A zero gain is a "link outage"
+    error, as in equalize."""
     if g == 0:
         raise ValueError("link outage: zero end-to-end gain")
-    levels = AXIS_LEVELS[modulation]
-    order = np.argsort(levels)  # the Gray index of each region, by ascending level
-    thresholds = (levels[order][1:] + levels[order][:-1]) / 2.0
-    with np.errstate(divide="ignore", over="ignore"):  # noiseless: +-inf, not 0/0
-        scale = abs(g) / np.sqrt(budget.noise_power) * np.sqrt(budget.p_tx)  # 1/(sigma sqrt 2)
-        z = (thresholds[:, None] - levels) * scale
-    # below[j][i] = Phi((t_j - a_i)/sigma), for level a_i of Gray index i
-    below = 0.5 * np.array([[math.erfc(-x) for x in row] for row in z.tolist()])
-    per = order.size.bit_length() - 1  # bits per component
-    index = sent[0::per].astype(np.intp)  # each component's Gray bits as a number
-    for k in range(1, per):
-        index = 2 * index + sent[k::per]
-    u = np.random.default_rng(seed).random(index.size)
-    region = (u >= below[0].take(index)).view(np.uint8)
-    for row in below[1:]:
-        region += u >= row.take(index)
-    # each region's Gray bits, as one unsigned integer of `per` bytes
-    bits = (order[:, None] >> np.arange(per - 1, -1, -1) & 1).astype(np.uint8)
-    return bits.view(f"u{per}").ravel().take(region).view(np.uint8)
+    words, regions, _ = _decisions(modulation)
+    sent = np.ascontiguousarray(sent, dtype=np.uint8).view(words.dtype)  # a word per component
+    masks = [sent == word for word in words]  # the components sent at each level
+    u = np.random.default_rng(seed).random(sent.size)
+    received = np.full(sent.size, regions[0])
+    for j, row in enumerate(_chances(modulation, g, budget)):
+        crossed = np.zeros(sent.size, dtype=bool)
+        for mask, below in zip(masks, row):
+            crossed |= (u >= below) & mask
+        received ^= crossed * (regions[j] ^ regions[j + 1])
+    return received.view(np.uint8)

@@ -321,22 +321,6 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def bit_error_rates(sent: np.ndarray, received: np.ndarray, starts, sizes) -> np.ndarray:
-    """The bit error rate of each segment starts[k]:starts[k] + sizes[k] of
-    two bit streams of equal length, from one comparison of the whole
-    streams: each segment counts the positions of the differing bits that
-    fall in it, so bits outside every segment never count. An empty segment
-    scores 0."""
-    sent = np.asarray(sent).ravel()
-    received = np.asarray(received).ravel()
-    if sent.size != received.size:
-        raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
-    starts, sizes = np.asarray(starts), np.asarray(sizes)
-    errors = np.flatnonzero(sent != received)
-    counts = np.searchsorted(errors, starts + sizes) - np.searchsorted(errors, starts)
-    return counts / np.maximum(sizes, 1)
-
-
 def _hyyro_step(eq, vp, vn):
     """One text character of Hyyrö's (2003) Levenshtein form of Myers' bit-
     parallel algorithm (JACM 1999): bit i of `eq` says pattern character i

@@ -53,14 +53,14 @@ _MARGIN_PER_TERM = 4.0 * 2.0**-24
 MAX_BITS = 16
 
 
-def _check_bits(bits, name: str, optional: bool = False) -> None:
-    """A bit count is an integer from 1 to MAX_BITS and not a bool; None
-    (continuous phases) where `optional`."""
-    if bits is None and optional:
-        return
-    if (isinstance(bits, bool) or not isinstance(bits, numbers.Integral)
-            or not 1 <= bits <= MAX_BITS):
-        raise ValueError(f"{name} must be an integer from 1 to {MAX_BITS}, got {bits!r}")
+def _check_bits(bits, name: str, none: str = "", got=None, what: str = "an integer") -> None:
+    """The rule for a bit count: an integer from 1 to MAX_BITS, not a bool, or
+    None (continuous phases) where `none` is how the input spells it; else a
+    ValueError that `name` must be `what` so, reporting `got` (or `bits`)."""
+    if not (bits is None and none or not isinstance(bits, bool)
+            and isinstance(bits, numbers.Integral) and 1 <= bits <= MAX_BITS):
+        raise ValueError(f"{name} must be {what} from 1 to {MAX_BITS}{none and ' or ' + none}, "
+                         f"got {bits if got is None else got!r}")
 
 
 class RisConfiguration:
@@ -76,7 +76,7 @@ class RisConfiguration:
             raise ValueError("phases and active_mask must be 1D with equal length")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        _check_bits(quantization_bits, "quantization_bits", optional=True)
+        _check_bits(quantization_bits, "quantization_bits", "None")
         self.phases, self.active_mask, self.quantization_bits = phases, mask, quantization_bits
 
     def reflection_coefficients(self) -> np.ndarray:
@@ -369,7 +369,7 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     codeword that close is scored again from its exact phases, and the
     winner is the one the exact scores pick."""
     for b in (bits, *applied):
-        _check_bits(b, "bits", optional=True)
+        _check_bits(b, "bits", "None")
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1:] != c.shape:
         raise ValueError(f"masks have shape {masks.shape}, the RIS {c.size} elements")

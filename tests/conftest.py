@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from rislink.channel import PathLossModel, los_channel, wavelength
+from rislink.coding import AXIS_LEVELS
 from rislink.geometry import facing_array
 from rislink.link import LinkBudget, steering_precoder
 from rislink.ris import active_mask, build_codebook
@@ -21,8 +24,7 @@ WORDS_D = ["at dawn", "by the river", "near the city", "after sunset",
 
 def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
     """The share of differing bits of two bit streams of equal length: the
-    oracle that metrics.bit_error_rates is checked against, segment by
-    segment."""
+    oracle that bit_error_rates is checked against, segment by segment."""
     sent = np.asarray(sent).ravel()
     received = np.asarray(received).ravel()
     if sent.size != received.size:
@@ -30,6 +32,52 @@ def bit_error_rate(sent: np.ndarray, received: np.ndarray) -> float:
     if sent.size == 0:
         return 0.0
     return float(np.mean(sent != received))
+
+
+def bit_error_rates(sent: np.ndarray, received: np.ndarray, starts, sizes) -> np.ndarray:
+    """The bit error rate of each segment starts[k]:starts[k] + sizes[k] of
+    two bit streams of equal length, from one comparison of the whole
+    streams: each segment counts the positions of the differing bits that
+    fall in it, so bits outside every segment never count. An empty segment
+    scores 0. The oracle for the per-sentence rates of harness._send_rows."""
+    sent = np.asarray(sent).ravel()
+    received = np.asarray(received).ravel()
+    if sent.size != received.size:
+        raise ValueError(f"bit stream lengths differ: {sent.size} vs {received.size}")
+    starts, sizes = np.asarray(starts), np.asarray(sizes)
+    errors = np.flatnonzero(sent != received)
+    counts = np.searchsorted(errors, starts + sizes) - np.searchsorted(errors, starts)
+    return counts / np.maximum(sizes, 1)
+
+
+def gathered_receive_bits(sent: np.ndarray, modulation: str, g: complex, budget: LinkBudget,
+                          seed: int) -> np.ndarray:
+    """link.receive_bits as a gather: each component's chance of falling
+    below each threshold taken by its Gray index, its region the number of
+    thresholds its uniform u crosses, sum_j [u >= Phi((t_j - a)/sigma)],
+    and its bits the region's Gray bits taken by the region. The oracle that
+    link.receive_bits must match bit for bit."""
+    if g == 0:
+        raise ValueError("link outage: zero end-to-end gain")
+    levels = AXIS_LEVELS[modulation]
+    order = np.argsort(levels)  # the Gray index of each region, by ascending level
+    thresholds = (levels[order][1:] + levels[order][:-1]) / 2.0
+    with np.errstate(divide="ignore", over="ignore"):  # noiseless: +-inf, not 0/0
+        scale = abs(g) / np.sqrt(budget.noise_power) * np.sqrt(budget.p_tx)  # 1/(sigma sqrt 2)
+        z = (thresholds[:, None] - levels) * scale
+    # below[j][i] = Phi((t_j - a_i)/sigma), for level a_i of Gray index i
+    below = 0.5 * np.array([[math.erfc(-x) for x in row] for row in z.tolist()])
+    per = order.size.bit_length() - 1  # bits per component
+    index = sent[0::per].astype(np.intp)  # each component's Gray bits as a number
+    for k in range(1, per):
+        index = 2 * index + sent[k::per]
+    u = np.random.default_rng(seed).random(index.size)
+    region = (u >= below[0].take(index)).view(np.uint8)
+    for row in below[1:]:
+        region += u >= row.take(index)
+    # each region's Gray bits, as one unsigned integer of `per` bytes
+    bits = (order[:, None] >> np.arange(per - 1, -1, -1) & 1).astype(np.uint8)
+    return bits.view(f"u{per}").ravel().take(region).view(np.uint8)
 
 
 def make_corpus(n_sentences: int = 100) -> list:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bit_error_rate, make_corpus
+from conftest import bit_error_rate, bit_error_rates, make_corpus
 from rislink import coding, harness, metrics
 from rislink.channel import PathLossModel, los_channel, wavelength
 from rislink.cli import build_parser
@@ -601,7 +601,7 @@ def short_sentence_corpora(tmp_path, modulation):
     some sentences' bit counts are not whole symbols (sixbit: an odd length
     under 16qam; Huffman: any) and each sentence's own pad follows its bits
     in the demodulated row."""
-    corpus_path = tmp_path / "corpus.txt"
+    corpus_path = tmp_path / "short.txt"  # small_config writes its own corpus.txt
     corpus_path.write_text("\n".join(make_corpus(12)[k][: k + 1] for k in range(12)) + "\n")
     cfg = small_config(tmp_path, modulation=modulation, corpus_path=str(corpus_path))
     return harness._prepare_methods(cfg)[0]
@@ -609,9 +609,10 @@ def short_sentence_corpora(tmp_path, modulation):
 
 def receive(corpus, equalized, demodulate):
     """The corpus's padded bits demodulated from its equalized row, and each
-    sentence's bit error rate, as harness._send_rows takes them."""
+    sentence's bit error rate."""
     received = demodulate(equalized)
-    return received, metrics.bit_error_rates(corpus.layout.sent, received, corpus.layout.starts, corpus.layout.sizes)
+    return received, bit_error_rates(corpus.layout.sent, received, corpus.layout.starts,
+                                     corpus.layout.sizes)
 
 
 def decode_texts(corpus, rows) -> list:
@@ -655,12 +656,38 @@ def test_row_demodulation_matches_each_sentence(tmp_path, modulation, bits_per_s
     assert max(pads) < bits_per_symbol
 
 
+def send_chosen_rows(monkeypatch, corpus, rows):
+    """harness._send_rows on received rows of chosen bits: row k is drawn
+    at seed k, and one more row is not drawn. Asserts that each drawn row's
+    rates are bit_error_rates' on it and the undrawn row's all 0, and that
+    the errored sentences are each drawn row's, row after row, decoded from
+    their own received bits; returns the rates of the drawn rows."""
+    layout = corpus.layout
+    monkeypatch.setattr(harness, "receive_bits",
+                        lambda sent, modulation, g, budget, seed: rows[seed])
+    drawn = [True] * len(rows) + [False]
+    bers, errored = harness._send_rows(None, [1.0] * len(drawn), drawn, corpus, range(len(drawn)))
+    expected = [bit_error_rates(layout.sent, row, layout.starts, layout.sizes) for row in rows]
+    assert bers.tolist() == [rates.tolist() for rates in expected] + [[0.0] * corpus.count]
+    positions = np.flatnonzero(bers)
+    if errored is None:
+        assert not positions.size
+        return bers[:-1]
+    at, codes, counts = errored
+    assert at.tolist() == positions.tolist()
+    bits = [rows[k][layout.starts[i] : layout.starts[i] + layout.sizes[i]]
+            for k, i in zip(*np.divmod(positions, corpus.count))]
+    want_codes, want_counts = corpus.decode(np.concatenate(bits),
+                                            layout.sizes[positions % corpus.count])
+    assert codes.tolist() == want_codes.tolist() and counts.tolist() == want_counts.tolist()
+    return bers[:-1]
+
+
 @pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
-def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
-    # received rows of chosen bits, sent as the symbols that carry them: none
-    # wrong, all wrong, only pad bits wrong, one pad bit wrong, and random
-    # errors; each sentence's rate is bit_error_rate on its own bits
-    modulate, demodulate = coding.MODULATIONS[modulation]
+def test_row_bit_error_rates_count_no_pad_bit(tmp_path, monkeypatch, modulation):
+    # one block of received rows of chosen bits: none wrong, all wrong, only
+    # pad bits wrong, one pad bit wrong, and random errors; each sentence's
+    # rate is bit_error_rate on its own bits
     rng = np.random.default_rng(17)
     pads = set()
     for corpus in short_sentence_corpora(tmp_path, modulation):
@@ -675,13 +702,9 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
         flips = {"none": np.zeros(sent.size, dtype=bool), "all": np.ones(sent.size, dtype=bool),
                  "pads": in_pad, "one pad bit": one_pad_bit,
                  "random": rng.random(sent.size) < 0.2}
-        for name, flip in flips.items():
-            received_bits = sent ^ flip
-            symbols, pad = modulate(received_bits)
-            assert pad == 0
-            recovered, bers = receive(corpus, symbols, demodulate)
-            assert np.array_equal(recovered, received_bits)
-            expected = [bit_error_rate(sent[a:b], recovered[a:b])
+        rows = [sent ^ flip for flip in flips.values()]
+        for name, row, bers in zip(flips, rows, send_chosen_rows(monkeypatch, corpus, rows)):
+            expected = [bit_error_rate(sent[a:b], row[a:b])
                         for a, b in zip(corpus.layout.starts, stops)]
             assert bers.tolist() == expected, name
             if name in ("none", "pads", "one pad bit"):
@@ -689,6 +712,25 @@ def test_row_bit_error_rates_count_no_pad_bit(tmp_path, modulation):
             elif name == "all":
                 assert (bers == 1.0).all()
     assert pads == set(range(coding.BITS_PER_SYMBOL[modulation]))
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_one_bit_sentences_count_their_own_errors(tmp_path, monkeypatch, modulation):
+    # _send_rows sums each sentence's errors from its start to the next
+    # one's, which needs every sentence to be at least one bit long: a
+    # one-character sentence whose character has a one-bit Huffman code is,
+    # and is followed by a pad of 1 or 3 bits
+    corpus_path = tmp_path / "one.txt"
+    corpus_path.write_text("e\nt\ne\nee\na\ne\nx\ne\n")
+    cfg = small_config(tmp_path, modulation=modulation, corpus_path=str(corpus_path))
+    huffman, sixbit = harness._prepare_methods(cfg)[0]
+    assert min(huffman.layout.sizes) == 1 and min(sixbit.layout.sizes) == 6
+    budget = LinkBudget(1.0, 1.0, np.ones(1), np.ones(1))  # 0 dB at g = 1
+    for corpus in (huffman, sixbit):
+        rows = [receive_bits(corpus.layout.sent, modulation, 1.0, budget, seed)
+                for seed in range(4)]
+        bers = send_chosen_rows(monkeypatch, corpus, rows)
+        assert 0.0 < bers.mean() < 1.0
 
 
 def drawn_rows(scene, gains) -> list:
@@ -709,8 +751,8 @@ def score_each_sentence(scene, g, corpus, modulation, seed, max_bleu, decode):
     its own by `decode` and scored by char_error_rate and bleu; and each
     sentence's bit error rate."""
     recovered = receive_bits(corpus.layout.sent, modulation, g, scene.budget, seed)
-    bers = metrics.bit_error_rates(corpus.layout.sent, recovered, corpus.layout.starts,
-                                   corpus.layout.sizes)
+    bers = bit_error_rates(corpus.layout.sent, recovered, corpus.layout.starts,
+                           corpus.layout.sizes)
     char_errs, bleus = [], []
     for sentence, start, size in zip(corpus.sentences, corpus.layout.starts, corpus.layout.sizes):
         decoded = decode(recovered[start : start + size])

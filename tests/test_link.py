@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_scene
+from conftest import gathered_receive_bits, random_scene
 from rislink.channel import ChannelMatrix, wavelength
 from rislink import coding
 from rislink.coding import SymbolMatrix
@@ -11,6 +13,7 @@ from rislink.geometry import facing_array
 from rislink.harness import ERROR_FREE_SNR
 from rislink.link import (
     LinkBudget,
+    _chances,
     dbm_to_watts,
     effective_gain,
     end_to_end_channel,
@@ -382,3 +385,48 @@ def test_receive_bits_deterministic_per_seed(modulation):
     assert np.array_equal(first, receive_bits(sent, modulation, 0.7 - 0.2j, budget, 123))
     assert not np.array_equal(first, receive_bits(sent, modulation, 0.7 - 0.2j, budget, 124))
     assert (first != sent).any()
+
+
+# (g, noise) on a unit-power link: noiseless (chances 0 and 1 from a scale
+# of +-inf), 60, 10, 0 and -20 dB, and a gain so far below the noise that
+# every chance is exactly 0.5
+DECISION_LINKS = [(0.7 - 0.2j, 0.0), (1.0, 1e-6), (1.0, 0.1), (1.0, 1.0), (1.0, 100.0),
+                  (3e-179, 1.0)]
+# and the extremes of the scale: the smallest gain, noiseless, and an
+# overflowing one
+EXTREME_LINKS = [(5e-324, 0.0), (1e300, 1e-300), (5e-324, 1.0)]
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+@pytest.mark.parametrize("g, noise", DECISION_LINKS + EXTREME_LINKS)
+def test_chances_rise_with_the_threshold(modulation, g, noise):
+    # receive_bits reads a region's Gray bits off its crossed thresholds,
+    # which is right only if a component that crosses t_j crosses every
+    # lower one: each level's chance must not fall as j grows
+    below = _chances(modulation, g, scalar_budget(noise=noise))
+    levels = coding.AXIS_LEVELS[modulation]
+    assert len(below) == levels.size - 1 and {len(row) for row in below} == {levels.size}
+    assert all(0.0 <= b <= 1.0 for row in below for b in row)
+    for low, high in zip(below, below[1:]):
+        assert all(a <= b for a, b in zip(low, high))
+    if noise == 0.0:
+        assert {b for row in below for b in row} == {0.0, 1.0}
+    if g == 3e-179:
+        assert {b for row in below for b in row} == {0.5}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), modulation=st.sampled_from(["qpsk", "16qam"]),
+       link=st.sampled_from(DECISION_LINKS + EXTREME_LINKS),
+       seed=st.integers(0, 2**32 - 1))
+def test_receive_bits_matches_the_gathered_decisions(data, modulation, link, seed):
+    per = coding.AXIS_LEVELS[modulation].size.bit_length() - 1
+    components = data.draw(st.lists(st.integers(0, (1 << per) - 1), min_size=1, max_size=300))
+    # each component's Gray bits, most significant first
+    sent = ((np.array(components)[:, None] >> np.arange(per - 1, -1, -1)) & 1).astype(np.uint8)
+    sent = sent.ravel()
+    g, noise = link
+    budget = scalar_budget(noise=noise)
+    received = receive_bits(sent, modulation, g, budget, seed)
+    assert received.dtype == np.uint8 and received.shape == sent.shape
+    assert np.array_equal(received, gathered_receive_bits(sent, modulation, g, budget, seed))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bit_error_rate
+from conftest import bit_error_rate, bit_error_rates
 from rislink.coding import SIXBIT_ALPHABET
 from rislink.metrics import (
     BleuReferences,
@@ -15,7 +15,6 @@ from rislink.metrics import (
     KnowledgeGraph,
     SymbolTokenizer,
     _flatten,
-    bit_error_rates,
     bleu,
     char_error_rate,
     cosine_similarity,

@@ -43,6 +43,6 @@ def test_every_public_function_and_class_is_referenced():
     assert "g" not in referenced_names({"m.py": docstring_only})
     trees = parsed()
     definitions = public_definitions(trees)
-    assert ("metrics", "bit_error_rates") in definitions
+    assert ("link", "receive_bits") in definitions
     used = referenced_names(trees)
     assert [f"{module}.{name}" for module, name in definitions if name not in used] == []

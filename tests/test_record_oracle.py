@@ -47,7 +47,7 @@ SWEEPS = ([corpus_sweep(m, n, s) for m in ("qpsk", "16qam")
            for n in (-120.0, 0.0, 8.0, 25.0) for s in (11, 29)]
           + [quantized_sweep(s) for s in (11, 29)])
 # sweeps run again at jobs=4, against the same oracle entry
-POOLED = [corpus_sweep("16qam", 8.0, 29)]
+POOLED = [corpus_sweep("16qam", 8.0, 29), corpus_sweep("qpsk", 25.0, 11)]
 
 
 def run(sweep, jobs, tmp_path):
