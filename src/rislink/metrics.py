@@ -84,8 +84,9 @@ class SymbolTokenizer:
     by symbol alphabet[a], the dead id where no vocabulary token starts so
     and from the dead id, in the smallest unsigned type that holds the ids;
     ids[p] is prefix p's vocabulary id, V = len(vocabulary) for a prefix
-    that is no token and for the dead id. depth is the length of the
-    longest prefix."""
+    that is no token and for the dead id. A prefix as long as the longest
+    vocabulary token steps only to the dead id, so a token reaches its id
+    or the dead one within one step more than that length."""
 
     def __init__(self, alphabet, vocabulary: dict):
         if not all(len(symbol) == 1 for symbol in alphabet):
@@ -94,11 +95,9 @@ class SymbolTokenizer:
         index = {ch: a for a, ch in enumerate(alphabet)}
         children = {}  # (prefix id, symbol index) -> prefix id
         ids = [len(vocabulary)]  # the empty prefix is no token
-        self.depth = 0
         for token, i in vocabulary.items():
             if not set(token) <= index.keys():
                 continue  # no sentence over the alphabet holds it
-            self.depth = max(self.depth, len(token))
             prefix = 0
             for ch in token:
                 key = prefix, index[ch]
@@ -116,7 +115,10 @@ class SymbolTokenizer:
     def flatten(self, codes, counts):
         """_flatten(tokenize of each sentence, vocabulary): (ids, owner,
         lengths, room), for sentences given end to end as symbol indices
-        `codes`, counts[k] of them for sentence k."""
+        `codes`, counts[k] of them for sentence k. A token steps through the
+        table only while it is live: longer than its prefix so far, which is
+        not the dead one. So no step reads a symbol past a token's end, and
+        the walk ends when no token is live."""
         codes = np.asarray(codes)
         counts = np.asarray(counts, dtype=np.int64)
         ends = np.cumsum(counts)
@@ -132,25 +134,22 @@ class SymbolTokenizer:
         # each sentence's tokens are those that start in it
         lengths = np.diff(np.searchsorted(starts, ends), prepend=0)
         # each token's prefixes, one character per step: its first from the
-        # empty prefix, then the others of the tokens of two characters or
-        # more, all of them at every step (a token that has ended keeps its
-        # prefix), as step[p, symbol] read off the flat table. Arrays of one
-        # size at every step leave the heap as they found it; shrinking ones
-        # raised a sweep's peak RSS.
+        # empty prefix, then the next of every live token, as step[p, symbol]
+        # read off the flat table. The ids go to intp before the product: a
+        # uint8 id times the stride would wrap.
+        dead = len(self.step) - 1
         prefix = np.take(self.step[0], np.take(codes, starts))
-        longer = np.flatnonzero(sizes > 1)
-        size, at, p = sizes[longer], starts[longer], prefix[longer].astype(np.intp)
-        too_long = np.flatnonzero(sizes > self.depth)  # longer than every vocabulary token
-        steps = min(self.depth, int(sizes.max(initial=0)))
+        live = np.flatnonzero((sizes > 1) & (prefix != dead))
+        at, end, p = starts[live] + 1, starts[live] + sizes[live], prefix[live]
         # each per-token array goes as soon as it is read for the last time
         del kinds, joins, token, starts, sizes
         step, stride = self.step.ravel(), self.kinds.size
-        for t in range(1, steps):
-            symbol = np.take(codes, np.minimum(at + t, codes.size - 1))
-            p = np.where(size > t, np.take(step, p * stride + symbol), p)
-        prefix[longer] = p
-        prefix[too_long] = len(self.step) - 1
-        del longer, size, at, p, too_long
+        while live.size:
+            p = np.take(step, p.astype(np.intp) * stride + np.take(codes, at))
+            prefix[live] = p
+            at += 1
+            going = np.flatnonzero((at < end) & (p != dead))
+            live, at, end, p = live[going], at[going], end[going], p[going]
         ids = self.ids[prefix]
         owner = np.repeat(np.arange(counts.size), lengths)
         room = np.cumsum(lengths)[owner] - np.arange(ids.size)
@@ -164,10 +163,11 @@ class BleuReferences:
     prefix's id times V + 1 plus its last token's id (the empty 0-gram has
     id 0), and its id is the key's index in ngrams[n - 1], the sorted keys of
     the n-grams the references hold; for T reference tokens, keys stay below
-    (T + 1)^2, far inside int64. keys[n - 1] holds sentence *
-    len(ngrams[n - 1]) + id, sorted, for each n-gram a sentence holds, and
-    counts[n - 1] how often it holds it. lengths[k] is the number of tokens
-    of sentence k."""
+    (T + 1)^2, far inside int64. Every vocabulary token is a reference's,
+    so ngrams[0] is 0..V-1 and a unigram's id is its token's. keys[n - 1]
+    holds sentence * len(ngrams[n - 1]) + id, sorted, for each n-gram a
+    sentence holds, and counts[n - 1] how often it holds it. lengths[k] is
+    the number of tokens of sentence k."""
 
     def __init__(self, references):
         references = [tuple(r) for r in references]
@@ -195,22 +195,48 @@ class BleuReferences:
 
     def flat_scores(self, indices, flat) -> np.ndarray:
         """scores of candidates given as (ids, owner, lengths, room), as
-        _flatten or SymbolTokenizer.flatten gives them. Per order, one
-        search of ngrams[n - 1] gives the candidates' n-grams their ids
-        (none for an n-gram holding a token or a prefix that no reference
-        holds, which so matches nothing), one np.unique counts them per
-        candidate, and one bincount sums their counts, clipped by the
-        reference's, per candidate. A candidate that is empty or has no
-        clipped match at some order up to its length scores 0 here, whatever
-        its longer n-grams match, so its tokens are dropped before the next
-        order; only the others reach the scalar _bleu_from_matches."""
+        _flatten or SymbolTokenizer.flatten gives them; a ValueError for an
+        index that is no sentence's or a sentence without tokens. A
+        candidate that is empty or has no clipped match at some order up to
+        its length scores 0, whatever its longer n-grams match. A matched
+        n-gram starts with a matched (n - 1)-gram, so a screen first keeps
+        only the candidates whose own reference holds their one token, or
+        one of their bigrams, looked up as token-id pairs in ngrams[1] and
+        keys[1]. Then, over the kept candidates' tokens, per order: one
+        search of ngrams[n - 1] gives their n-grams ids (none for an n-gram
+        holding a token or a prefix that no reference holds, which so matches
+        nothing), one np.unique counts them per candidate, and one bincount
+        sums their counts, clipped by the reference's, per candidate. A
+        candidate without a match at that order loses its tokens before the
+        next one; only the others reach the scalar _bleu_from_matches. Each
+        candidate is scored on its own tokens, so no candidate's score
+        depends on which others are kept."""
         tokens, owner, lengths, room = flat
-        indices = np.asarray(indices, dtype=np.intp)
+        indices = _sentence_indices(indices, self.lengths.size)
         if lengths.size != indices.size:
             raise ValueError(f"{indices.size} indices for {lengths.size} candidates")
         references = self.lengths[indices]
         if np.any(references == 0):
             raise ValueError("reference must be non-empty")
+        if not indices.size:
+            return np.zeros(0)
+        # the screen; order-1 ids are the token ids, so a one-token candidate
+        # keys sentence * V + t in keys[0], and a bigram of two vocabulary
+        # tokens keys t * (V + 1) + u in ngrams[1]
+        size = len(self.vocabulary)
+        scoring = np.zeros(indices.size, dtype=bool)
+        one = np.flatnonzero(lengths == 1)
+        token = tokens[np.cumsum(lengths)[one] - 1]
+        scoring[one] = (token < size) & (_index_in(self.keys[0], indices[one] * size + token) >= 0)
+        if len(self.ngrams) > 1:
+            known = tokens < size
+            first = np.flatnonzero(known[:-1] & known[1:] & (room[:-1] >= 2))
+            gram = _index_in(self.ngrams[1], tokens[first] * (size + 1) + tokens[first + 1])
+            first, gram = first[gram >= 0], gram[gram >= 0]
+            held = _index_in(self.keys[1], indices[owner[first]] * self.ngrams[1].size + gram)
+            scoring[owner[first[held >= 0]]] = True
+        kept = np.flatnonzero(scoring[owner])
+        tokens, owner, room = tokens[kept], owner[kept], room[kept]
         matches = np.zeros((BLEU_ORDER, indices.size), dtype=np.int64)
         ids = np.zeros(tokens.size, dtype=np.int64)
         for n, (table, keys, counts) in enumerate(zip(self.ngrams, self.keys, self.counts), 1):
@@ -238,6 +264,16 @@ class BleuReferences:
         out[live] = [_bleu_from_matches(c, r, matched) for c, r, matched in zip(
             lengths[live].tolist(), references[live].tolist(), matches[:, live].T.tolist())]
         return out
+
+
+def _sentence_indices(indices, count: int) -> np.ndarray:
+    """indices as an intp array, a ValueError if one is not a sentence of
+    count."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.size and not 0 <= indices.min() <= indices.max() < count:
+        raise ValueError(f"sentence indices must be in 0..{count - 1}, got "
+                         f"{indices.min()}..{indices.max()}")
+    return indices
 
 
 def _index_in(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -398,7 +434,7 @@ class EditReferences:
     def distances(self, indices, columns, counts) -> np.ndarray:
         """levenshtein(sentences[indices[i]], text i) for every i, the texts
         given end to end as peq columns, text i of counts[i] characters."""
-        indices = np.asarray(indices, dtype=np.intp)
+        indices = _sentence_indices(indices, self.lengths.size)
         columns = np.asarray(columns, dtype=np.min_scalar_type(self.alphabet.size))
         counts = np.asarray(counts, dtype=np.int64)
         firsts = np.cumsum(counts) - counts
@@ -435,7 +471,8 @@ class EditReferences:
     def char_error_rates(self, indices, columns, counts) -> np.ndarray:
         """char_error_rate(sentences[indices[i]], text i) for every i, the
         texts given as to distances."""
-        longest = np.maximum(self.lengths[np.asarray(indices, dtype=np.intp)], counts)
+        indices = _sentence_indices(indices, self.lengths.size)
+        longest = np.maximum(self.lengths[indices], counts)
         return self.distances(indices, columns, counts) / np.maximum(longest, 1)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -121,11 +122,44 @@ def bleu_batches(draw):
     return references, rows
 
 
-@given(bleu_batches())
+@st.composite
+def screened_batches(draw):
+    """Reference token lists, some of one token (a table of them alone holds
+    no bigram), and candidates of 1 to 3 tokens: a token or a bigram of
+    their own reference or of another one, chained with tokens that no
+    reference holds, so that whether a candidate passes the bigram screen
+    turns on which reference it is looked up in."""
+    references = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=5),
+                               min_size=1, max_size=5))
+    grams = [r[i : i + n] for r in references for n in (1, 2) for i in range(len(r) - n + 1)]
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        k = draw(st.integers(0, len(references) - 1))
+        parts = draw(st.lists(st.one_of(st.sampled_from(grams), st.just(["x"])),
+                              min_size=1, max_size=3))
+        rows.append((k, list(chain.from_iterable(parts))[:3]))
+    return references, rows
+
+
+# a reference whose brevity penalty exp(1 - 800 / c) is 0.0 for c = 1 and
+# about 5e-174 for c = 2, both for candidates that pass the bigram screen
+LONG_REFERENCE = ["a", "b"] + ["c"] * 798
+
+
+@given(st.one_of(bleu_batches(), screened_batches()))
 @example(([list("aab"), list("ab")], [(0, []), (1, list("ab")), (0, list("aab")),
                                       (1, list("x")), (0, list("aaaa")), (1, list("abab"))]))
 @example(([list("aaaaa")], [(0, list("aaaaaaa")), (0, list("aa")), (0, list("a.a"))]))
 @example(([list("abcd"), list("a")], [(1, list("abcd")), (0, list("xbcd")), (1, list("a"))]))
+@example(([list("ab"), list("c")], [(1, list("c")), (0, list("c")), (0, list("a")),
+                                    (0, list("x"))]))  # one token, matched or not
+@example(([list("ab"), list("a")], [(0, list("x"))]))  # keyed, x would be sentence 1's "a"
+@example(([list("ab"), list("cd")], [(1, list("cd")), (0, list("cd")), (0, list("acd")),
+                                     (1, list("xcd")), (0, list("abx"))]))  # another's bigram
+@example(([list("a"), list("b")], [(0, list("a")), (0, list("aa")), (1, list("ba")),
+                                   (1, list("b")), (0, [])]))  # no reference holds a bigram
+@example(([list("a"), list("b")], []))
+@example(([list("xy"), LONG_REFERENCE], [(1, ["a"]), (1, ["a", "b"]), (0, ["x"])]))
 def test_bleu_table_equals_slice_counting(case):
     references, rows = case
     table = BleuReferences(references)
@@ -239,6 +273,23 @@ def test_bleu_table_rejects_bad_batches():
     with pytest.raises(ValueError, match="candidates"):
         table.scores([0, 0], [list("ab")])
     assert table.scores([], []).tolist() == []
+    assert BleuReferences([[]]).scores([], []).tolist() == []
+
+
+def test_bleu_table_rejects_indices_out_of_range():
+    # -1 would read sentence 1's length but key its n-grams under -1
+    table = BleuReferences([list("ab"), list("cd")])
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=r"0\.\.1"):
+            table.scores([0, index], [list("ab"), list("cd")])
+    assert table.scores([1], [list("cd")]).tolist() == [1.0]
+
+
+@given(st.lists(BLEU_REFERENCE, min_size=1, max_size=6))
+def test_bleu_table_unigram_ids_are_token_ids(references):
+    # the screen in flat_scores keys a bigram by its two token ids
+    table = BleuReferences(references)
+    assert table.ngrams[0].tolist() == list(range(len(table.vocabulary)))
 
 
 def test_relative_bleu():
@@ -519,6 +570,15 @@ def test_lane_edit_distance_matches_levenshtein(case):
                               for d, (k, t) in zip(expected, rows)]
 
 
+def test_lane_edit_distance_rejects_indices_out_of_range():
+    lanes = EditReferences(["abc", "d"])
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=r"0\.\.1"):
+            lanes.distances([0, index], *as_columns(lanes, ["abc", "d"]))
+        with pytest.raises(ValueError, match=r"0\.\.1"):
+            lanes.char_error_rates([index], *as_columns(lanes, ["d"]))
+
+
 def test_lane_edit_distance_characters_in_no_reference():
     # characters outside every reference match nothing; they are neither
     # dropped nor merged, so an all-foreign text costs max(m, n)
@@ -577,6 +637,16 @@ def symbol_rows(draw):
 @example((["ab a"], [(0, "ababab"), (0, "abab.")]))  # longer than the longest token
 @example((["ab"], [(0, "dab"), (0, "d ab d.")]))  # "d" starts no vocabulary token
 @example(([""], [(0, "ab"), (0, ""), (0, "a b.")]))  # an empty vocabulary
+# the longest token "abcd": "ab" a proper prefix of it, "abcde" it and one
+# symbol more as the last token of the codes, "ax" dying at its second symbol
+@example((["abcd a b"], [(0, "ab abcd abcde"), (0, "ax xa a.b"), (0, ""), (0, "abcde")]))
+@example((["abcd a b"], [(0, "b abc"), (0, "x abcd")]))  # "abcd" ends the codes
+@example((["ab"], []))  # an empty chunk
+@example((["ab"], [(0, ""), (0, "  ")]))
+# 13 prefix ids in a uint8 table, but prefix 4 times the stride of 68 symbols
+# is past 255
+@example((["abcdefghij abcdefghix"], [(0, "abcdefghij abcdefghix"), (0, "abcdefghix"),
+                                      (0, "abcdefghi abcdefghijk")]))
 def test_symbol_scoring_equals_the_string_path(case):
     # texts as SYMBOLS indices, end to end: the tokenizer's ids and owners
     # are tokenize + vocabulary.get (id V for every token the vocabulary does
@@ -616,7 +686,7 @@ def test_symbol_tokenizer_needs_single_characters():
     with pytest.raises(ValueError, match="single-character"):
         SymbolTokenizer(["a", "bc"], {"a": 0})
     empty = SymbolTokenizer("ab", {})
-    assert empty.depth == 0 and empty.step.tolist() == [[1, 1], [1, 1]]
+    assert empty.step.tolist() == [[1, 1], [1, 1]]
     assert empty.flatten(np.array([0, 1, 0], dtype=np.uint8), [2, 1])[0].tolist() == [0, 0]
 
 
