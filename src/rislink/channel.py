@@ -30,10 +30,9 @@ from .geometry import PlanarArray, element_positions
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 REFERENCE_DISTANCE = 1.0  # path-loss reference distance d0, m
-# RIS elements per block in _cascade_blocks. On the default scene (one
-# BLAS thread, 2-core VM, medians of 15) blocks of 64 elements took 5.8 ms,
-# of 128 and 256 5.6 ms, of 32 6.8 ms, and the whole matrices 8.0 ms; 64
-# peaks at 0.44 MiB traced against 6.2 MiB for the whole matrices.
+# RIS elements per block in _cascade_blocks: about as fast as larger blocks
+# and faster than smaller ones or the whole matrices, at a small fraction
+# of the whole matrices' memory.
 _BLOCK_ELEMENTS = 64
 
 

@@ -85,12 +85,15 @@ def read_text(path) -> str:
 
 
 def read_json(path, what: str):
-    """The JSON value of a UTF-8 file (see read_text); malformed JSON is a
-    ValueError naming the file and `what` it should hold."""
+    """The JSON value of a UTF-8 file (see read_text); malformed JSON, or
+    JSON nested deeper than the parser can recurse, is a ValueError naming
+    the file and `what` it should hold."""
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed {what}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: malformed {what}: nested too deeply") from None
 
 
 def load_symbol_matrix(path) -> SymbolMatrix:

@@ -37,7 +37,16 @@ from .link import (
     steering_precoder,
     transmit,
 )
-from .ris import Codebook, _check_bits, _configuration, _select_rows, active_mask, build_codebook
+from .ris import (
+    MAX_PHASE_RAMP,
+    TWO_PI,
+    Codebook,
+    _check_bits,
+    _configuration,
+    _select_rows,
+    active_mask,
+    build_codebook,
+)
 
 
 def _is_real(x) -> bool:
@@ -334,8 +343,15 @@ def _configure_ratios(scene: Scene, ratios, quantizations,
     quantized gains for every entry (a stronger, non-default scheme). Each
     selection scores the codebook under every ratio's mask in one pass, so
     the codebook is scored once per selection depth. No configuration is
-    built: configure_point builds its one from the index."""
-    masks = [active_mask(scene.ris, ratio) for ratio in ratios]
+    built: configure_point builds its one from the index. A RIS whose phase
+    ramp exceeds MAX_PHASE_RAMP is refused first; a scene of one still
+    builds, for its channels alone."""
+    ris = scene.ris
+    ramp = TWO_PI / scene.codebook.wavelength * ris.spacing * (ris.rows + ris.cols)
+    if not ramp <= MAX_PHASE_RAMP:
+        raise ValueError("ris: the phase ramp 2*pi / wavelength * spacing * (rows + cols) must "
+                         f"be at most 2^36 rad, got {ramp:.3g} rad with spacing {ris.spacing!r}")
+    masks = [active_mask(ris, ratio) for ratio in ratios]
 
     def select(bits, applied):
         return _select_rows(scene.codebook, scene.coefficients, masks, bits, applied)

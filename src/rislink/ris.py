@@ -23,34 +23,48 @@ from .geometry import PlanarArray, element_positions, unit
 from .link import snr_linear
 
 TWO_PI = 2.0 * np.pi
-# Codewords per block in the quantized _filter_amplitudes and in _select_rows'
-# re-score. On the default scene (20 masks, one BLAS thread, a loaded host) a
-# 1- or 2-bit filter pass took 18-19 ms at 32 codewords per block, 21-24 ms
-# at 8 and 16, 20-28 ms at 64 and 26-28 ms at 128.
+# Codewords per block in _select_rows' exact re-score.
 _BLOCK_ROWS = 32
+# Elements per chunk of the quantized filter. Each chunk holds a few (chunk,
+# K) arrays at once; larger chunks save no time and raise the peak memory.
+_CHUNK_ELEMENTS = 16
 # A codeword's filter amplitude under a mask lies within
 # _MARGIN_PER_TERM * (n + 3) * sum_{e in mask} |c_e| of its exact amplitude,
 # n being the size of the masks' union bounding box. With u = 2^-24 and every
 # |phasor| = 1: on quantized phases, each term's phasor is rounded to single
-# precision in the level table (u) and c_e is rounded (u); the box product's
-# complex inner product of n terms then errs by at most
+# precision in the level table (u) and c_e is rounded (u). Each pattern's
+# sum is a complex inner product of at most n terms, summed within and
+# across chunks in some order, which errs by at most
 # sqrt(2) * gamma_2n * sum |x_e| |y_e| in any summation order (Higham,
-# Accuracy and Stability of Numerical Algorithms, section 3.1), and |.| adds
-# 2u: below (2.9 n + 5) u. On continuous phases, a mask whose own bounding
-# box has s_r rows and s_c columns is scored as sum_r row_r * (sum_c c_rc *
-# col_c). Each term has three rounded inputs (3u) and two rounded complex
-# products (sqrt(2) * gamma_2 each, Higham lemma 3.5), and passes through at
-# most s_r + s_c - 2 complex additions (u each), and |.| adds 2u: below
-# (s_r + s_c + 9) u, where s_r + s_c <= n + 1 on any box. Both bounds are
-# below 4 (n + 3) u, hence the factor kappa = 4; the double precision ramps
-# and exact scores add less than 1e-5 u per term. The bounds hold without
-# underflow, so the filter scales each mask's coefficients to a largest
-# modulus in [1/2, 1): a term that still underflows adds at most 2^-149
-# absolutely, far below a margin of at least 2 (n + 3) u.
+# Accuracy and Stability of Numerical Algorithms, section 3.1); the zero
+# weights of a chunk's other patterns add exact zeros. A mask's pattern sums
+# are unscaled exactly and summed in double precision: at most P <= n of
+# them, which adds below sqrt(2) * P * 2^-53 < 1e-8 n u per term, as does
+# the double precision |.|. In all, below (2.9 n + 5) u. On continuous
+# phases, a mask whose own bounding box has s_r rows and s_c columns is
+# scored as sum_r row_r * (sum_c c_rc * col_c). Each term has three rounded
+# inputs (3u) and two rounded complex products (sqrt(2) * gamma_2 each,
+# Higham lemma 3.5), and passes through at most s_r + s_c - 2 complex
+# additions (u each), and |.| adds 2u: below (s_r + s_c + 9) u, where
+# s_r + s_c <= n + 1 on any box. Both bounds are below 4 (n + 3) u, hence
+# the factor kappa = 4; the double precision ramps and exact scores add less
+# than 1e-5 u per term. The bounds hold without underflow, so the filter
+# scales each mask's coefficients (continuous) or each pattern's (quantized)
+# to a largest modulus in [1/2, 1). A pattern's largest modulus is at most
+# that of any mask holding it, so its terms are scaled up at least as far as
+# that mask's scale takes them: a term that still underflows adds at most
+# 2^-149 absolutely in its scaled units, far below a margin of at least
+# 2 (n + 3) u in the same units.
 _MARGIN_PER_TERM = 4.0 * 2.0**-24
 # The finest phase-shift precision, in bits. Quantize-before-select scores
 # against a table of the 2^B level phasors: 65,536 of them, 512 KiB, at 16.
 MAX_BITS = 16
+# The largest phase ramp 2*pi / wavelength * spacing * (rows + cols), in rad,
+# of a RIS. A codeword's phase slope per row or column step is at most twice
+# 2*pi / wavelength * spacing, so every level term a + b of _level_ramps at
+# MAX_BITS is below 2^36 / (2*pi / 2^16) + 1/2 < 2^50 in magnitude: once
+# rounded up, an exact integer well inside intp.
+MAX_PHASE_RAMP = 2.0**36
 
 
 def _check_bits(bits, name: str, none: str = "", got=None, what: str = "an integer") -> None:
@@ -235,31 +249,33 @@ def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
     return np.cumprod(z, axis=0, out=z)
 
 
-def _level_ramps(cb: Codebook, bits: int, ks, rows=slice(None), cols=slice(None)):
-    """The terms a (len(ks), rows) and b (len(ks), cols) of the `bits`-bit
-    levels of codewords `ks` over a box of the array: a[k, r] = row[k] /
-    step * r' and b[k, c] = col[k] / step * c' - 0.5, whatever `ks` and the
-    box, with step = 2*pi / 2^bits (see Codebook.slopes). _levels rounds
-    a + b up, to the phase's nearest level, ties toward the lower. The
-    filter, the re-score and _configuration all take their levels from
-    here, so they put a phase on a level boundary at the same level."""
+def _level_ramps(cb: Codebook, bits: int, ks=slice(None)):
+    """The terms a (rows, len(ks)) and b (cols, len(ks)) of the `bits`-bit
+    levels of codewords `ks`: a[r, k] = r' * row[k] / step and b[c, k] =
+    c' * col[k] / step - 0.5, whatever `ks`, with step = 2*pi / 2^bits (see
+    Codebook.slopes). _levels rounds a[r] + b[c] up, to the phase's nearest
+    level, ties toward the lower. The filter, the re-score and
+    _configuration all take their levels from here, so they put a phase on
+    a level boundary at the same level."""
     step = TWO_PI / (1 << bits)
     row_slope, col_slope = cb.slopes
-    r = (np.arange(cb.ris.rows) - (cb.ris.rows - 1) / 2.0)[rows]
-    c = (np.arange(cb.ris.cols) - (cb.ris.cols - 1) / 2.0)[cols]
-    return np.outer(row_slope[ks] / step, r), np.outer(col_slope[ks] / step, c) - 0.5
+    r = np.arange(cb.ris.rows) - (cb.ris.rows - 1) / 2.0
+    c = np.arange(cb.ris.cols) - (cb.ris.cols - 1) / 2.0
+    return np.outer(r, row_slope[ks] / step), np.outer(c, col_slope[ks] / step) - 0.5
 
 
 def _levels(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
-    """The levels (K', rows, cols) of the terms of _level_ramps."""
-    level = np.ceil(a[:, :, None] + b[:, None, :]).astype(np.intp)
+    """The levels ceil(a + b) mod 2^bits of terms of _level_ramps that
+    broadcast together."""
+    level = np.ceil(a + b).astype(np.intp)
     level &= (1 << bits) - 1  # the mod
     return level
 
 
 def _quantized_phases(cb: Codebook, k: int, bits: int) -> np.ndarray:
     """Codeword k's element phases, each at its level of _level_ramps."""
-    return _levels(*_level_ramps(cb, bits, [k]), bits).ravel() * (TWO_PI / (1 << bits))
+    a, b = _level_ramps(cb, bits, [k])
+    return _levels(a, b.T, bits).ravel() * (TWO_PI / (1 << bits))
 
 
 def _filter_amplitudes(
@@ -272,11 +288,14 @@ def _filter_amplitudes(
     in single precision. On continuous phases, each mask is scored over its
     own bounding box as the bilinear form row_z^T C col_z of the codewords'
     row and column phasors and the mask's coefficient grid C. On quantized
-    phases, each block of codewords builds its phasors over the union
-    bounding box of the masks once and scores them under every mask in one
-    product. The quantized phasors are those of the levels of
-    _level_ramps, the levels _configuration applies, so a phase on a level
-    boundary takes the same level here as in the exact re-score."""
+    phases, the elements some mask holds are grouped by their membership
+    pattern, the set of masks that hold them, and walked in chunks in
+    pattern order: each chunk's level phasors of every codeword are summed,
+    weighted by c, into its patterns' sums, and each mask's amplitude is
+    the double precision sum of its patterns' sums. The quantized phasors
+    are those of the levels of _level_ramps, the levels _configuration
+    applies, so a phase on a level boundary takes the same level here as in
+    the exact re-score."""
     ris = cb.ris
     grids = masks.reshape(-1, ris.rows, ris.cols)
     union = grids.any(axis=0)
@@ -285,46 +304,81 @@ def _filter_amplitudes(
     if not rows.size:
         return np.zeros((len(masks), len(cb))), np.zeros(len(masks))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    # Each mask's coefficients are scaled exactly by the power of two that
-    # brings their largest modulus into [1/2, 1) (or up by at most 2^1022),
-    # so that single precision neither overflows nor loses them to
-    # underflow, whatever the path loss
     modulus = np.abs(c)
-    e = np.frexp(np.where(masks, modulus, 0.0).max(axis=1))[1]
-    scale = np.ldexp(1.0, -np.maximum(e, -1022))[:, None]  # (M, 1)
+    margin = _MARGIN_PER_TERM * ((r1 - r0) * (c1 - c0) + 3) * (masks @ modulus)
+    if bits is not None:
+        return _pattern_amplitudes(cb, c, masks, bits), margin
+    # Each mask's coefficients are scaled exactly, so that single precision
+    # neither overflows nor loses them to underflow, whatever the path loss
+    scale = _power_of_two_scale(np.where(masks, modulus, 0.0).max(axis=1))[:, None]  # (M, 1)
     # (M, box rows, box columns): each mask's scaled coefficient grid over the box
     box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
     box = (box * scale[:, :, None]).astype(np.complex64)
-    margin = _MARGIN_PER_TERM * ((r1 - r0) * (c1 - c0) + 3) * (masks @ modulus)
-    if bits is None:
-        row_slope, col_slope = cb.slopes
-        # from r' and c' of the box's first row and column
-        row_z = _ramp_phasors(row_slope, r0 - (ris.rows - 1) / 2.0, r1 - r0).astype(np.complex64)
-        col_z = _ramp_phasors(col_slope, c0 - (ris.cols - 1) / 2.0, c1 - c0).astype(np.complex64)
-        # (box rows, K), one buffer for every mask: a new product per mask, its
-        # size growing with the mask, raised the peak RSS of a default-scene
-        # selection by 0.6 MB
-        inner = np.empty_like(row_z)
-        amplitude = np.zeros((len(masks), len(cb)))
-        for m, grid in enumerate(grids[:, r0:r1, c0:c1]):
-            mr = np.flatnonzero(grid.any(axis=1))
-            mc = np.flatnonzero(grid.any(axis=0))
-            if mr.size:
-                r, s = slice(mr[0], mr[-1] + 1), slice(mc[0], mc[-1] + 1)
-                t = np.matmul(box[m, r, s], col_z[s], out=inner[: r.stop - r.start])
-                t *= row_z[r]
-                amplitude[m] = np.abs(t.sum(axis=0))
-        return amplitude / scale, margin
+    row_slope, col_slope = cb.slopes
+    # from r' and c' of the box's first row and column
+    row_z = _ramp_phasors(row_slope, r0 - (ris.rows - 1) / 2.0, r1 - r0).astype(np.complex64)
+    col_z = _ramp_phasors(col_slope, c0 - (ris.cols - 1) / 2.0, c1 - c0).astype(np.complex64)
+    # (box rows, K), one buffer for every mask: a new product per mask, its
+    # size growing with the mask, holds more memory at once
+    inner = np.empty_like(row_z)
+    amplitude = np.zeros((len(masks), len(cb)))
+    for m, grid in enumerate(grids[:, r0:r1, c0:c1]):
+        mr = np.flatnonzero(grid.any(axis=1))
+        mc = np.flatnonzero(grid.any(axis=0))
+        if mr.size:
+            r, s = slice(mr[0], mr[-1] + 1), slice(mc[0], mc[-1] + 1)
+            t = np.matmul(box[m, r, s], col_z[s], out=inner[: r.stop - r.start])
+            t *= row_z[r]
+            amplitude[m] = np.abs(t.sum(axis=0))
+    return amplitude / scale, margin
+
+
+def _power_of_two_scale(largest: np.ndarray) -> np.ndarray:
+    """The exact powers of two that bring the moduli `largest` into [1/2, 1)
+    (1 for 0; up by at most 2^1022)."""
+    return np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], -1022))
+
+
+def _membership_patterns(masks: np.ndarray):
+    """The elements that some mask of `masks` (M, N) holds, ordered so that
+    those with equal membership patterns (the set of masks that hold them)
+    are contiguous, each one's pattern index, and each pattern's first
+    position in that order. The sort is by the bit-packed membership
+    columns, so any mask stack groups, nested or not."""
+    held = np.flatnonzero(masks.any(axis=0))
+    member = masks[:, held]
+    order = np.lexsort(np.packbits(member, axis=0))
+    held, member = held[order], member[:, order]
+    first = np.ones(held.size, dtype=bool)
+    first[1:] = (member[:, 1:] != member[:, :-1]).any(axis=0)
+    return held, np.cumsum(first) - 1, np.flatnonzero(first)
+
+
+def _pattern_amplitudes(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int) -> np.ndarray:
+    """The quantized branch of _filter_amplitudes: amplitudes (M, K)."""
+    held, pattern, starts = _membership_patterns(masks)
+    # Each pattern's coefficients are scaled as _filter_amplitudes scales a
+    # mask's, by the power of two of the pattern's own largest modulus
+    scale = _power_of_two_scale(np.maximum.reduceat(np.abs(c[held]), starts))  # (P,)
+    weight = (c[held] * scale[pattern]).astype(np.complex64)
     levels = 1 << bits
     table = np.exp(1j * np.arange(levels) * (TWO_PI / levels)).astype(np.complex64)
-    a, b = _level_ramps(cb, bits, slice(None), slice(r0, r1), slice(c0, c1))
-    box = box.reshape(len(masks), -1).T  # (box, M): one column per mask
-    amplitude = np.empty((len(cb), len(masks)))
-    for k0 in range(0, len(cb), _BLOCK_ROWS):
-        k1 = min(k0 + _BLOCK_ROWS, len(cb))
-        level = _levels(a[k0:k1], b[k0:k1], bits)
-        amplitude[k0:k1] = np.abs(table[level].reshape(k1 - k0, -1) @ box)
-    return amplitude.T / scale, margin
+    a, b = _level_ramps(cb, bits)  # (rows, K), (cols, K)
+    at_row, at_col = np.divmod(held, cb.ris.cols)
+    sums = np.zeros((starts.size, len(cb)), dtype=np.complex64)  # (P, K)
+    for e0 in range(0, held.size, _CHUNK_ELEMENTS):
+        e = slice(e0, e0 + _CHUNK_ELEMENTS)
+        p = pattern[e]
+        phasor = table.take(_levels(a[at_row[e]], b[at_col[e]], bits))  # (chunk, K)
+        w = np.zeros((p[-1] - p[0] + 1, p.size), dtype=np.complex64)
+        w[p - p[0], np.arange(p.size)] = weight[e]
+        sums[p[0] : p[-1] + 1] += w @ phasor
+    pattern_sums = sums / scale[:, None]  # exact, in double precision
+    amplitude = np.empty((len(masks), len(cb)))
+    # one mask at a time: an (M, P) @ (P, K) product holds an (M, K) complex array
+    for m, holds in enumerate(masks[:, held[starts]].astype(complex)):
+        amplitude[m] = np.abs(holds @ pattern_sums)
+    return amplitude
 
 
 def select_codeword(
@@ -373,8 +427,8 @@ def _select_rows(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits, applied) 
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1:] != c.shape:
         raise ValueError(f"masks have shape {masks.shape}, the RIS {c.size} elements")
-    # Masks share winners and near-best codewords: on the default scene this
-    # cache took a select-quantized sweep from 0.062 to 0.057 s
+    # Masks share winners and near-best codewords, so each codeword's phases
+    # and phasors are built once per call
     @cache
     def phases(k, b):
         return cb.phases(k) if b is None else _quantized_phases(cb, k, b)

@@ -46,7 +46,9 @@ from rislink.link import (
 )
 from rislink.ris import (
     MAX_BITS,
+    MAX_PHASE_RAMP,
     RisConfiguration,
+    _level_ramps,
     active_mask,
     cascaded_coefficients,
     quantize_phases,
@@ -1549,6 +1551,55 @@ def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli_main(["sweep", "--config", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["config", "symbol-matrix file"])
+def test_cli_json_nested_past_the_recursion_limit_exits_1(tmp_path, capsys, what):
+    # ended in a RecursionError traceback from the JSON parser
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    path = deep
+    if what != "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(small_config(tmp_path, symbol_matrix_path=str(deep)).to_json())
+    assert cli_main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {deep}: malformed {what}: nested too deeply\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def ramp_spacing(factor):
+    """The spacing of small_config's 8x8 RIS whose phase ramp is `factor`
+    times MAX_PHASE_RAMP."""
+    return factor * MAX_PHASE_RAMP / (2.0 * math.pi / wavelength(28e9)) / 16
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spacing", [ramp_spacing(1.001), 2.0**70], ids=["past-bound", "2^70"])
+def test_cli_phase_ramp_beyond_its_bound_exits_1(tmp_path, capsys, spacing):
+    # 2^70 m printed numpy's "invalid value encountered in cast" from the
+    # quantization levels, then "link outage"
+    ris = ArraySpec([10.0, 0.0, 0.0], 8, 8, spacing)
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(tmp_path, ris=ris).to_json())
+    for command in (["snr", "--ratio", "1.0", "--bits", "16"], ["sweep"]):
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ris: the phase ramp ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_ramp_at_its_bound_keeps_every_level_exact(tmp_path, capsys):
+    cfg = small_config(tmp_path, ris=ArraySpec([10.0, 0.0, 0.0], 8, 8, ramp_spacing(0.999)))
+    a, b = _level_ramps(build_scene(cfg).codebook, MAX_BITS)
+    assert (np.abs(a).max(axis=0) + np.abs(b).max(axis=0)).max() < 2.0**50
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert cli_main(["snr", "--config", str(path), "--ratio", "1.0", "--bits", "16"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key, value", MISTYPED_CONFIGS)

@@ -20,7 +20,15 @@ from rislink.ris import (
     quantize_phases,
     select_codeword,
 )
-from rislink.ris import _configuration, _filter_amplitudes, _quantize, _select_rows
+from rislink.harness import ExperimentConfig
+from rislink.ris import (
+    _configuration,
+    _filter_amplitudes,
+    _membership_patterns,
+    _quantize,
+    _quantized_phases,
+    _select_rows,
+)
 
 LAM = wavelength(28e9)
 
@@ -533,3 +541,40 @@ def test_quantized_selection_reaches_the_exhaustive_optimum_on_level_boundaries(
                                                                         [bits])):
             assert g == _configuration(cb, k, mask, bits).gain(c)
             assert abs(g) ** 2 >= np.max(np.abs(refl @ c) ** 2) * (1 - 1e-9), (planted, k)
+
+
+def test_pattern_filter_on_a_stack_of_every_grouping():
+    # the quantized filter sums per membership pattern: one mask per element
+    # (a pattern per element), the full mask, a duplicated mask and an empty
+    # mask, whose patterns never hold it; also with every other coefficient
+    # 2^-140 times smaller, which single precision keeps only if each
+    # pattern is scaled by its own largest modulus
+    h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(5, (3, 4))
+    c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+    n = c.size
+    masks = np.array([*np.eye(n, dtype=bool), np.ones(n, dtype=bool), mask, mask,
+                      np.zeros(n, dtype=bool)])
+    held, _, starts = _membership_patterns(masks)
+    assert sorted(held) == list(range(n)) and starts.size == n
+    spread = np.where(np.arange(n) % 2, 2.0**-140, 1.0)
+    for bits, c in itertools.product((1, 2, 3), (c, c * spread)):
+        phasors = np.exp(1j * np.array([_quantized_phases(cb, k, bits) for k in range(len(cb))]))
+        exact = np.abs((phasors * c) @ masks.T).T
+        amplitude, margin = _filter_amplitudes(cb, c, masks, bits)
+        assert np.all(np.abs(amplitude - exact) <= margin[:, None])
+        np.testing.assert_array_equal(amplitude[n + 1], amplitude[n + 2])
+        assert margin[-1] == 0.0 and not amplitude[-1].any()
+
+
+def test_membership_patterns_of_a_sweep_stay_few():
+    # the quantized filter's cost grows with the patterns: a sweep's nested
+    # squares on the default scene hold at most one more than its ratios
+    cfg = ExperimentConfig()
+    ris = make_ris(cfg.ris.rows, cfg.ris.cols)
+    masks = np.array([active_mask(ris, r) for r in cfg.ratios])
+    held, pattern, starts = _membership_patterns(masks)
+    assert starts.size <= len(cfg.ratios) + 1
+    # each pattern's elements are held by the same masks, and no two patterns are
+    member = masks[:, held]
+    np.testing.assert_array_equal(member, member[:, starts][:, pattern])
+    assert len({tuple(column) for column in member[:, starts].T}) == starts.size
