@@ -123,9 +123,10 @@ class SymbolTokenizer:
         counts = np.asarray(counts, dtype=np.int64)
         ends = np.cumsum(counts)
         kinds = np.take(self.kinds, codes)
+        word = kinds == _WORD
         # a word symbol after a word symbol of its own sentence continues its token
         joins = np.zeros(codes.size, dtype=bool)
-        joins[1:] = (kinds[1:] == _WORD) & (kinds[:-1] == _WORD)
+        joins[1:] = word[1:] & word[:-1]
         joins[(ends - counts)[counts > 0]] = False
         token = kinds != _SPACE
         starts = np.flatnonzero(token & ~joins)
@@ -142,7 +143,7 @@ class SymbolTokenizer:
         live = np.flatnonzero((sizes > 1) & (prefix != dead))
         at, end, p = starts[live] + 1, starts[live] + sizes[live], prefix[live]
         # each per-token array goes as soon as it is read for the last time
-        del kinds, joins, token, starts, sizes
+        del kinds, word, joins, token, starts, sizes
         step, stride = self.step.ravel(), self.kinds.size
         while live.size:
             p = np.take(step, p.astype(np.intp) * stride + np.take(codes, at))

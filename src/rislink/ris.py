@@ -30,30 +30,34 @@ _BLOCK_ROWS = 32
 _CHUNK_ELEMENTS = 16
 # A codeword's filter amplitude under a mask lies within
 # _MARGIN_PER_TERM * (n + 3) * sum_{e in mask} |c_e| of its exact amplitude,
-# n being the size of the masks' union bounding box. With u = 2^-24 and every
-# |phasor| = 1: on quantized phases, each term's phasor is rounded to single
-# precision in the level table (u) and c_e is rounded (u). Each pattern's
-# sum is a complex inner product of at most n terms, summed within and
-# across chunks in some order, which errs by at most
-# sqrt(2) * gamma_2n * sum |x_e| |y_e| in any summation order (Higham,
-# Accuracy and Stability of Numerical Algorithms, section 3.1); the zero
-# weights of a chunk's other patterns add exact zeros. A mask's pattern sums
+# n being the size of the masks' union bounding box. With u = 2^-24, every
+# |phasor| = 1 and the rounding-error bounds of Higham (Accuracy and
+# Stability of Numerical Algorithms, section 3.1 and lemma 3.5), per term:
+# on quantized phases, each term's phasor is rounded to single precision in
+# the level table (u) and c_e is rounded (u). Each pattern's sum is a
+# complex inner product of at most n terms, summed within and across chunks
+# in some order, which errs by at most sqrt(2) * gamma_2n * sum |x_e| |y_e|
+# in any summation order; the zero weights of a chunk's other patterns add
+# exact zeros. On continuous phases, each pattern is split into rectangles,
+# and one of h rows and w columns is scored as sum_r row_r * (sum_c c_rc *
+# col_c) with the inner sum along its long side (transposed when h > w).
+# Each term has three rounded inputs, c_e and its row and column phasors
+# (3u), and two rounded complex products, one in the inner product and one
+# by the short side's phasor (sqrt(2) * gamma_2 < 2.9u each). It passes
+# through at most max(h, w) - 1 additions in the inner product and
+# min(h, w) - 1 along the short side (u each): below (h + w + 7) u, where
+# h + w <= h w + 1 <= n + 1. A rectangle's sum is exact in double
+# precision, where adding a pattern's R <= n rectangle sums adds below
+# sqrt(2) * R * 2^-53 < 1e-8 n u per term. On both, a mask's pattern sums
 # are unscaled exactly and summed in double precision: at most P <= n of
-# them, which adds below sqrt(2) * P * 2^-53 < 1e-8 n u per term, as does
-# the double precision |.|. In all, below (2.9 n + 5) u. On continuous
-# phases, a mask whose own bounding box has s_r rows and s_c columns is
-# scored as sum_r row_r * (sum_c c_rc * col_c). Each term has three rounded
-# inputs (3u) and two rounded complex products (sqrt(2) * gamma_2 each,
-# Higham lemma 3.5), and passes through at most s_r + s_c - 2 complex
-# additions (u each), and |.| adds 2u: below (s_r + s_c + 9) u, where
-# s_r + s_c <= n + 1 on any box. Both bounds are below 4 (n + 3) u, hence
-# the factor kappa = 4; the double precision ramps and exact scores add less
-# than 1e-5 u per term. The bounds hold without underflow, so the filter
-# scales each mask's coefficients (continuous) or each pattern's (quantized)
-# to a largest modulus in [1/2, 1). A pattern's largest modulus is at most
-# that of any mask holding it, so its terms are scaled up at least as far as
-# that mask's scale takes them: a term that still underflows adds at most
-# 2^-149 absolutely in its scaled units, far below a margin of at least
+# them, which adds below 1e-8 n u per term, as does the double precision
+# |.|. In all, below (2.9 n + 5) u quantized and (n + 9) u continuous, both
+# below 4 (n + 3) u, hence the factor kappa = 4; the double precision ramps
+# and exact scores add less than 1e-5 u per term. The bounds hold without
+# underflow, so the filter scales each pattern's coefficients to a largest
+# modulus in [1/2, 1). A mask that holds a pattern holds its largest term,
+# so a term that still underflows adds at most 2^-149 absolutely in its
+# pattern's scaled units, far below the mask's margin of at least
 # 2 (n + 3) u in the same units.
 _MARGIN_PER_TERM = 4.0 * 2.0**-24
 # The finest phase-shift precision, in bits. Quantize-before-select scores
@@ -242,11 +246,15 @@ def conjugate_phases(
 
 def _ramp_phasors(slope: np.ndarray, first: float, count: int) -> np.ndarray:
     """exp(1j * slope[k] * (first + i)) for i < count, shape (count, K), by a
-    running product: one complex exp per codeword instead of per entry."""
+    running product, one row at a time: one complex exp per codeword instead
+    of per entry. (np.cumprod along axis 0 walks a (count, K) array column by
+    column, in strided steps, several times slower.)"""
     z = np.empty((count, slope.size), dtype=complex)
     z[0] = np.exp(1j * slope * first)
-    z[1:] = np.exp(1j * slope)
-    return np.cumprod(z, axis=0, out=z)
+    step = np.exp(1j * slope)
+    for i in range(1, count):
+        np.multiply(z[i - 1], step, out=z[i])
+    return z
 
 
 def _level_ramps(cb: Codebook, bits: int, ks=slice(None)):
@@ -284,53 +292,37 @@ def _filter_amplitudes(
     """Every codeword's gain amplitude under each of the masks (M, N), shape
     (M, K), from its separable phases (see Codebook.slopes), and each mask's
     margin (M,): a codeword's filter amplitude lies within its mask's margin
-    of the amplitude of its exact phases (see _MARGIN_PER_TERM). The sums run
-    in single precision. On continuous phases, each mask is scored over its
-    own bounding box as the bilinear form row_z^T C col_z of the codewords'
-    row and column phasors and the mask's coefficient grid C. On quantized
-    phases, the elements some mask holds are grouped by their membership
-    pattern, the set of masks that hold them, and walked in chunks in
-    pattern order: each chunk's level phasors of every codeword are summed,
-    weighted by c, into its patterns' sums, and each mask's amplitude is
-    the double precision sum of its patterns' sums. The quantized phasors
-    are those of the levels of _level_ramps, the levels _configuration
-    applies, so a phase on a level boundary takes the same level here as in
-    the exact re-score."""
+    of the amplitude of its exact phases (see _MARGIN_PER_TERM). The elements
+    some mask holds are grouped by their membership pattern, the set of
+    masks that hold them, and each pattern's terms are summed in single
+    precision for every codeword, on continuous phases by _rectangle_sums
+    and on quantized phases by _level_sums. Each mask's amplitude is the
+    double precision sum of its patterns' sums."""
     ris = cb.ris
-    grids = masks.reshape(-1, ris.rows, ris.cols)
-    union = grids.any(axis=0)
+    union = masks.any(axis=0).reshape(ris.rows, ris.cols)
     rows = np.flatnonzero(union.any(axis=1))
     cols = np.flatnonzero(union.any(axis=0))
     if not rows.size:
         return np.zeros((len(masks), len(cb))), np.zeros(len(masks))
-    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    r0, r1, c0, c1 = box = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     modulus = np.abs(c)
     margin = _MARGIN_PER_TERM * ((r1 - r0) * (c1 - c0) + 3) * (masks @ modulus)
-    if bits is not None:
-        return _pattern_amplitudes(cb, c, masks, bits), margin
-    # Each mask's coefficients are scaled exactly, so that single precision
-    # neither overflows nor loses them to underflow, whatever the path loss
-    scale = _power_of_two_scale(np.where(masks, modulus, 0.0).max(axis=1))[:, None]  # (M, 1)
-    # (M, box rows, box columns): each mask's scaled coefficient grid over the box
-    box = np.where(grids, c.reshape(ris.rows, ris.cols), 0.0)[:, r0:r1, c0:c1]
-    box = (box * scale[:, :, None]).astype(np.complex64)
-    row_slope, col_slope = cb.slopes
-    # from r' and c' of the box's first row and column
-    row_z = _ramp_phasors(row_slope, r0 - (ris.rows - 1) / 2.0, r1 - r0).astype(np.complex64)
-    col_z = _ramp_phasors(col_slope, c0 - (ris.cols - 1) / 2.0, c1 - c0).astype(np.complex64)
-    # (box rows, K), one buffer for every mask: a new product per mask, its
-    # size growing with the mask, holds more memory at once
-    inner = np.empty_like(row_z)
-    amplitude = np.zeros((len(masks), len(cb)))
-    for m, grid in enumerate(grids[:, r0:r1, c0:c1]):
-        mr = np.flatnonzero(grid.any(axis=1))
-        mc = np.flatnonzero(grid.any(axis=0))
-        if mr.size:
-            r, s = slice(mr[0], mr[-1] + 1), slice(mc[0], mc[-1] + 1)
-            t = np.matmul(box[m, r, s], col_z[s], out=inner[: r.stop - r.start])
-            t *= row_z[r]
-            amplitude[m] = np.abs(t.sum(axis=0))
-    return amplitude / scale, margin
+    held, pattern, starts = _membership_patterns(masks)
+    # Each pattern's coefficients are scaled exactly, by the power of two of
+    # its own largest modulus, so that single precision neither overflows
+    # nor loses them to underflow, whatever the path loss
+    scale = _power_of_two_scale(np.maximum.reduceat(modulus[held], starts))  # (P,)
+    weight = (c[held] * scale[pattern]).astype(np.complex64)
+    if bits is None:
+        sums = _rectangle_sums(cb, held, pattern, weight, box)
+    else:
+        sums = _level_sums(cb, held, pattern, weight, bits)
+    pattern_sums = sums / scale[:, None]  # exact, in double precision
+    amplitude = np.empty((len(masks), len(cb)))
+    # one mask at a time: an (M, P) @ (P, K) product holds an (M, K) complex array
+    for m, holds in enumerate(masks[:, held[starts]].astype(complex)):
+        amplitude[m] = np.abs(holds @ pattern_sums)
+    return amplitude, margin
 
 
 def _power_of_two_scale(largest: np.ndarray) -> np.ndarray:
@@ -354,18 +346,77 @@ def _membership_patterns(masks: np.ndarray):
     return held, np.cumsum(first) - 1, np.flatnonzero(first)
 
 
-def _pattern_amplitudes(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: int) -> np.ndarray:
-    """The quantized branch of _filter_amplitudes: amplitudes (M, K)."""
-    held, pattern, starts = _membership_patterns(masks)
-    # Each pattern's coefficients are scaled as _filter_amplitudes scales a
-    # mask's, by the power of two of the pattern's own largest modulus
-    scale = _power_of_two_scale(np.maximum.reduceat(np.abs(c[held]), starts))  # (P,)
-    weight = (c[held] * scale[pattern]).astype(np.complex64)
+def _rectangles(labels: np.ndarray) -> np.ndarray:
+    """Rectangles (label, r0, r1, c0, c1), one row each, that partition the
+    elements of each label >= 0 of the grid `labels` (rows, cols): each
+    row's runs of one label, merged down consecutive rows where a run has
+    the same label and column span as the one above it."""
+    cols = labels.shape[1]
+    flat = labels.ravel()
+    start = np.ones(flat.size, dtype=bool)
+    start[1:] = flat[1:] != flat[:-1]
+    start[::cols] = True  # no run crosses a row's end
+    first = np.flatnonzero(start)
+    row, c0 = np.divmod(first, cols)
+    runs = np.stack([c0, c0 + np.diff(first, append=flat.size), flat[first], row])
+    runs = runs[:, runs[2] >= 0]
+    # runs of one label and span, by row: a rectangle is a stretch of them in
+    # consecutive rows
+    runs = runs[:, np.lexsort(runs[::-1])]
+    new = np.ones(runs.shape[1], dtype=bool)
+    new[1:] = (runs[:3, 1:] != runs[:3, :-1]).any(axis=0) | (runs[3, 1:] != runs[3, :-1] + 1)
+    head = np.flatnonzero(new)
+    (c0, c1, label, row), height = runs[:, head], np.diff(head, append=new.size)
+    return np.stack([label, row, row + height, c0, c1], axis=1)
+
+
+def _rectangle_sums(cb: Codebook, held, pattern, weight, box) -> np.ndarray:
+    """The continuous branch of _filter_amplitudes: the sums (P, K) of the
+    scaled coefficients `weight` of the pattern-ordered elements `held`
+    times every codeword's phasors, from its row and column phasor ramps
+    over the masks' bounding box `box` (r0, r1, c0, c1). Each pattern is
+    split into _rectangles, and each rectangle scored as the bilinear form
+    row_z^T C col_z of its coefficient grid C, with the product along its
+    long side."""
+    ris = cb.ris
+    r0, r1, c0, c1 = box
+    labels = np.full(ris.num_elements, -1)
+    labels[held] = pattern
+    grid = np.zeros(ris.num_elements, dtype=np.complex64)
+    grid[held] = weight
+    labels = labels.reshape(ris.rows, ris.cols)[r0:r1, c0:c1]
+    grid = grid.reshape(ris.rows, ris.cols)[r0:r1, c0:c1]
+    row_slope, col_slope = cb.slopes
+    # from r' and c' of the box's first row and column
+    row_z = _ramp_phasors(row_slope, r0 - (ris.rows - 1) / 2.0, r1 - r0).astype(np.complex64)
+    col_z = _ramp_phasors(col_slope, c0 - (ris.cols - 1) / 2.0, c1 - c0).astype(np.complex64)
+    # double precision, so that adding a pattern's rectangles rounds below u
+    sums = np.zeros((pattern[-1] + 1, len(cb)), dtype=complex)
+    for p, a, b, s, t in _rectangles(labels).tolist():
+        if b - a <= t - s:
+            inner = grid[a:b, s:t] @ col_z[s:t]
+            inner *= row_z[a:b]
+        else:
+            inner = grid[a:b, s:t].T @ row_z[a:b]
+            inner *= col_z[s:t]
+        sums[p] += inner.sum(axis=0)
+    return sums
+
+
+def _level_sums(cb: Codebook, held, pattern, weight, bits: int) -> np.ndarray:
+    """The quantized branch of _filter_amplitudes: the sums (P, K) of the
+    scaled coefficients `weight` of the pattern-ordered elements `held`
+    times every codeword's level phasors. The elements are walked in chunks
+    in pattern order: each chunk's level phasors of every codeword are
+    summed, weighted, into its patterns' sums in one small product. The
+    phasors are those of the levels of _level_ramps, the levels
+    _configuration applies, so a phase on a level boundary takes the same
+    level here as in the exact re-score."""
     levels = 1 << bits
     table = np.exp(1j * np.arange(levels) * (TWO_PI / levels)).astype(np.complex64)
     a, b = _level_ramps(cb, bits)  # (rows, K), (cols, K)
     at_row, at_col = np.divmod(held, cb.ris.cols)
-    sums = np.zeros((starts.size, len(cb)), dtype=np.complex64)  # (P, K)
+    sums = np.zeros((pattern[-1] + 1, len(cb)), dtype=np.complex64)
     for e0 in range(0, held.size, _CHUNK_ELEMENTS):
         e = slice(e0, e0 + _CHUNK_ELEMENTS)
         p = pattern[e]
@@ -373,12 +424,7 @@ def _pattern_amplitudes(cb: Codebook, c: np.ndarray, masks: np.ndarray, bits: in
         w = np.zeros((p[-1] - p[0] + 1, p.size), dtype=np.complex64)
         w[p - p[0], np.arange(p.size)] = weight[e]
         sums[p[0] : p[-1] + 1] += w @ phasor
-    pattern_sums = sums / scale[:, None]  # exact, in double precision
-    amplitude = np.empty((len(masks), len(cb)))
-    # one mask at a time: an (M, P) @ (P, K) product holds an (M, K) complex array
-    for m, holds in enumerate(masks[:, held[starts]].astype(complex)):
-        amplitude[m] = np.abs(holds @ pattern_sums)
-    return amplitude
+    return sums
 
 
 def select_codeword(

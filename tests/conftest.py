@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rislink import link
 from rislink.channel import PathLossModel, los_channel, wavelength
 from rislink.coding import AXIS_LEVELS
 from rislink.geometry import facing_array
@@ -78,6 +79,41 @@ def gathered_receive_bits(sent: np.ndarray, modulation: str, g: complex, budget:
     # each region's Gray bits, as one unsigned integer of `per` bytes
     bits = (order[:, None] >> np.arange(per - 1, -1, -1) & 1).astype(np.uint8)
     return bits.view(f"u{per}").ravel().take(region).view(np.uint8)
+
+
+def expected_bit_errors(layout, modulation: str, g: complex, budget: LinkBudget):
+    """Each sentence's expected bit errors, and their variance, when
+    link.receive_bits decides the bits of `layout` (a harness._Layout), pads
+    left out, from the sampler's own regions and chances (link._decisions,
+    link._chances). A component sent at level a falls in region r, between
+    thresholds t_{r-1} and t_r, with chance Phi(t_r - a) - Phi(t_{r-1} - a),
+    in units of sigma. Each chance is taken from the tail it lies in, so a
+    small one keeps its relative precision: a region below a's own from the
+    chances below each threshold, one above it from those of the mirrored
+    level, -a, below the mirrored threshold, -t (the levels are symmetric
+    about 0). The bits of one component are not independent (16-QAM sends
+    two on each), so the variance is summed per component."""
+    words, regions, _ = link._decisions(modulation)
+    levels = AXIS_LEVELS[modulation]
+    k, per = levels.size, words.itemsize  # levels, bits per component
+    below = np.array(link._chances(modulation, g, budget))  # below[j, i] = Phi(t_j - a_i)
+    mirror = [int(np.flatnonzero(levels == -a)[0]) for a in levels]
+    above = below[::-1][:, mirror]  # above[j, i] = Phi(a_i - t_j)
+    low = np.vstack([np.diff(below, axis=0, prepend=0.0), np.zeros(k)])
+    high = np.vstack([np.zeros(k), -np.diff(above, axis=0, append=0.0)])
+    own = np.argsort(np.argsort(levels))  # each level's region
+    region = np.arange(k)[:, None]
+    chance = np.where(region < own, low, np.where(region > own, high, 0.0))  # (region, level)
+    sent = layout.sent.reshape(-1, per)  # a row per component
+    inside = layout.inside.reshape(-1, per).astype(bool)
+    decided = regions.view(np.uint8).reshape(k, per)  # each region's Gray bits
+    # wrong[c, r]: the bits of component c that a decision in region r gets wrong
+    wrong = ((decided[None] != sent[:, None]) & inside[:, None]).sum(axis=2)
+    p = chance[:, sent @ (1 << np.arange(per - 1, -1, -1))].T  # by each component's Gray index
+    mean = (p * wrong).sum(axis=1)
+    variance = (p * wrong**2).sum(axis=1) - mean**2
+    first = layout.starts // per  # each sentence's first component
+    return np.add.reduceat(mean, first), np.add.reduceat(variance, first)
 
 
 def make_corpus(n_sentences: int = 100) -> list:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -1609,6 +1611,71 @@ def test_cli_mistyped_config_exits_1(tmp_path, capsys, key, value):
     assert cli_main(["snr", "--config", str(path), "--ratio", "1.0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every config field, and each sub-field of tx and ris, is set in turn to
+# each of these values on the small test scene
+BAD_VALUES = [None, True, False, 0, -0.0, 1, -1, 0.5, 1e308, -1e308, math.nan, math.inf,
+              -math.inf, 2**70, -(2**70), 1e-320, "", "x", [], [[]], [1, [2]], {}, [None],
+              "/nonexistent/missing.json"]
+CONFIG_FIELDS = ([(f.name,) for f in fields(ExperimentConfig)]
+                 + [(spec, f.name) for spec in ("tx", "ris") for f in fields(ArraySpec)])
+BAD_CORPORA = [b"", b"\n \n\t\n", b"\xff\xfe not utf-8\n", b"a\x00b\n", "\U0001f600 x\n".encode(),
+               b"one\rtwo\r", b"one\r\ntwo\r\n", "\ufeffbom line\n".encode(),
+               b"x" * 100_000 + b"\n", b"\x00\n"]
+BAD_SYMBOL_MATRICES = [b"", b"{", b"[" * 100_000, b"[1, 2]", b'"x"', b"{}", b"\xff",
+                       b'{"n_rows": 0, "n_cols": 1, "data": []}',
+                       b'{"n_rows": true, "n_cols": 1, "data": [1, 2]}',
+                       b'{"n_rows": 1.5, "n_cols": 1, "data": [1, 2]}',
+                       b'{"n_rows": 1180591620717411303424, "n_cols": 1, "data": [1, 2]}',
+                       b'{"n_rows": 1, "n_cols": 2, "data": [1, 2]}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": "ab"}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": [NaN, 0]}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": [null, 0]}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": [[1, 2]]}',
+                       b'{"n_rows": 1, "n_cols": 2, "data": [1e308, 1e308, 1e308, 1e308]}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": [0, 0]}',
+                       b'{"n_rows": 1, "n_cols": 1, "data": [5e-324, 0]}']
+
+
+@pytest.fixture(scope="module")
+def bad_input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bad-inputs")
+
+
+def bad_input_cases():
+    for key in CONFIG_FIELDS:
+        for value in BAD_VALUES:
+            yield pytest.param("config", (key, value), id=f"{'.'.join(key)}={value!r}"[:60])
+    for i, data in enumerate(BAD_CORPORA):
+        yield pytest.param("corpus_path", data, id=f"corpus{i}")
+    for i, data in enumerate(BAD_SYMBOL_MATRICES):
+        yield pytest.param("symbol_matrix_path", data, id=f"symbols{i}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where, bad", bad_input_cases())
+def test_a_bad_input_exits_0_or_1_with_one_line(bad_input_dir, monkeypatch, where, bad):
+    # any bad value of a config field, and any malformed corpus or symbol
+    # matrix file, either sweeps or exits 1 with one line; a traceback, a
+    # warning or a second line fails. A relative output path ("x") lands in
+    # the test's directory.
+    monkeypatch.chdir(bad_input_dir)
+    payload = json.loads(small_config(bad_input_dir).to_json())
+    if where == "config":
+        key, value = bad
+        (payload[key[0]] if len(key) == 2 else payload)[key[-1]] = value
+    else:
+        path = bad_input_dir / "input"
+        path.write_bytes(bad)
+        payload[where] = str(path)
+    (bad_input_dir / "cfg.json").write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["sweep", "--config", str(bad_input_dir / "cfg.json")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1)
+    assert code == 0 or len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("config, quantity", [

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gathered_receive_bits, random_scene
+from conftest import expected_bit_errors, gathered_receive_bits, random_scene
 from rislink.channel import ChannelMatrix, wavelength
 from rislink import coding
 from rislink.coding import SymbolMatrix
 from rislink.geometry import facing_array
-from rislink.harness import ERROR_FREE_SNR
+from rislink.harness import ERROR_FREE_SNR, _Layout
 from rislink.link import (
     LinkBudget,
     _chances,
@@ -307,6 +307,39 @@ def test_receive_bits_qpsk_ber_oracle():
     ber = np.mean(receive_bits(bits, "qpsk", 1.0 + 0j, budget, 66) != bits)
     expected = 0.5 * math.erfc(math.sqrt(gamma / 2.0))
     assert abs(ber - expected) <= 0.05 * expected
+
+
+def odd_layout(modulation) -> _Layout:
+    """Three sentences of 1, 7 and 40 random bits, each padded on its own."""
+    rng = np.random.default_rng(12)
+    return _Layout([rng.integers(0, 2, n, dtype=np.uint8) for n in (1, 7, 40)], modulation)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1.0, 10.0, 100.0, 900.0])
+def test_qpsk_expected_bit_errors_are_q_of_root_snr(gamma):
+    layout = odd_layout("qpsk")
+    budget = scalar_budget(p_tx=1.0, noise=1.0 / gamma)
+    mean, variance = expected_bit_errors(layout, "qpsk", 1.0 + 0j, budget)
+    q = 0.5 * math.erfc(math.sqrt(gamma / 2.0))
+    np.testing.assert_allclose(mean / layout.sizes, q, rtol=1e-12, atol=0.0)
+    # one bit per component: each is a Bernoulli draw
+    np.testing.assert_allclose(variance, layout.sizes * q * (1 - q), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_error_free_rows_expect_no_bit_errors(modulation):
+    # a noiseless row, and one at ERROR_FREE_SNR, which _send_rows does not
+    # draw, expect exactly 0 errors; just below it some error is expected
+    layout = odd_layout(modulation)
+    g = 0.3 * np.exp(0.7j)
+    at_floor = scalar_budget(p_tx=0.5, noise=abs(g) ** 2 * 0.5 / ERROR_FREE_SNR)
+    assert snr_linear(g, at_floor) >= ERROR_FREE_SNR
+    for budget in (scalar_budget(p_tx=0.5, noise=0.0), at_floor):
+        mean, variance = expected_bit_errors(layout, modulation, g, budget)
+        assert not mean.any() and not variance.any()
+    mean, _ = expected_bit_errors(layout, modulation, g,
+                                  scalar_budget(p_tx=0.5, noise=at_floor.noise_power * 1e3))
+    assert mean.sum() > 0.0
 
 
 class ConstantDraws:

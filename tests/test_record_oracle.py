@@ -24,8 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import expected_bit_errors
 from rislink.coding import SymbolMatrix, store_symbol_matrix
-from rislink.harness import ExperimentConfig, run_sweep
+from rislink.harness import (ERROR_FREE_SNR, ExperimentConfig, _configure_ratios,
+                             _prepare_methods, build_scene, run_sweep)
+from rislink.link import snr_linear
 
 ORACLE = Path(__file__).with_name("record_oracle.json")
 CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus.txt"
@@ -95,6 +98,36 @@ def test_records_match_the_oracle(oracle, sweep, jobs, tmp_path):
     assert len(snrs) == len(expected)
     for got, want in zip(snrs, expected):
         assert math.isclose(float(got), float(want), rel_tol=SNR_RTOL, abs_tol=0.0), (got, want)
+
+
+@pytest.mark.parametrize("sweep", [s for s in SWEEPS if not s[2]], ids=lambda s: s[0])
+def test_drawn_rows_lie_near_their_expected_bit_errors(sweep, tmp_path):
+    # every drawn row's BER, the mean of its sentences' rates, lies within 5
+    # sd of the mean of their expected rates, plus one bit error of its
+    # shortest sentence: the normal approximation does not hold for a row
+    # that expects far fewer than one error, as some rows at noise_dbm 8 do
+    _, fields, _ = sweep
+    cfg = ExperimentConfig(**fields, corpus_path=str(CORPUS),
+                           output_path=str(tmp_path / "sweep.csv"))
+    records = iter(run_sweep(cfg))
+    scene = build_scene(cfg)
+    methods, _ = _prepare_methods(cfg)
+    drawn = 0
+    for points in _configure_ratios(scene, cfg.ratios, cfg.quantizations, False):
+        for _, g in points:
+            for corpus in methods:
+                record = next(records)
+                assert record.method == corpus.name
+                if snr_linear(g, scene.budget) >= ERROR_FREE_SNR:
+                    continue
+                drawn += 1
+                sizes = corpus.layout.sizes
+                mean, variance = expected_bit_errors(corpus.layout, cfg.modulation, g,
+                                                     scene.budget)
+                sd = math.sqrt(np.sum(variance / sizes**2)) / sizes.size
+                slack = 1.0 / (sizes.size * sizes.min())
+                assert abs(record.ber - np.mean(mean / sizes)) <= 5.0 * sd + slack
+    assert drawn == (0 if cfg.noise_dbm == -120.0 else 2 * len(cfg.ratios) * len(cfg.quantizations))
 
 
 def test_changes_names_each_changed_sweep_and_snr_db():

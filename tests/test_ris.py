@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scene
@@ -27,6 +27,7 @@ from rislink.ris import (
     _membership_patterns,
     _quantize,
     _quantized_phases,
+    _rectangles,
     _select_rows,
 )
 
@@ -424,6 +425,29 @@ def test_filter_amplitudes_lie_within_their_margins(shape):
             np.testing.assert_array_equal(margin == 0.0, ~masks.any(axis=1))
 
 
+def test_continuous_filter_on_tall_and_wide_rectangles():
+    # the continuous filter takes a wide rectangle's product along its rows
+    # and a tall one's along its columns: each mask alone and the stack of
+    # the masks without a random one split into rectangles of both kinds
+    kinds = set()
+    for shape in ((5, 5), (3, 7), (7, 3), (12, 10)):
+        h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(2, shape, (12, 6))
+        c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
+        masks = np.array([mask, np.ones(c.size, dtype=bool), *off_box_masks(*shape)])
+        phasors = np.exp(1j * np.array([cb.phases(k) for k in range(len(cb))]))
+        for stack in [masks, *masks[:, None]]:
+            amplitude, margin = _filter_amplitudes(cb, c, stack, None)
+            exact = np.abs((phasors * c) @ stack.T).T
+            assert np.all(np.abs(amplitude - exact) <= margin[:, None])
+            held, pattern, _ = _membership_patterns(stack)
+            labels = np.full(c.size, -1)
+            labels[held] = pattern
+            for _, r0, r1, c0, c1 in _rectangles(labels.reshape(shape)):
+                if min(r1 - r0, c1 - c0) > 1:
+                    kinds.add(bool(r1 - r0 > c1 - c0))
+    assert kinds == {False, True}
+
+
 def test_selection_rejects_misshapen_masks():
     h_ris_tx, h_rx_ris, budget, mask, cb = random_scene(1)
     c = cascaded_coefficients(h_ris_tx, h_rx_ris, budget.w_tx, budget.w_rx)
@@ -544,7 +568,7 @@ def test_quantized_selection_reaches_the_exhaustive_optimum_on_level_boundaries(
 
 
 def test_pattern_filter_on_a_stack_of_every_grouping():
-    # the quantized filter sums per membership pattern: one mask per element
+    # the filter sums per membership pattern: one mask per element
     # (a pattern per element), the full mask, a duplicated mask and an empty
     # mask, whose patterns never hold it; also with every other coefficient
     # 2^-140 times smaller, which single precision keeps only if each
@@ -557,8 +581,9 @@ def test_pattern_filter_on_a_stack_of_every_grouping():
     held, _, starts = _membership_patterns(masks)
     assert sorted(held) == list(range(n)) and starts.size == n
     spread = np.where(np.arange(n) % 2, 2.0**-140, 1.0)
-    for bits, c in itertools.product((1, 2, 3), (c, c * spread)):
-        phasors = np.exp(1j * np.array([_quantized_phases(cb, k, bits) for k in range(len(cb))]))
+    for bits, c in itertools.product((None, 1, 2, 3), (c, c * spread)):
+        phases = cb.phases if bits is None else lambda k: _quantized_phases(cb, k, bits)
+        phasors = np.exp(1j * np.array([phases(k) for k in range(len(cb))]))
         exact = np.abs((phasors * c) @ masks.T).T
         amplitude, margin = _filter_amplitudes(cb, c, masks, bits)
         assert np.all(np.abs(amplitude - exact) <= margin[:, None])
@@ -578,3 +603,49 @@ def test_membership_patterns_of_a_sweep_stay_few():
     member = masks[:, held]
     np.testing.assert_array_equal(member, member[:, starts][:, pattern])
     assert len({tuple(column) for column in member[:, starts].T}) == starts.size
+
+
+@st.composite
+def label_grids(draw):
+    """A (rows, cols) grid of labels from -1 (held by no mask) to 3."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.integers(-1, 3), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells).reshape(rows, cols)
+
+
+def grid(text):
+    """A label grid from rows of digits, "." for -1."""
+    return np.array([[-1 if ch == "." else int(ch) for ch in row] for row in text.split()])
+
+
+@settings(max_examples=300)
+@given(label_grids())
+@example(grid("0000000"))  # 1 x n
+@example(grid("0 0 1 1 ."))  # n x 1
+@example(grid("000 0.0 000"))  # a ring around a hole
+@example(grid("0.. 0.. 000"))  # an L shape
+@example(grid("00000 01110 01210 01110 00000"))  # nested squares
+def test_rectangles_partition_every_label(labels):
+    # every labelled element lies in exactly one rectangle of its own label,
+    # and no element labelled -1 lies in any
+    cover = np.zeros(labels.shape, dtype=int)
+    for label, r0, r1, c0, c1 in _rectangles(labels):
+        assert 0 <= r0 < r1 <= labels.shape[0] and 0 <= c0 < c1 <= labels.shape[1]
+        assert np.all(labels[r0:r1, c0:c1] == label) and label >= 0
+        cover[r0:r1, c0:c1] += 1
+    np.testing.assert_array_equal(cover, labels >= 0)
+
+
+def test_rectangles_of_a_sweep_stay_few():
+    # the continuous filter's cost grows with the rectangles: a sweep's 20
+    # nested squares on the default scene split into 57, one for the
+    # innermost square and at most 4 for each ring around it
+    cfg = ExperimentConfig()
+    ris = make_ris(cfg.ris.rows, cfg.ris.cols)
+    masks = np.array([active_mask(ris, r) for r in cfg.ratios])
+    held, pattern, starts = _membership_patterns(masks)
+    labels = np.full(ris.num_elements, -1)
+    labels[held] = pattern
+    rectangles = _rectangles(labels.reshape(ris.rows, ris.cols))
+    assert starts.size == 20 and len(rectangles) == 57
+    assert np.bincount(rectangles[:, 0]).max() <= 4
